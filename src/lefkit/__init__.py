@@ -20,7 +20,7 @@ from .lattice import (
     stabilizer_shape,
     twist,
 )
-from .ext import GradedDims, ext_graded, is_orthogonal_pair, line_cohomology
+from .ext import GradedDims, ext_graded, is_orthogonal_pair, line_cohomology, orthogonal_mask
 from .lefschetz import (
     LefschetzCollection,
     Violation,
@@ -33,6 +33,7 @@ from .lefschetz import (
     collection_from_json,
     collection_to_json,
     flatten_bundles,
+    is_exceptional,
     is_rectangular,
     ranks,
     x32_minimal,

@@ -196,7 +196,11 @@ def cmd_verify(args) -> int:
             lines.append(f"residual: {'ok' if not res_violations else f'{len(res_violations)} violations'}")
         lines.append(f"verdict: {'ok' if ok else 'fail'}")
         _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if ok else EXIT_FAIL
+    if ok:
+        return EXIT_OK
+    if verdict is not None and verdict.status == INCONCLUSIVE and not exc_violations and nest is None:
+        return EXIT_INCONCLUSIVE
+    return EXIT_FAIL
 
 
 def cmd_dims(args) -> int:
@@ -279,10 +283,14 @@ def _load_seed(path):
         return coll.k, coll.n, flatten_bundles(coll)
     try:
         k = int(doc["k"])
-        points = [parse_multidegree(p, k) for p in doc["points"]]
+        raw_points = doc["points"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed seed file: {exc}") from None
-    return k, None, points
+    if not isinstance(raw_points, list) or not all(isinstance(p, str) for p in raw_points):
+        raise ValueError(
+            'malformed seed file: points must be a list of multidegree strings such as "(1,0)"'
+        )
+    return k, None, [parse_multidegree(p, k) for p in raw_points]
 
 
 def cmd_closure(args) -> int:

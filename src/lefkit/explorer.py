@@ -10,12 +10,10 @@ are reported separately rather than dropped.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .lattice import Box, orbit_of, orbit_set
-from .lefschetz import LefschetzCollection, check_exceptional, ranks
+from .lefschetz import LefschetzCollection, is_exceptional, ranks
 from .reptheory import content_orbit_count, partitions_of, perm_module_dim
 from .saturation import FULL, INCONCLUSIVE, verify_fullness
 
@@ -84,32 +82,13 @@ def _pool_by_shape(spec: SearchSpec):
     return by_shape
 
 
-def _threads() -> int:
-    raw = os.environ.get("LEFKIT_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValueError(f"LEFKIT_THREADS must be an integer, got {raw!r}") from None
-    return max(1, val)
-
-
 def _evaluate(candidates, spec: SearchSpec):
-    """Check candidates in order; deterministic regardless of thread count."""
-
-    def check(coll):
-        if check_exceptional(coll):
-            return None, coll
-        verdict = verify_fullness(coll, margin=spec.margin)
-        return verdict.status, coll
-
-    workers = _threads()
-    if workers == 1:
-        outcomes = map(check, candidates)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(check, candidates))
+    """Check candidates in order: exceptionality first, closure only on survivors."""
     found, inconclusive = [], []
-    for status, coll in outcomes:
+    for coll in candidates:
+        if not is_exceptional(coll):
+            continue
+        status = verify_fullness(coll, margin=spec.margin).status
         if status == FULL:
             found.append(coll)
         elif status == INCONCLUSIVE:

@@ -91,10 +91,33 @@ class Orbit:
         return len(self.elements)
 
 
+def _multiset_permutations(values) -> tuple[Multidegree, ...]:
+    """Distinct permutations of `values` in ascending lex order.
+
+    Knuth, TAOCP 7.2.1.2, Algorithm L: from the ascending arrangement,
+    repeatedly step to the lexicographic successor, so each distinct
+    permutation is produced once and none is generated twice.
+    """
+    a = sorted(values)
+    out = [tuple(a)]
+    while True:
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return tuple(out)
+        m = len(a) - 1
+        while a[j] >= a[m]:
+            m -= 1
+        a[j], a[m] = a[m], a[j]
+        a[j + 1 :] = a[: j : -1]
+        out.append(tuple(a))
+
+
 def orbit_of(a) -> Orbit:
     """The full S_k-orbit of a multidegree."""
     rep = canonical_rep(a)
-    elements = tuple(sorted(set(itertools.permutations(rep))))
+    elements = _multiset_permutations(rep)
     shape = stabilizer_shape(rep)
     # orbit-stabilizer: |orbit| * |S_shape| = k!
     assert len(elements) * prod(factorial(m) for m in shape) == factorial(len(rep))

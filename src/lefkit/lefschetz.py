@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .ext import ext_graded, is_orthogonal_pair
+from .ext import ext_graded, nonorthogonal_below, orthogonal_mask
 from .lattice import (
     Multidegree,
     OrbitSet,
@@ -162,19 +162,20 @@ def check_lefschetz(coll: LefschetzCollection):
 def check_exceptional(coll: LefschetzCollection) -> list[Violation]:
     """All later-to-earlier pairs with nonvanishing Ext, in flatten order.
 
-    An empty list certifies the flattened sequence is exceptional (each
-    member is a line bundle, hence exceptional on its own).
+    Violations come in (later, earlier) index order; graded dimensions are
+    computed only for the pairs reported.  An empty list certifies the
+    flattened sequence is exceptional (each member is a line bundle, hence
+    exceptional on its own).
     """
     flat = flatten_bundles(coll)
     n = coll.n
     out = []
-    for q in range(1, len(flat)):
-        later = flat[q]
-        for p in range(q):
-            earlier = flat[p]
+    for qs, ps in nonorthogonal_below(n, flat):
+        for q, p in zip(qs.tolist(), ps.tolist()):
+            later, earlier = flat[q], flat[p]
             if later == earlier:
                 out.append(Violation(kind="order", witness=(later, earlier)))
-            elif not is_orthogonal_pair(n, later, earlier):
+            else:
                 out.append(
                     Violation(
                         kind="ext",
@@ -185,23 +186,30 @@ def check_exceptional(coll: LefschetzCollection) -> list[Violation]:
     return out
 
 
+def is_exceptional(coll: LefschetzCollection) -> bool:
+    """check_exceptional(coll) == [], stopping at the first block of rows with a violation."""
+    return not any(len(qs) for qs, _ in nonorthogonal_below(coll.n, flatten_bundles(coll)))
+
+
 def check_theorem_semiorthogonality(k: int, n: int):
     """Every bundle of build_E twisted by 1..n is Ext-orthogonal into build_Ehat.
 
+    Only orbit representatives of build_E are scanned: the vanishing
+    predicate is unchanged when both sides are permuted at once, and
+    build_Ehat is S_k-stable, so a representative stands for its orbit.
     Returns None on success, else the first Violation in scan order
-    (ascending twist, then flatten order on both sides).
+    (ascending twist, then representatives ascending lex, then build_Ehat
+    in flatten order).
     """
-    e_bundles = build_E(k, n).bundles()
+    reps = build_E(k, n).reps()
     ehat_bundles = build_Ehat(k, n).bundles()
-    for i in range(1, n + 1):
-        for a in e_bundles:
-            ai = twist(a, i)
-            for b in ehat_bundles:
-                if not is_orthogonal_pair(n, ai, b):
-                    return Violation(
-                        kind="ext", witness=(ai, b), detail=ext_graded(n, ai, b)
-                    )
-    return None
+    twisted = [twist(rep, i) for i in range(1, n + 1) for rep in reps]
+    bad = ~orthogonal_mask(n, twisted, ehat_bundles)
+    if not bad.any():
+        return None
+    i, j = divmod(int(bad.argmax()), bad.shape[1])
+    a, b = twisted[i], ehat_bundles[j]
+    return Violation(kind="ext", witness=(a, b), detail=ext_graded(n, a, b))
 
 
 def x3n_rectangular(n: int) -> LefschetzCollection:
@@ -272,6 +280,14 @@ def collection_from_json(text: str) -> LefschetzCollection:
         raw_blocks = doc["blocks"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed collection document: {exc}") from None
+    if not isinstance(raw_blocks, list) or not all(
+        isinstance(reps, list) and all(isinstance(r, str) for r in reps)
+        for reps in raw_blocks
+    ):
+        raise ValueError(
+            "malformed collection document: blocks must be a list of lists of "
+            'multidegree strings such as "(1,0,0)"'
+        )
     blocks = tuple(
         orbit_set(k, [parse_multidegree(r, k) for r in reps]) for reps in raw_blocks
     )

@@ -18,13 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ext import ext_graded, is_orthogonal_pair
-from .lattice import Box, Multidegree, OrbitSet, format_multidegree, twist
+from .ext import ext_graded, orthogonal_mask
+from .lattice import Box, Multidegree, OrbitSet, format_multidegree
 from .lefschetz import LefschetzCollection, Violation, flatten_bundles, ranks
 
 FULL = "FULL"
 NOT_FULL_BY_RANK = "NOT_FULL_BY_RANK"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+# Largest working box, in cells (one byte each in the grid, a few times that
+# in the sweep temporaries).  (P^1)^10 at margin 2 needs 6^10 ~ 6.0e7.
+MAX_BOX_CELLS = 2 ** 29
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,11 @@ def close(seed, n: int, box: Box, stop_when_contains=None) -> ClosureState:
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if box.size > MAX_BOX_CELLS:
+        raise ValueError(
+            f"box [{box.lo}, {box.hi}]^{box.k} has {box.size} cells, more than the "
+            f"limit of {MAX_BOX_CELLS}; use a smaller margin"
+        )
     seed = frozenset(tuple(int(c) for c in p) for p in seed)
     for p in seed:
         if p not in box:
@@ -250,20 +259,18 @@ def residual_check(
         margin = h
     if residual.k != k:
         return [Violation(kind="invariance", witness=(residual.k, k))]
-    out = []
+    flat = flatten_bundles(rect_part)
     res_bundles = residual.bundles()
-    for i, block in enumerate(rect_part.blocks):
-        for a in block.bundles():
-            ai = twist(a, i)
-            for r in res_bundles:
-                if not is_orthogonal_pair(n, ai, r):
-                    out.append(
-                        Violation(
-                            kind="ext", witness=(ai, r), detail=ext_graded(n, ai, r)
-                        )
-                    )
+    out = [
+        Violation(
+            kind="ext",
+            witness=(flat[q], res_bundles[r]),
+            detail=ext_graded(n, flat[q], res_bundles[r]),
+        )
+        for q, r in np.argwhere(~orthogonal_mask(n, flat, res_bundles)).tolist()
+    ]
     box = Box(lo=-margin, hi=n + margin, k=k)
-    seed = set(flatten_bundles(rect_part)) | set(res_bundles)
+    seed = set(flat) | set(res_bundles)
     seed = {p for p in seed if p in box}
     target = _target_cube(n, k)
     state = close(seed, n, box, stop_when_contains=target)

@@ -63,6 +63,14 @@ def test_verify_not_full_exits_1(capsys):
     assert "verdict: fail" in out
 
 
+def test_verify_inconclusive_exits_3(capsys):
+    # exceptional and nested, but margin 0 is too tight for closure to decide
+    rc, out, _ = run(capsys, "verify", "--builtin", "x32-minimal", "--margin", "0")
+    assert rc == 3
+    assert "fullness: INCONCLUSIVE" in out
+    assert "verdict: fail" in out
+
+
 def test_verify_residual(capsys):
     rc, out, _ = run(
         capsys, "verify", "--builtin", "x32-rect", "--residual", "(1,-1,0)"
@@ -146,6 +154,27 @@ def test_closure_n_conflict(capsys, tmp_path):
     rc, _, err = run(capsys, "closure", "--seed-file", str(coll_path), "--n", "3")
     assert rc == 2
     assert "conflicts" in err
+
+
+def test_malformed_collection_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps({"schema": "lefkit/1", "k": 3, "n": 2, "blocks": [1]}))
+    rc, out, err = run(capsys, "verify", "--collection", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "blocks" in err
+    rc, _, err = run(capsys, "closure", "--seed-file", str(path))
+    assert rc == 2
+    assert err.startswith("error:") and "blocks" in err
+
+
+def test_malformed_seed_points_exit_2(capsys, tmp_path):
+    path = tmp_path / "seed.json"
+    for points in ([1], "(0,0)", [["(0,0)"]]):
+        path.write_text(json.dumps({"k": 2, "points": points}))
+        rc, _, err = run(capsys, "closure", "--seed-file", str(path), "--n", "1")
+        assert rc == 2
+        assert err.startswith("error:") and "points" in err
 
 
 def test_bad_multidegree_exits_2(capsys):

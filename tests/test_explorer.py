@@ -1,10 +1,9 @@
-import os
-
 import pytest
 
+from lefkit import explorer
 from lefkit.explorer import SearchSpec, search_minimal, search_rectangular
 from lefkit.lattice import Box
-from lefkit.lefschetz import build_E, ranks, x32_minimal
+from lefkit.lefschetz import build_E, check_exceptional, is_exceptional, ranks, x32_minimal
 from lefkit.saturation import verify_fullness
 
 
@@ -100,19 +99,20 @@ def test_budget_truncates_and_reports():
     assert result.nodes_visited == 10
 
 
-def test_search_deterministic_across_thread_counts():
-    sig = lambda r: [tuple(b.reps() for b in c.blocks) for c in r.found]
-    spec = SearchSpec(k=3, n=2, target="minimal")
-    old = os.environ.get("LEFKIT_THREADS")
-    try:
-        os.environ["LEFKIT_THREADS"] = "1"
-        seq = search_minimal(spec)
-        os.environ["LEFKIT_THREADS"] = "4"
-        par = search_minimal(spec)
-    finally:
-        if old is None:
-            os.environ.pop("LEFKIT_THREADS", None)
-        else:
-            os.environ["LEFKIT_THREADS"] = old
-    assert sig(seq) == sig(par)
-    assert seq.nodes_visited == par.nodes_visited
+def test_is_exceptional_agrees_with_check_exceptional_on_search_candidates(monkeypatch):
+    outcomes = []
+
+    def checked(coll):
+        fast = is_exceptional(coll)
+        assert fast == (check_exceptional(coll) == []), [b.reps() for b in coll.blocks]
+        outcomes.append(fast)
+        return fast
+
+    monkeypatch.setattr(explorer, "is_exceptional", checked)
+    visited = 0
+    for k, n, hi in [(3, 1, 3), (2, 4, 5), (3, 2, 4)]:
+        spec = SearchSpec(k=k, n=n, target="rectangular", pool_box=Box(0, hi, k), prune=False)
+        visited += search_rectangular(spec).nodes_visited
+    visited += search_minimal(SearchSpec(k=3, n=2, target="minimal")).nodes_visited
+    assert len(outcomes) == visited
+    assert any(outcomes) and not all(outcomes)

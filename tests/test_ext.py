@@ -1,10 +1,12 @@
 import itertools
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lefkit.ext import ext_graded, is_orthogonal_pair, line_cohomology
+from lefkit import ext
+from lefkit.ext import ext_graded, is_orthogonal_pair, line_cohomology, orthogonal_mask
 from lefkit.lattice import twist
 
 
@@ -60,6 +62,13 @@ def test_ext_graded_rejects_arity_mismatch():
         ext_graded(2, (0, 0), (0, 0, 0))
     with pytest.raises(ValueError):
         is_orthogonal_pair(2, (0, 0), (0, 0, 0))
+    with pytest.raises(ValueError):
+        orthogonal_mask(2, [(0, 0)], [(0, 0, 0)])
+    # int64 coordinates whose differences could wrap are refused, not mis-tested
+    with pytest.raises(ValueError):
+        orthogonal_mask(2, [(2 ** 63,)], [(0,)])
+    with pytest.raises(ValueError):
+        orthogonal_mask(2, [(2 ** 62,)], [(-1,)])
 
 
 def test_is_orthogonal_pair_known_values():
@@ -82,6 +91,23 @@ def test_predicate_matches_ext_vanishing(n, k, data):
     a = tuple(data.draw(st.integers(lo, hi)) for _ in range(k))
     b = tuple(data.draw(st.integers(lo, hi)) for _ in range(k))
     assert is_orthogonal_pair(n, a, b) == (not any(ext_graded(n, a, b)))
+
+
+@given(
+    n=st.integers(1, 3),
+    k=st.integers(1, 3),
+    chunk=st.sampled_from([1, 2, 3, ext._CHUNK_ROWS]),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_orthogonal_mask_matches_scalar_predicate(n, k, chunk, data):
+    point = st.tuples(*[st.integers(-2 * n - 1, 2 * n + 1)] * k)
+    a = data.draw(st.lists(point, max_size=8))
+    b = data.draw(st.lists(point, max_size=8))
+    with mock.patch.object(ext, "_CHUNK_ROWS", chunk):
+        mask = orthogonal_mask(n, a, b)
+    assert mask.dtype == bool and mask.shape == (len(a), len(b))
+    assert mask.tolist() == [[is_orthogonal_pair(n, x, y) for y in b] for x in a]
 
 
 def test_predicate_matches_ext_vanishing_exhaustive_small():

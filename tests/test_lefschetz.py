@@ -1,12 +1,16 @@
 import json
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lefkit.lattice import orbit_set, twist
+from lefkit import ext, lefschetz
+from lefkit.ext import ext_graded, is_orthogonal_pair
+from lefkit.lattice import canonical_rep, orbit_set, twist
 from lefkit.lefschetz import (
     LefschetzCollection,
+    Violation,
     adjust,
     build_E,
     build_Ehat,
@@ -16,6 +20,7 @@ from lefkit.lefschetz import (
     collection_from_json,
     collection_to_json,
     flatten_bundles,
+    is_exceptional,
     is_rectangular,
     ranks,
     x32_minimal,
@@ -187,6 +192,46 @@ def test_check_exceptional_reports_duplicates():
     assert violations[0].witness == ((1, 1), (1, 1))
 
 
+def _check_exceptional_reference(coll):
+    """The scalar pair loop that check_exceptional replaces."""
+    flat = flatten_bundles(coll)
+    out = []
+    for q in range(1, len(flat)):
+        for p in range(q):
+            later, earlier = flat[q], flat[p]
+            if later == earlier:
+                out.append(Violation(kind="order", witness=(later, earlier)))
+            elif not is_orthogonal_pair(coll.n, later, earlier):
+                out.append(
+                    Violation(
+                        kind="ext",
+                        witness=(later, earlier),
+                        detail=ext_graded(coll.n, later, earlier),
+                    )
+                )
+    return out
+
+
+@given(
+    k=st.integers(1, 3),
+    n=st.integers(1, 3),
+    chunk=st.sampled_from([1, 2, 5, ext._CHUNK_ROWS]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_check_exceptional_matches_scalar_reference(k, n, chunk, data):
+    # overlapping blocks give duplicates after twisting; reps past n give ext violations
+    rep = st.tuples(*[st.integers(-1, n + 2)] * k)
+    blocks = data.draw(
+        st.lists(st.lists(rep, min_size=1, max_size=4), min_size=1, max_size=3)
+    )
+    coll = LefschetzCollection(k=k, n=n, blocks=tuple(orbit_set(k, b) for b in blocks))
+    want = _check_exceptional_reference(coll)
+    with mock.patch.object(ext, "_CHUNK_ROWS", chunk):
+        assert check_exceptional(coll) == want
+        assert is_exceptional(coll) == (want == [])
+
+
 def test_x32_minimal_is_exceptional():
     assert check_exceptional(x32_minimal()) == []
     assert check_exceptional(x32_rectangular_part()) == []
@@ -215,6 +260,22 @@ def test_theorem_check_catches_broken_variant():
     assert hits  # the enlarged window is no longer semiorthogonal
 
 
+def test_theorem_check_catches_enlarged_ehat(monkeypatch):
+    # the representative-only scan must still fail against the enlarged window
+    k, n = 2, 2
+    real = lefschetz.build_Ehat
+    monkeypatch.setattr(
+        lefschetz, "build_Ehat", lambda k, n: adjust(real(k, n), add=[(3, 0)])
+    )
+    v = check_theorem_semiorthogonality(k, n)
+    assert v is not None and v.kind == "ext"
+    a, b = v.witness
+    assert not is_orthogonal_pair(n, a, b)
+    assert v.detail == ext_graded(n, a, b) and any(v.detail)
+    assert canonical_rep(b) == (3, 0)
+    assert any(twist(a, -i) in build_E(k, n).reps() for i in range(1, n + 1))
+
+
 def test_json_roundtrip_bit_exact():
     coll = x32_minimal()
     text = collection_to_json(coll)
@@ -232,6 +293,10 @@ def test_json_rejects_bad_documents():
         collection_from_json("{}")
     with pytest.raises(ValueError):
         collection_from_json('{"schema": "lefkit/1", "k": 2}')
+    for blocks in ([1], "(0,0)", [["(0,0)", 1]], [[["(0,0)"]]], {"a": 1}):
+        doc = {"schema": "lefkit/1", "k": 2, "n": 1, "blocks": blocks}
+        with pytest.raises(ValueError, match="list of lists"):
+            collection_from_json(json.dumps(doc))
 
 
 @given(n=st.integers(1, 4))

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from lefkit.lattice import Box, orbit_set
@@ -15,6 +16,7 @@ from lefkit.lefschetz import (
 from lefkit.saturation import (
     FULL,
     INCONCLUSIVE,
+    MAX_BOX_CELLS,
     NOT_FULL_BY_RANK,
     close,
     replay_trace,
@@ -222,6 +224,17 @@ def test_verify_fullness_inconclusive_then_full():
     assert (2, 0, 0) in tight.detail["missing_sample"]
     wide = verify_fullness(coll, margin=2)
     assert wide.status == FULL
+
+
+def test_oversized_box_refused_before_allocation(monkeypatch):
+    # (P^1)^14 at margin 2 is a 6^14-cell box, about 78 GB of grid
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("np.zeros called for an oversized box")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    assert 6 ** 14 > MAX_BOX_CELLS > 6 ** 10
+    with pytest.raises(ValueError, match="cells"):
+        verify_fullness(xk1(14), margin=2)
 
 
 def test_box_monotone_success():

@@ -50,6 +50,7 @@ from .saturation import (
     RuleApplication,
     Verdict,
     close,
+    close_cube,
     replay_trace,
     residual_check,
     verify_fullness,

@@ -36,7 +36,7 @@ from .reptheory import (
     lef_bounds,
     schur_weyl_table,
 )
-from .saturation import FULL, INCONCLUSIVE, NOT_FULL_BY_RANK, close, residual_check, verify_fullness
+from .saturation import FULL, INCONCLUSIVE, NOT_FULL_BY_RANK, close_cube, residual_check, verify_fullness
 from .explorer import SearchSpec, search_minimal, search_rectangular
 
 EXIT_OK = 0
@@ -178,7 +178,7 @@ def cmd_verify(args) -> int:
             if verdict.status == FULL:
                 lines.append(
                     f"fullness: FULL (margin {verdict.detail['margin']}, "
-                    f"trace length {len(verdict.state.trace)})"
+                    f"trace length {verdict.state.trace_length})"
                 )
             elif verdict.status == NOT_FULL_BY_RANK:
                 lines.append(
@@ -301,10 +301,7 @@ def cmd_closure(args) -> int:
     if file_n is not None and args.n is not None and args.n != file_n:
         raise ValueError(f"--n {args.n} conflicts with seed file n={file_n}")
     margin = args.margin if args.margin is not None else n + 1
-    box = Box(lo=-margin, hi=n + margin, k=k)
-    target = [p for p in Box(lo=0, hi=n, k=k).points()]
-    state = close(seed, n, box, stop_when_contains=target)
-    missing = [p for p in target if p not in state.members]
+    state, missing = close_cube(seed, n, k, margin)
     status = FULL if not missing else INCONCLUSIVE
 
     if args.trace_out:
@@ -317,18 +314,18 @@ def cmd_closure(args) -> int:
             "n": n,
             "margin": margin,
             "status": status,
-            "members": len(state.members),
-            "box_size": box.size,
+            "members": state.member_count,
+            "box_size": state.box.size,
             "trace": [_trace_doc(app) for app in state.trace],
         }
         if missing:
-            doc["missing_sample"] = [format_multidegree(p) for p in missing[:20]]
+            doc["missing_sample"] = [format_multidegree(p) for p in missing]
         _emit(args, _json_dumps(doc))
     else:
         lines = [
             f"status: {status}",
-            f"members: {len(state.members)} of {box.size}",
-            f"trace entries: {len(state.trace)}",
+            f"members: {state.member_count} of {state.box.size}",
+            f"trace entries: {state.trace_length}",
         ]
         if missing:
             lines.append(
@@ -464,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
+    def add_common(p, formats=("text", "json")):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="write to this file instead of stdout")
 
     p = sub.add_parser("ext", help="graded Ext dimensions between two line bundles")
@@ -489,13 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dims", help="Schur/symmetric-group dimension table")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    add_common(p)
+    add_common(p, formats=("text", "json", "tsv"))
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("bounds", help="block size bounds for length-h chains")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    add_common(p)
+    add_common(p, formats=("text", "json", "tsv"))
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("closure", help="window-generation closure from a seed file")

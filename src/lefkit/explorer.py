@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .lattice import Box, orbit_of, orbit_set
+from .lattice import Box, OrbitSet, orbit_of
 from .lefschetz import LefschetzCollection, is_exceptional, ranks
 from .reptheory import content_orbit_count, partitions_of, perm_module_dim
 from .saturation import FULL, INCONCLUSIVE, verify_fullness
@@ -82,6 +82,11 @@ def _pool_by_shape(spec: SearchSpec):
     return by_shape
 
 
+def _block(k: int, orbits) -> OrbitSet:
+    """The OrbitSet of distinct pool orbits, reusing them rather than rebuilding each."""
+    return OrbitSet(k=k, orbits=tuple(sorted(orbits, key=lambda o: o.rep)))
+
+
 def _evaluate(candidates, spec: SearchSpec):
     """Check candidates in order: exceptionality first, closure only on survivors."""
     found, inconclusive = [], []
@@ -125,8 +130,8 @@ def search_rectangular(spec: SearchSpec) -> SearchResult:
             list(itertools.combinations(by_shape.get(lam, []), q))
             for lam, q in quotas
         ]
-        rep_sets = (
-            tuple(o.rep for group in picks for o in group)
+        orbit_sets = (
+            tuple(o for group in picks for o in group)
             for picks in itertools.product(*choices)
         )
     else:
@@ -142,18 +147,18 @@ def search_rectangular(spec: SearchSpec) -> SearchResult:
                 return
             if orbits[i].size <= remaining:
                 for rest in subsets(i + 1, remaining - orbits[i].size):
-                    yield (orbits[i].rep,) + rest
+                    yield (orbits[i],) + rest
             yield from subsets(i + 1, remaining)
 
-        rep_sets = subsets(0, block_size)
+        orbit_sets = subsets(0, block_size)
 
     candidates = []
     truncated = False
-    for reps in rep_sets:
+    for picked in orbit_sets:
         if len(candidates) >= spec.budget:
             truncated = True
             break
-        block = orbit_set(spec.k, reps)
+        block = _block(spec.k, picked)
         if block.bundle_count != block_size:
             continue
         candidates.append(
@@ -247,10 +252,7 @@ def search_minimal(spec: SearchSpec) -> SearchResult:
                 truncated = True
                 break
             blocks = tuple(
-                orbit_set(
-                    spec.k,
-                    [o.rep for per_shape in assembled for o in per_shape[level]],
-                )
+                _block(spec.k, [o for per_shape in assembled for o in per_shape[level]])
                 for level in range(h)
             )
             candidates.append(LefschetzCollection(k=spec.k, n=spec.n, blocks=blocks))

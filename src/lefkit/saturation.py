@@ -5,18 +5,22 @@ line all belong to the generated set, the whole line (inside the working
 box) belongs to it.  The closure is the least fixed point of that rule and
 does not depend on application order; the engine applies it in a canonical
 order (axes ascending, lines ascending lex, sweeps repeated until stable)
-so traces are deterministic.  Every rule application is recorded and can be
-replayed by an independent pure-set routine, which is how FULL verdicts
-stay auditable.
+so traces are deterministic.
+
+The engine's state is a boolean numpy grid over the box.  Each axis pass is
+recorded as arrays (the flooded lines, their first windows and the points
+they gained); the member set and the trace of rule applications are built
+from the grid and those records only when asked for.  Every rule
+application can be replayed by an independent pure-set routine, which is
+how FULL verdicts stay auditable.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .ext import ext_graded, orthogonal_mask
 from .lattice import Box, Multidegree, OrbitSet, format_multidegree
@@ -29,6 +33,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # Largest working box, in cells (one byte each in the grid, a few times that
 # in the sweep temporaries).  (P^1)^10 at margin 2 needs 6^10 ~ 6.0e7.
 MAX_BOX_CELLS = 2 ** 29
+
+# Unreached cube points reported with an INCONCLUSIVE closure.
+MISSING_SAMPLE = 20
 
 
 @dataclass(frozen=True)
@@ -46,13 +53,107 @@ class RuleApplication:
     added: tuple[Multidegree, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class _Pass:
+    """One axis pass that flooded at least one line, recorded as arrays.
+
+    lines holds the flat indices of the flooded lines in the grid shape with
+    `axis` collapsed to length 1, ascending (so the lines come in ascending
+    lex order); starts holds the index of each line's first full window
+    along `axis`; added holds one boolean row per line, over the whole box
+    width, of the points the flood gained.
+    """
+
+    axis: int
+    lines: np.ndarray
+    starts: np.ndarray
+    added: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class ClosureState:
+    """The closure of `seed` over `box`: a boolean grid plus per-pass records.
+
+    grid[i_1, ..., i_k] is True when the point (box.lo + i_1, ...,
+    box.lo + i_k) is a member; it is read-only.  member_count, trace_length
+    and missing_points read the arrays.  members (a frozenset of points) and
+    trace (the RuleApplications in engine order) are built on first access.
+    Two states are equal when box, n, seed, grid and trace length agree;
+    their traces are then equal too, because every recorded pass strictly
+    grows the grid.
+    """
+
     box: Box
     n: int
     seed: frozenset
-    members: frozenset
-    trace: tuple[RuleApplication, ...]
+    grid: np.ndarray = field(repr=False)
+    passes: tuple[_Pass, ...] = field(repr=False)
+
+    @functools.cached_property
+    def member_count(self) -> int:
+        return int(np.count_nonzero(self.grid))
+
+    @property
+    def trace_length(self) -> int:
+        return sum(len(p.lines) for p in self.passes)
+
+    @functools.cached_property
+    def members(self) -> frozenset:
+        return frozenset(map(tuple, (np.argwhere(self.grid) + self.box.lo).tolist()))
+
+    @functools.cached_property
+    def trace(self) -> tuple[RuleApplication, ...]:
+        lo = self.box.lo
+        out = []
+        for p in self.passes:
+            shape = self.grid.shape[: p.axis] + (1,) + self.grid.shape[p.axis + 1 :]
+            coords = np.stack(np.unravel_index(p.lines, shape), axis=1) + lo
+            rows, zs = np.nonzero(p.added)
+            points = coords[rows]
+            points[:, p.axis] = zs + lo
+            points = list(map(tuple, points.tolist()))
+            ends = np.cumsum(np.count_nonzero(p.added, axis=1)).tolist()
+            lines = np.delete(coords, p.axis, axis=1).tolist()
+            begin = 0
+            for line, start, end in zip(lines, (p.starts + lo).tolist(), ends):
+                out.append(
+                    RuleApplication(
+                        axis=p.axis,
+                        line=tuple(line),
+                        window_start=start,
+                        added=tuple(points[begin:end]),
+                    )
+                )
+                begin = end
+        return tuple(out)
+
+    def missing_points(self, target: Box, limit: int | None = None) -> list[Multidegree]:
+        """Points of `target`, a box inside the working box, that are not members.
+
+        Ascending lex order, at most `limit` of them.
+        """
+        if target.k != self.box.k or target.lo < self.box.lo or target.hi > self.box.hi:
+            raise ValueError(
+                f"target [{target.lo}, {target.hi}]^{target.k} not inside box "
+                f"[{self.box.lo}, {self.box.hi}]^{self.box.k}"
+            )
+        offset = target.lo - self.box.lo
+        sub = self.grid[(slice(offset, offset + target.width),) * target.k]
+        flat = np.flatnonzero(~sub)[:limit]
+        coords = np.stack(np.unravel_index(flat, sub.shape), axis=1) + target.lo
+        return list(map(tuple, coords.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, ClosureState):
+            return NotImplemented
+        return (
+            (self.box, self.n, self.seed, self.trace_length)
+            == (other.box, other.n, other.seed, other.trace_length)
+            and np.array_equal(self.grid, other.grid)
+        )
+
+    def __hash__(self):
+        return hash((self.box, self.n, self.seed, self.member_count))
 
 
 @dataclass(frozen=True)
@@ -73,37 +174,72 @@ def _insert_coord(line, axis, value):
     return line[:axis] + (value,) + line[axis:]
 
 
-def _axis_pass(grid, axis, h, box):
-    """Flood every line along `axis` holding a full window; return trace entries.
+def _slab(a, axis, start, stop):
+    return a[(slice(None),) * axis + (slice(start, stop),)]
 
-    Lines along one axis are pairwise disjoint, so flooding them from a
-    common snapshot equals any sequential order.
+
+def _window_mask(grid, axis, h):
+    """mask[..., s, ...] is True when grid[..., s:s+h, ...] is all True along `axis`.
+
+    Built by doubling from shifted slices along the axis itself: a window
+    reduction over a strided view is an order of magnitude slower when
+    `axis` is the contiguous last one.
     """
-    g = np.moveaxis(grid, axis, -1)
-    if g.shape[-1] < h:
-        return []
-    windows = sliding_window_view(g, h, axis=-1).all(axis=-1)
-    has_window = windows.any(axis=-1)
-    if not has_window.any():
-        return []
-    flood = has_window[..., None] & ~g
-    gains = flood.any(axis=-1)
-    entries = []
-    for raw_line in np.argwhere(gains):
-        idx = tuple(int(c) for c in raw_line)
-        start = int(np.argmax(windows[idx]))
-        line = tuple(box.lo + c for c in idx)
-        added = tuple(
-            _insert_coord(line, axis, box.lo + int(z))
-            for z in np.flatnonzero(flood[idx])
-        )
-        entries.append(
-            RuleApplication(
-                axis=axis, line=line, window_start=box.lo + start, added=added
-            )
-        )
-    g[flood] = True
-    return entries
+    run, length = grid, 1
+    while length < h:
+        # run covers `length` cells from each start; overlap two runs
+        step = min(length, h - length)
+        count = run.shape[axis] - step
+        run = _slab(run, axis, 0, count) & _slab(run, axis, step, step + count)
+        length += step
+    return run
+
+
+def _fold(ufunc, a, axis):
+    """ufunc.reduce over `axis`, keeping it with length 1.
+
+    Along the last axis of a multi-dimensional grid this is one ufunc call
+    per slice, since numpy's own reduction is slow along a short
+    contiguous axis.
+    """
+    if a.ndim == 1 or axis < a.ndim - 1:
+        return ufunc.reduce(a, axis=axis, keepdims=True)
+    out = _slab(a, axis, 0, 1).copy()
+    for i in range(1, a.shape[axis]):
+        ufunc(out, _slab(a, axis, i, i + 1), out=out)
+    return out
+
+
+def _line_cells(shape, lines, axis, length):
+    """Index selecting the first `length` cells along `axis` of each flat line index.
+
+    The result of indexing with it has one row per line.
+    """
+    index = [c[:, None] for c in np.unravel_index(lines, shape)]
+    index[axis] = np.arange(length)[None, :]
+    return tuple(index)
+
+
+def _axis_pass(grid, axis, h):
+    """Flood every line along `axis` holding a full window; return its record.
+
+    Returns None when no line gains a point.  Lines along one axis are
+    pairwise disjoint, so flooding them from a common snapshot equals any
+    sequential order.
+    """
+    width = grid.shape[axis]
+    if width < h:
+        return None
+    windows = _window_mask(grid, axis, h)
+    gains = _fold(np.logical_or, windows, axis) & ~_fold(np.logical_and, grid, axis)
+    lines = np.flatnonzero(gains)
+    if not lines.size:
+        return None
+    starts = np.argmax(windows[_line_cells(gains.shape, lines, axis, width - h + 1)], axis=1)
+    cells = _line_cells(gains.shape, lines, axis, width)
+    added = ~grid[cells]
+    grid[cells] = True
+    return _Pass(axis=axis, lines=lines, starts=starts, added=added)
 
 
 def close(seed, n: int, box: Box, stop_when_contains=None) -> ClosureState:
@@ -129,8 +265,8 @@ def close(seed, n: int, box: Box, stop_when_contains=None) -> ClosureState:
             )
     h = n + 1
     grid = np.zeros((box.width,) * box.k, dtype=bool)
-    for p in seed:
-        grid[tuple(c - box.lo for c in p)] = True
+    if seed:
+        grid[tuple((np.array(list(seed)) - box.lo).T)] = True
 
     target_idx = None
     if stop_when_contains is not None:
@@ -148,24 +284,39 @@ def close(seed, n: int, box: Box, stop_when_contains=None) -> ClosureState:
     def target_met():
         return target_idx is not None and bool(grid[target_idx].all())
 
-    trace = []
+    passes = []
     done = target_met()
     changed = True
     while changed and not done:
         changed = False
         for axis in range(box.k):
-            entries = _axis_pass(grid, axis, h, box)
-            if entries:
+            record = _axis_pass(grid, axis, h)
+            if record is not None:
                 changed = True
-                trace.extend(entries)
+                passes.append(record)
                 if target_met():
                     done = True
                     break
 
-    members = frozenset(
-        tuple(int(c) + box.lo for c in idx) for idx in np.argwhere(grid)
-    )
-    return ClosureState(box=box, n=n, seed=seed, members=members, trace=tuple(trace))
+    grid.flags.writeable = False
+    return ClosureState(box=box, n=n, seed=seed, grid=grid, passes=tuple(passes))
+
+
+def close_cube(seed, n: int, k: int, margin: int, drop_outside: bool = False):
+    """Close `seed` over [-margin, n+margin]^k, stopping once [0, n]^k is covered.
+
+    Returns the state and the first MISSING_SAMPLE points of the cube that
+    were not reached, ascending lex; an empty sample certifies that the
+    cube, and so everything, is generated.  With drop_outside, seed points
+    outside the box are dropped instead of refused (generating the cube
+    from fewer seeds is still a sound certificate).
+    """
+    box = Box(lo=-margin, hi=n + margin, k=k)
+    if drop_outside:
+        seed = [p for p in seed if p in box]
+    cube = Box(lo=0, hi=n, k=k)
+    state = close(seed, n, box, stop_when_contains=cube.points())
+    return state, tuple(state.missing_points(cube, limit=MISSING_SAMPLE))
 
 
 def replay_trace(seed, n: int, box: Box, trace) -> frozenset:
@@ -196,10 +347,6 @@ def replay_trace(seed, n: int, box: Box, trace) -> frozenset:
     return frozenset(members)
 
 
-def _target_cube(n, k):
-    return list(itertools.product(range(n + 1), repeat=k))
-
-
 def verify_fullness(coll: LefschetzCollection, margin: int | None = None) -> Verdict:
     """Decide fullness of an exceptional collection by rank count plus closure.
 
@@ -227,19 +374,13 @@ def verify_fullness(coll: LefschetzCollection, margin: int | None = None) -> Ver
                 "ranks": ranks(coll),
             },
         )
-    box = Box(lo=-margin, hi=n + margin, k=k)
-    target = _target_cube(n, k)
-    # bundles that overflow a small box are dropped; generating the cube from
-    # fewer seeds is still a sound FULL certificate
-    seed = [p for p in bundles if p in box]
-    state = close(seed, n, box, stop_when_contains=target)
-    missing = [p for p in target if p not in state.members]
+    state, missing = close_cube(bundles, n, k, margin, drop_outside=True)
     if not missing:
         return Verdict(status=FULL, state=state, detail={"margin": margin})
     return Verdict(
         status=INCONCLUSIVE,
         state=state,
-        detail={"margin": margin, "missing_sample": tuple(missing[:20])},
+        detail={"margin": margin, "missing_sample": missing},
     )
 
 
@@ -269,12 +410,7 @@ def residual_check(
         )
         for q, r in np.argwhere(~orthogonal_mask(n, flat, res_bundles)).tolist()
     ]
-    box = Box(lo=-margin, hi=n + margin, k=k)
-    seed = set(flat) | set(res_bundles)
-    seed = {p for p in seed if p in box}
-    target = _target_cube(n, k)
-    state = close(seed, n, box, stop_when_contains=target)
-    missing = tuple(p for p in target if p not in state.members)
+    _, missing = close_cube(set(flat) | set(res_bundles), n, k, margin, drop_outside=True)
     if missing:
-        out.append(Violation(kind="generation", witness=missing[:20]))
+        out.append(Violation(kind="generation", witness=missing))
     return out

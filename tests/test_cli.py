@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lefkit
 from lefkit.cli import main
 from lefkit.lefschetz import collection_from_json, x32_minimal
 
@@ -102,6 +105,26 @@ def test_dims_tsv(capsys):
         "(2,1)\t8\t2\tno",
         "(1,1,1)\t1\t1\tno",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ext", "--n", "1", "--from", "(0)", "--to", "(0)"),
+        ("verify", "--builtin", "xk1", "--k", "2"),
+        ("closure", "--seed-file", "seed.json"),
+        ("search", "--k", "2", "--n", "1", "--target", "minimal"),
+        ("report",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tsv_is_a_usage_error_where_not_rendered(capsys, argv):
+    # only dims and bounds render tsv; elsewhere argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "tsv"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "invalid choice: 'tsv'" in err
 
 
 def test_dims_text_mass(capsys):
@@ -210,9 +233,12 @@ def test_report(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same lefkit as this process, installed or not
+    src = str(Path(lefkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "lefkit", "bounds", "--h", "2", "--k", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "r0_min: 3" in proc.stdout

@@ -2,7 +2,7 @@ import pytest
 
 from lefkit import explorer
 from lefkit.explorer import SearchSpec, search_minimal, search_rectangular
-from lefkit.lattice import Box
+from lefkit.lattice import Box, orbit_set
 from lefkit.lefschetz import build_E, check_exceptional, is_exceptional, ranks, x32_minimal
 from lefkit.saturation import verify_fullness
 
@@ -116,3 +116,37 @@ def test_is_exceptional_agrees_with_check_exceptional_on_search_candidates(monke
     visited += search_minimal(SearchSpec(k=3, n=2, target="minimal")).nodes_visited
     assert len(outcomes) == visited
     assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(k=3, n=2, target="minimal"),
+        SearchSpec(k=2, n=3, target="minimal"),
+        SearchSpec(k=3, n=2, target="rectangular", prune=False),
+    ],
+    ids=["minimal-3-2", "minimal-2-3", "rectangular-3-2-unpruned"],
+)
+def test_blocks_from_pool_orbits_match_rebuilt_blocks(monkeypatch, spec):
+    # blocks built from the pool's Orbit objects equal blocks rebuilt from
+    # their reps with orbit_set, so hits, node counts and hit order agree
+    search = search_minimal if spec.target == "minimal" else search_rectangular
+    reused = search(spec)
+    from_pool = explorer._block
+    built = []
+
+    def rebuilt(k, orbits):
+        block = orbit_set(k, [o.rep for o in orbits])
+        assert block == from_pool(k, orbits)
+        built.append(block)
+        return block
+
+    monkeypatch.setattr(explorer, "_block", rebuilt)
+    reference = search(spec)
+    assert built
+    assert reference.nodes_visited == reused.nodes_visited > 0
+    assert reference.exhausted == reused.exhausted
+    sig = lambda c: tuple(b.reps() for b in c.blocks)
+    assert [sig(c) for c in reference.found] == [sig(c) for c in reused.found]
+    assert [sig(c) for c in reference.inconclusive] == [sig(c) for c in reused.inconclusive]
+    assert reference.found == reused.found

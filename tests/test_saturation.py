@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from lefkit import saturation
 from lefkit.lattice import Box, orbit_set
 from lefkit.lefschetz import (
     LefschetzCollection,
@@ -17,8 +21,11 @@ from lefkit.saturation import (
     FULL,
     INCONCLUSIVE,
     MAX_BOX_CELLS,
+    MISSING_SAMPLE,
     NOT_FULL_BY_RANK,
+    RuleApplication,
     close,
+    close_cube,
     replay_trace,
     residual_check,
     verify_fullness,
@@ -289,3 +296,156 @@ def test_randomised_schedule_agrees_with_canonical():
         canonical = close(seed, n, box).members
         shuffled = random_sweep_close(seed, n, box, rng)
         assert canonical == shuffled, (seed, n)
+
+
+def eager_close(seed, n, box, stop_when_contains=None):
+    """The engine as it was before the grid became the state.
+
+    It builds every RuleApplication during the sweep and the member
+    frozenset at the end; returns (members, trace).
+    """
+    h = n + 1
+    grid = np.zeros((box.width,) * box.k, dtype=bool)
+    for p in seed:
+        grid[tuple(c - box.lo for c in p)] = True
+    target_idx = None
+    if stop_when_contains is not None:
+        pts = list(stop_when_contains)
+        target_idx = tuple(
+            np.array([p[i] - box.lo for p in pts], dtype=np.intp) for i in range(box.k)
+        )
+
+    def target_met():
+        return target_idx is not None and bool(grid[target_idx].all())
+
+    def axis_pass(axis):
+        g = np.moveaxis(grid, axis, -1)
+        if g.shape[-1] < h:
+            return []
+        windows = sliding_window_view(g, h, axis=-1).all(axis=-1)
+        has_window = windows.any(axis=-1)
+        flood = has_window[..., None] & ~g
+        entries = []
+        for raw_line in np.argwhere(flood.any(axis=-1)):
+            idx = tuple(int(c) for c in raw_line)
+            line = tuple(box.lo + c for c in idx)
+            added = tuple(
+                line[:axis] + (box.lo + int(z),) + line[axis:]
+                for z in np.flatnonzero(flood[idx])
+            )
+            start = box.lo + int(np.argmax(windows[idx]))
+            entries.append(RuleApplication(axis=axis, line=line, window_start=start, added=added))
+        g[flood] = True
+        return entries
+
+    trace = []
+    done = target_met()
+    changed = True
+    while changed and not done:
+        changed = False
+        for axis in range(box.k):
+            entries = axis_pass(axis)
+            if entries:
+                changed = True
+                trace.extend(entries)
+                if target_met():
+                    done = True
+                    break
+    members = frozenset(tuple(int(c) + box.lo for c in idx) for idx in np.argwhere(grid))
+    return members, tuple(trace)
+
+
+@st.composite
+def closure_cases(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    lo = draw(st.integers(-3, 0))
+    width = draw(st.integers(1, {1: 12, 2: 9, 3: 6, 4: 5}[k]))
+    box = Box(lo=lo, hi=lo + width - 1, k=k)
+    points = list(box.points())
+    seed = draw(st.lists(st.sampled_from(points), max_size=min(len(points), 40)))
+    t_lo = draw(st.integers(box.lo, box.hi))
+    target = Box(lo=t_lo, hi=draw(st.integers(t_lo, box.hi)), k=k)
+    stop = draw(st.booleans())
+    return seed, n, box, target, stop
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_cases())
+def test_grid_state_matches_eager_reference(case):
+    seed, n, box, target, stop = case
+    stop_at = list(target.points()) if stop else None
+    state = close(seed, n, box, stop_when_contains=stop_at)
+    members, trace = eager_close(seed, n, box, stop_when_contains=stop_at)
+    assert state.member_count == len(members)
+    assert state.trace_length == len(trace)
+    assert state.members == members
+    assert state.trace == trace
+    missing = [p for p in target.points() if p not in members]
+    assert state.missing_points(target) == missing
+    assert state.missing_points(target, limit=3) == missing[:3]
+    assert replay_trace(state.seed, n, box, state.trace) == state.members
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2), st.data())
+def test_close_cube_matches_eager_reference(k, n, margin, data):
+    box = Box(lo=-margin, hi=n + margin, k=k)
+    seed = data.draw(st.lists(st.sampled_from(list(box.points())), max_size=3 * (n + 1) ** (k - 1)))
+    cube = list(Box(lo=0, hi=n, k=k).points())
+    state, missing = close_cube(seed, n, k, margin)
+    members, trace = eager_close(seed, n, box, stop_when_contains=cube)
+    assert state.box == box
+    assert (state.members, state.trace) == (members, trace)
+    assert missing == tuple(p for p in cube if p not in members)[:MISSING_SAMPLE]
+
+
+def test_close_cube_drops_or_refuses_seeds_outside_the_box():
+    with pytest.raises(ValueError, match="outside box"):
+        close_cube([(0, 0), (5, 0)], 1, 2, 0)
+    state, missing = close_cube([(0, 0), (5, 0)], 1, 2, 0, drop_outside=True)
+    assert state.seed == frozenset({(0, 0)})
+    assert missing == ((0, 1), (1, 0), (1, 1))
+
+
+def test_missing_points_refuses_target_outside_box():
+    state = close([(0, 0)], 1, Box(lo=0, hi=2, k=2))
+    with pytest.raises(ValueError, match="not inside box"):
+        state.missing_points(Box(lo=-1, hi=1, k=2))
+
+
+def test_closure_states_compare_by_grid():
+    seed = [(0, 0), (0, 1), (2, 3)]
+    box = Box(lo=0, hi=3, k=2)
+    state = close(seed, 1, box)
+    assert state == close(seed, 1, box)
+    assert hash(state) == hash(close(seed, 1, box))
+    assert state == dataclasses.replace(state, grid=state.grid.copy())
+    other = state.grid.copy()
+    other[3, 0] = not other[3, 0]
+    changed = dataclasses.replace(state, grid=other)
+    assert changed.trace_length == state.trace_length and changed.seed == state.seed
+    assert state != changed
+    assert not state.grid.flags.writeable
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6])
+def test_window_mask_matches_sliding_window(h):
+    rng = np.random.default_rng(h)
+    grid = rng.random((7, 6, 8)) < 0.8
+    for axis in range(grid.ndim):
+        moved = np.moveaxis(grid, axis, -1)
+        want = np.moveaxis(sliding_window_view(moved, h, axis=-1).all(axis=-1), -1, axis)
+        got = saturation._window_mask(grid, axis, h)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), (h, axis)
+
+
+def test_fold_matches_numpy_reduce():
+    rng = np.random.default_rng(3)
+    for shape in [(9,), (4, 5), (3, 4, 6)]:
+        a = rng.random(shape) < 0.6
+        for axis in range(a.ndim):
+            for ufunc in (np.logical_and, np.logical_or):
+                want = ufunc.reduce(a, axis=axis, keepdims=True)
+                assert np.array_equal(saturation._fold(ufunc, a, axis), want)

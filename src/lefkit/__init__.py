@@ -13,7 +13,6 @@ from .lattice import (
     OrbitSet,
     canonical_rep,
     format_multidegree,
-    lex_compare,
     orbit_of,
     orbit_set,
     parse_multidegree,

@@ -390,7 +390,7 @@ def cmd_search(args) -> int:
             f"nodes: {result.nodes_visited}, exhausted: {'yes' if result.exhausted else 'no'}"
         )
         _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if result.exhausted else EXIT_INCONCLUSIVE
+    return EXIT_INCONCLUSIVE if result.inconclusive or not result.exhausted else EXIT_OK
 
 
 def cmd_report(args) -> int:

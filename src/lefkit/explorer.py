@@ -1,10 +1,12 @@
 """Enumerative search for S_k-stable Lefschetz collections, certified by closure.
 
 Candidates are assembled from whole orbits (reps normalised to last
-coordinate zero), filtered by exact K-theoretic necessities, then checked:
-exceptionality first, then fullness by window closure.  Hits are certified
-collections; candidates whose closure is inconclusive at the working margin
-are reported separately rather than dropped.
+coordinate zero), filtered by exact K-theoretic necessities, then checked
+one at a time as they are generated: exceptionality first, then fullness by
+window closure.  No candidate list is kept, so memory does not grow with the
+candidate count.  Hits are certified collections; candidates whose closure
+is inconclusive at the working margin are reported separately rather than
+dropped (the CLI then exits 3).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .lattice import Box, OrbitSet, orbit_of
-from .lefschetz import LefschetzCollection, is_exceptional, ranks
+from .lefschetz import LefschetzCollection, is_exceptional
 from .reptheory import content_orbit_count, partitions_of, perm_module_dim
 from .saturation import FULL, INCONCLUSIVE, verify_fullness
 
@@ -68,14 +70,11 @@ class SearchResult:
 def _pool_by_shape(spec: SearchSpec):
     """Candidate orbits (rep sorted decreasing, last coordinate 0), by stabilizer shape."""
     box = spec.pool_box or Box(lo=0, hi=spec.n + 1, k=spec.k)
-    lo = max(box.lo, 0)
     by_shape = {}
-    for rep in itertools.product(range(box.hi, lo - 1, -1), repeat=spec.k):
-        if rep[-1] != 0:
-            continue
-        if any(rep[i] < rep[i + 1] for i in range(spec.k - 1)):
-            continue
-        o = orbit_of(rep)
+    if not box.lo <= 0 <= box.hi:
+        return by_shape
+    for head in itertools.combinations_with_replacement(range(box.hi, -1, -1), spec.k - 1):
+        o = orbit_of(head + (0,))
         by_shape.setdefault(o.stabilizer_shape, []).append(o)
     for orbits in by_shape.values():
         orbits.sort(key=lambda o: o.rep)
@@ -87,10 +86,16 @@ def _block(k: int, orbits) -> OrbitSet:
     return OrbitSet(k=k, orbits=tuple(sorted(orbits, key=lambda o: o.rep)))
 
 
-def _evaluate(candidates, spec: SearchSpec):
-    """Check candidates in order: exceptionality first, closure only on survivors."""
-    found, inconclusive = [], []
-    for coll in candidates:
+def _run(spec: SearchSpec, block_tuples) -> SearchResult:
+    """Check up to spec.budget candidates from a generator as they are produced.
+
+    Exceptionality first, closure only on survivors.  The search is
+    exhausted unless one more candidate exists past the budget.
+    """
+    found, inconclusive, nodes = [], [], 0
+    for blocks in itertools.islice(block_tuples, spec.budget):
+        nodes += 1
+        coll = LefschetzCollection(k=spec.k, n=spec.n, blocks=blocks)
         if not is_exceptional(coll):
             continue
         status = verify_fullness(coll, margin=spec.margin).status
@@ -98,7 +103,57 @@ def _evaluate(candidates, spec: SearchSpec):
             found.append(coll)
         elif status == INCONCLUSIVE:
             inconclusive.append(coll)
-    return found, inconclusive
+    exhausted = next(block_tuples, None) is None
+    return SearchResult(
+        found=found, exhausted=exhausted, nodes_visited=nodes, inconclusive=inconclusive
+    )
+
+
+def _chain_blocks(spec: SearchSpec, chains_of):
+    """Block tuples whose per-shape orbit counts follow the given chains.
+
+    chains_of(t, avail) lists the allowed chains for one stabilizer shape:
+    tuples of h orbit counts, one per block, weakly decreasing so that the
+    blocks nest; t is the shape's orbit count in the class space
+    (C^h)^(x k) and avail its orbit count in the pool.  A shape with no
+    chain admits no candidate.  Chain combinations are enumerated by
+    ascending block-size signature (r_0, r_1, ...), and concrete orbit
+    choices are nested top-down in lex order.
+    """
+    h = spec.n + 1
+    by_shape = _pool_by_shape(spec)
+    shapes = partitions_of(spec.k)
+    per_shape_chains = [
+        chains_of(content_orbit_count(h, lam), len(by_shape.get(lam, []))) for lam in shapes
+    ]
+
+    def signature(chain_combo):
+        return tuple(
+            sum(chain[i] * perm_module_dim(lam) for lam, chain in zip(shapes, chain_combo))
+            for i in range(h)
+        )
+
+    def nested_choices(lam, chain):
+        """Nested tuples of orbit sets for one shape, sizes given by chain."""
+
+        def rec(level, parent):
+            if level == h:
+                yield ()
+                return
+            for picked in itertools.combinations(parent, chain[level]):
+                for rest in rec(level + 1, picked):
+                    yield (picked,) + rest
+
+        yield from rec(0, by_shape.get(lam, []))
+
+    for combo in sorted(itertools.product(*per_shape_chains), key=signature):
+        for assembled in itertools.product(
+            *(nested_choices(lam, chain) for lam, chain in zip(shapes, combo))
+        ):
+            yield tuple(
+                _block(spec.k, [o for per_shape in assembled for o in per_shape[level]])
+                for level in range(h)
+            )
 
 
 def search_rectangular(spec: SearchSpec) -> SearchResult:
@@ -106,70 +161,36 @@ def search_rectangular(spec: SearchSpec) -> SearchResult:
 
     With pruning on, the block's orbit-type vector is forced exactly: the
     h-fold repeat of the block must tile the class space (C^h)^(x k), so
-    each shape's orbit count must be content_orbit_count/h.  Non-integral
-    quota means no rectangular collection exists over any pool (sound
-    pruning, not heuristic).  With pruning off, every S_k-stable subset
-    with (n+1)^(k-1) bundles is tried.
+    each shape's orbit count must be content_orbit_count/h, the constant
+    chain.  Non-integral quota means no rectangular collection exists over
+    any pool (sound pruning, not heuristic).  With pruning off, every
+    S_k-stable subset with (n+1)^(k-1) bundles is tried.
     """
     if spec.target != TARGET_RECTANGULAR:
         raise ValueError("spec.target must be 'rectangular'")
     h = spec.n + 1
-    by_shape = _pool_by_shape(spec)
-    block_size = h ** (spec.k - 1)
-
     if spec.prune:
-        quotas = []
-        for lam in partitions_of(spec.k):
-            t = content_orbit_count(h, lam)
-            q, r = divmod(t, h)
-            if r != 0:
-                return SearchResult(found=[], exhausted=True, nodes_visited=0)
-            if q:
-                quotas.append((lam, q))
-        choices = [
-            list(itertools.combinations(by_shape.get(lam, []), q))
-            for lam, q in quotas
-        ]
-        orbit_sets = (
-            tuple(o for group in picks for o in group)
-            for picks in itertools.product(*choices)
-        )
-    else:
-        orbits = sorted(
-            (o for group in by_shape.values() for o in group), key=lambda o: o.rep
+        return _run(
+            spec, _chain_blocks(spec, lambda t, avail: [(t // h,) * h] if t % h == 0 else [])
         )
 
-        def subsets(i, remaining):
-            if remaining == 0:
-                yield ()
-                return
-            if i == len(orbits):
-                return
-            if orbits[i].size <= remaining:
-                for rest in subsets(i + 1, remaining - orbits[i].size):
-                    yield (orbits[i],) + rest
-            yield from subsets(i + 1, remaining)
+    orbits = sorted(
+        (o for group in _pool_by_shape(spec).values() for o in group), key=lambda o: o.rep
+    )
 
-        orbit_sets = subsets(0, block_size)
+    def subsets(i, remaining):
+        if remaining == 0:
+            yield ()
+            return
+        if i == len(orbits):
+            return
+        if orbits[i].size <= remaining:
+            for rest in subsets(i + 1, remaining - orbits[i].size):
+                yield (orbits[i],) + rest
+        yield from subsets(i + 1, remaining)
 
-    candidates = []
-    truncated = False
-    for picked in orbit_sets:
-        if len(candidates) >= spec.budget:
-            truncated = True
-            break
-        block = _block(spec.k, picked)
-        if block.bundle_count != block_size:
-            continue
-        candidates.append(
-            LefschetzCollection(k=spec.k, n=spec.n, blocks=(block,) * h)
-        )
-    found, inconclusive = _evaluate(candidates, spec)
-    return SearchResult(
-        found=found,
-        exhausted=not truncated,
-        nodes_visited=len(candidates),
-        inconclusive=inconclusive,
+    return _run(
+        spec, ((_block(spec.k, picked),) * h for picked in subsets(0, h ** (spec.k - 1)))
     )
 
 
@@ -194,73 +215,13 @@ def search_minimal(spec: SearchSpec) -> SearchResult:
 
     The orbit-type vector of each block is constrained exactly as in
     invariant_bound: blocks tile the class space shape by shape, and
-    nesting makes per-shape counts weakly decreasing.  Type chains are
-    enumerated by ascending block-size signature (r_0, r_1, ...), so the
-    first hits have minimal first block; concrete orbit choices are nested
-    top-down in lex order.  Rectangular chains, when arithmetically
-    feasible, are included.
+    nesting makes per-shape counts weakly decreasing.  Chains come in
+    ascending block-size signature, so the first hits have minimal first
+    block.  Rectangular chains, when arithmetically feasible, are included.
     """
     if spec.target != TARGET_MINIMAL:
         raise ValueError("spec.target must be 'minimal'")
     h = spec.n + 1
-    by_shape = _pool_by_shape(spec)
-    shapes = [lam for lam in partitions_of(spec.k)]
-
-    per_shape_chains = []
-    for lam in shapes:
-        t = content_orbit_count(h, lam)
-        avail = len(by_shape.get(lam, []))
-        chains = list(_decreasing_compositions(t, h, cap=avail))
-        if not chains:
-            # the pool cannot host this shape's share; nothing to enumerate
-            return SearchResult(found=[], exhausted=True, nodes_visited=0)
-        per_shape_chains.append(chains)
-
-    def signature(chain_combo):
-        return tuple(
-            sum(chain[i] * perm_module_dim(lam) for lam, chain in zip(shapes, chain_combo))
-            for i in range(h)
-        )
-
-    combos = sorted(itertools.product(*per_shape_chains), key=signature)
-
-    def nested_choices(lam, chain):
-        """Nested tuples of orbit sets for one shape, sizes given by chain."""
-        pool = by_shape.get(lam, [])
-
-        def rec(level, parent):
-            if level == h:
-                yield ()
-                return
-            want = chain[level]
-            source = pool if level == 0 else parent
-            for picked in itertools.combinations(source, want):
-                for rest in rec(level + 1, list(picked)):
-                    yield (picked,) + rest
-
-        yield from rec(0, pool)
-
-    candidates = []
-    truncated = False
-    for combo in combos:
-        if truncated:
-            break
-        for assembled in itertools.product(
-            *(nested_choices(lam, chain) for lam, chain in zip(shapes, combo))
-        ):
-            if len(candidates) >= spec.budget:
-                truncated = True
-                break
-            blocks = tuple(
-                _block(spec.k, [o for per_shape in assembled for o in per_shape[level]])
-                for level in range(h)
-            )
-            candidates.append(LefschetzCollection(k=spec.k, n=spec.n, blocks=blocks))
-    found, inconclusive = _evaluate(candidates, spec)
-    found.sort(key=lambda c: (ranks(c)[0], sum(ranks(c))))
-    return SearchResult(
-        found=found,
-        exhausted=not truncated,
-        nodes_visited=len(candidates),
-        inconclusive=inconclusive,
+    return _run(
+        spec, _chain_blocks(spec, lambda t, avail: _decreasing_compositions(t, h, cap=avail))
     )

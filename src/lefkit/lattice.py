@@ -32,18 +32,6 @@ def twist(a, i: int) -> Multidegree:
     return tuple(c + i for c in a)
 
 
-def lex_compare(a, b) -> int:
-    """Lexicographic comparison of two multidegrees; returns -1, 0 or 1."""
-    if len(a) != len(b):
-        raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
-    ta, tb = tuple(a), tuple(b)
-    if ta < tb:
-        return -1
-    if ta > tb:
-        return 1
-    return 0
-
-
 def stabilizer_shape(a) -> tuple[int, ...]:
     """Multiplicities of the distinct coordinate values, sorted decreasing.
 

@@ -225,6 +225,16 @@ def test_search_json_summary(capsys):
     }
 
 
+def test_search_with_inconclusive_candidates_exits_3(capsys):
+    # at margin 0 the known (13,7,7) chain is inconclusive, so the one hit
+    # found, (19,7,1), is no certified minimum even though the pool is exhausted
+    rc, out, _ = run(
+        capsys, "search", "--k", "3", "--n", "2", "--target", "minimal", "--margin", "0"
+    )
+    assert rc == 3
+    assert out.splitlines()[-1] == "hits: 1, inconclusive: 3, nodes: 1008, exhausted: yes"
+
+
 def test_report(capsys):
     rc, out, _ = run(capsys, "report")
     assert rc == 0

@@ -8,7 +8,6 @@ from lefkit.lattice import (
     Box,
     canonical_rep,
     format_multidegree,
-    lex_compare,
     orbit_of,
     orbit_set,
     parse_multidegree,
@@ -46,14 +45,6 @@ def test_twist_composes_and_commutes_with_canonical(a, i, j):
 @given(a=multidegree_strategy())
 def test_canonical_rep_idempotent(a):
     assert canonical_rep(canonical_rep(a)) == canonical_rep(a)
-
-
-def test_lex_compare():
-    assert lex_compare((1, 0), (0, 1)) == 1
-    assert lex_compare((0, 1), (1, 0)) == -1
-    assert lex_compare((2, 2), (2, 2)) == 0
-    with pytest.raises(ValueError):
-        lex_compare((1, 0), (1, 0, 0))
 
 
 def test_stabilizer_shape():

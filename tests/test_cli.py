@@ -1,5 +1,9 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +15,59 @@ from lefkit.cli import main
 from lefkit.lefschetz import collection_from_json, x32_minimal
 
 
+GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
+GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_golden_case(argv) -> dict:
+    """Run `main(argv)` in the current directory, seeded with the golden input files.
+
+    Returns what the golden file records: the exit code, stdout, stderr and
+    the sha256 of every file the run wrote.
+    """
+    for name, text in GOLDEN["files"].items():
+        Path(name).write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+    written = {
+        name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir("."))
+        if name not in GOLDEN["files"]
+    }
+    return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue(), "written": written}
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda case: case["id"])
+def test_golden_output(case, tmp_path, monkeypatch):
+    # every command, format, verdict and error path, byte for byte
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help and usage to this width
+    expected = {key: case[key] for key in ("rc", "stdout", "stderr", "written")}
+    assert run_golden_case(case["argv"]) == expected
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # the documented command lines, in order, against the real parser
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["lefkit"]]
+    assert len(commands) >= 9
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
 
 
 def test_ext_text(capsys):
@@ -263,3 +316,20 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert rc == 0
     assert out == ""
     assert out_path.read_text().splitlines()[1] == "3\t3\t11\t7\t13"
+
+
+if __name__ == "__main__":
+    # Re-record the golden expectations from the current code:
+    #   PYTHONPATH=src python tests/test_cli.py
+    import tempfile
+
+    os.environ["COLUMNS"] = "100"
+    for case in GOLDEN["cases"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            here = os.getcwd()
+            os.chdir(tmp)
+            try:
+                case.update(run_golden_case(case["argv"]))
+            finally:
+                os.chdir(here)
+    GOLDEN_PATH.write_text(json.dumps(GOLDEN, indent=1) + "\n", encoding="utf-8")

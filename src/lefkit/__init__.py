@@ -57,7 +57,6 @@ from .saturation import (
 from .reptheory import (
     Partition,
     SchurWeylTable,
-    binomial_predicate,
     content_orbit_count,
     count_partitions,
     dim_irrep,

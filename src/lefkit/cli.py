@@ -1,9 +1,12 @@
 """Command line front end.
 
-Subcommands: ext, verify, dims, bounds, closure, search, report.  Exit
-codes: 0 success or verified, 1 checked and failed, 2 usage or input
-error, 3 inconclusive (box margin or search budget ran out before a
-certificate either way).
+Subcommands: ext, verify, dims, bounds, closure, search, report.  Each
+command computes its result once and hands it to `_render` as views, one
+per format it offers; `_render` alone picks the view for --format, turns it
+into text or JSON, and writes it to --output or stdout.  Exit codes: 0
+success or verified, 1 checked and failed, 2 usage or input error, 3
+inconclusive (box margin or search budget ran out before a certificate
+either way).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .lefschetz import (
     check_theorem_semiorthogonality,
     collection_from_json,
     collection_to_json,
+    flatten_bundles,
     is_rectangular,
     ranks,
     x32_minimal,
@@ -36,7 +40,14 @@ from .reptheory import (
     lef_bounds,
     schur_weyl_table,
 )
-from .saturation import FULL, INCONCLUSIVE, NOT_FULL_BY_RANK, close_cube, residual_check, verify_fullness
+from .saturation import (
+    FULL,
+    INCONCLUSIVE,
+    NOT_FULL_BY_RANK,
+    close_cube,
+    residual_check,
+    verify_fullness,
+)
 from .explorer import SearchSpec, search_minimal, search_rectangular
 
 EXIT_OK = 0
@@ -44,19 +55,44 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-BUILTINS = ("x3n-rectangular", "x32-minimal", "x32-rect", "xk1")
+# --builtin name -> (builder taking the parsed arguments, the option it needs)
+BUILTINS = {
+    "x3n-rectangular": (lambda args: x3n_rectangular(args.n), "n"),
+    "x32-minimal": (lambda args: x32_minimal(), None),
+    "x32-rect": (lambda args: x32_rectangular_part(), None),
+    "xk1": (lambda args: xk1(args.k), "k"),
+}
 
 
-def _emit(args, text: str):
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _render(args, rc: int, **views) -> int:
+    """Write the view named by args.format to args.output or stdout; return rc.
+
+    A view is a dict, written as one indented JSON document; a list of
+    lines, each a string or a dict written as one compact JSON line; or a
+    callable returning either, called only when its format is chosen.
+    """
+    view = views[args.format]
+    if callable(view):
+        view = view()
+    if isinstance(view, dict):
+        body = json.dumps(view, indent=2) + "\n"
     else:
-        sys.stdout.write(text)
+        lines = (line if isinstance(line, str) else json.dumps(line) for line in view)
+        body = "".join(line + "\n" for line in lines)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(body)
+    else:
+        sys.stdout.write(body)
+    return rc
 
 
-def _json_dumps(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _ranks_text(coll) -> str:
+    return "(" + ", ".join(str(r) for r in ranks(coll)) + ")"
 
 
 def _trace_doc(app):
@@ -68,206 +104,149 @@ def _trace_doc(app):
     }
 
 
-def _trace_jsonl(trace) -> str:
-    return "".join(json.dumps(_trace_doc(app)) + "\n" for app in trace)
-
-
 def cmd_ext(args) -> int:
     a = parse_multidegree(getattr(args, "from"))
     b = parse_multidegree(args.to, k=len(a))
     dims = ext_graded(args.n, a, b)
     vanishes = is_orthogonal_pair(args.n, a, b)
-    if args.format == "json":
-        doc = {
-            "schema": JSON_SCHEMA,
-            "n": args.n,
-            "from": format_multidegree(a),
-            "to": format_multidegree(b),
-            "dims": list(dims),
-            "vanishes": vanishes,
-        }
-        _emit(args, _json_dumps(doc))
-    else:
-        lines = [f"degree {i}: {d}" for i, d in enumerate(dims) if d]
-        lines.append(f"vanishes: {'true' if vanishes else 'false'}")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    doc = {
+        "schema": JSON_SCHEMA,
+        "n": args.n,
+        "from": format_multidegree(a),
+        "to": format_multidegree(b),
+        "dims": list(dims),
+        "vanishes": vanishes,
+    }
+    text = [f"degree {i}: {d}" for i, d in enumerate(dims) if d]
+    text.append(f"vanishes: {json.dumps(vanishes)}")
+    return _render(args, EXIT_OK, text=text, json=doc)
 
 
 def _load_collection(args):
     if args.collection:
         with open(args.collection, encoding="utf-8") as fh:
             return collection_from_json(fh.read())
-    if args.builtin == "x3n-rectangular":
-        if args.n is None:
-            raise ValueError("--builtin x3n-rectangular needs --n")
-        return x3n_rectangular(args.n)
-    if args.builtin == "x32-minimal":
-        return x32_minimal()
-    if args.builtin == "x32-rect":
-        return x32_rectangular_part()
-    if args.builtin == "xk1":
-        if args.k is None:
-            raise ValueError("--builtin xk1 needs --k")
-        return xk1(args.k)
-    raise ValueError("provide --builtin or --collection")
+    if args.builtin is None:
+        raise ValueError("provide --builtin or --collection")
+    build, needs = BUILTINS[args.builtin]
+    if needs and getattr(args, needs) is None:
+        raise ValueError(f"--builtin {args.builtin} needs --{needs}")
+    return build(args)
+
+
+def _fullness_text(verdict) -> str:
+    detail = verdict.detail
+    if verdict.status == FULL:
+        return f"FULL (margin {detail['margin']}, trace length {verdict.state.trace_length})"
+    if verdict.status == NOT_FULL_BY_RANK:
+        return f"NOT_FULL_BY_RANK ({detail['bundles']} bundles, expected {detail['expected']})"
+    missing = ", ".join(format_multidegree(p) for p in detail["missing_sample"][:4])
+    return f"INCONCLUSIVE (margin {detail['margin']}, missing {missing})"
 
 
 def cmd_verify(args) -> int:
     coll = _load_collection(args)
     if args.dump:
-        _emit(args, collection_to_json(coll))
-        return EXIT_OK
+        dump = collection_to_json(coll).splitlines()
+        return _render(args, EXIT_OK, text=dump, json=dump)
 
-    exc_violations = check_exceptional(coll)
+    violations = check_exceptional(coll)
     nest = check_lefschetz(coll)
-    res_violations = None
-    verdict = None
+    doc = {
+        "schema": JSON_SCHEMA,
+        "k": coll.k,
+        "n": coll.n,
+        "ranks": list(ranks(coll)),
+        "rectangular": is_rectangular(coll),
+        "exceptional": not violations,
+        "exceptional_violations": [
+            {
+                "kind": v.kind,
+                "witness": [format_multidegree(w) for w in v.witness],
+                "detail": list(v.detail),
+            }
+            for v in violations[:20]
+        ],
+        "nesting_ok": nest is None,
+    }
+    text = [
+        f"collection: k={coll.k} n={coll.n}",
+        f"ranks: {_ranks_text(coll)}",
+        f"rectangular: {_yes(doc['rectangular'])}",
+        f"exceptional: {f'{len(violations)} violations' if violations else 'ok'}",
+    ]
+    if violations:
+        first = doc["exceptional_violations"][0]
+        text.append(f"  first: {first['kind']} {first['witness'][0]} -> {first['witness'][1]}")
+    text.append(f"nesting: {'ok' if nest is None else f'violated at block {nest.detail}'}")
     if args.residual:
         # with a residual the meaningful generation check is the joint one
         rep = parse_multidegree(args.residual, k=coll.k)
-        res_violations = residual_check(coll, orbit_set(coll.k, [rep]), margin=args.margin)
-        ok = not exc_violations and nest is None and not res_violations
+        res = residual_check(coll, orbit_set(coll.k, [rep]), margin=args.margin)
+        doc["residual_ok"] = not res
+        text.append(f"residual: {f'{len(res)} violations' if res else 'ok'}")
+        rc = EXIT_FAIL if res else EXIT_OK
     else:
         verdict = verify_fullness(coll, margin=args.margin)
-        ok = not exc_violations and nest is None and verdict.status == FULL
-
-    if args.format == "json":
-        doc = {
-            "schema": JSON_SCHEMA,
-            "k": coll.k,
-            "n": coll.n,
-            "ranks": list(ranks(coll)),
-            "rectangular": is_rectangular(coll),
-            "exceptional": not exc_violations,
-            "exceptional_violations": [
-                {
-                    "kind": v.kind,
-                    "witness": [format_multidegree(w) for w in v.witness],
-                    "detail": list(v.detail),
-                }
-                for v in exc_violations[:20]
-            ],
-            "nesting_ok": nest is None,
+        doc["fullness"] = verdict.status
+        doc["fullness_detail"] = {
+            key: (list(val) if isinstance(val, tuple) else val)
+            for key, val in verdict.detail.items()
         }
-        if verdict is not None:
-            doc["fullness"] = verdict.status
-            doc["fullness_detail"] = {
-                key: (list(val) if isinstance(val, tuple) else val)
-                for key, val in verdict.detail.items()
-            }
-        if res_violations is not None:
-            doc["residual_ok"] = not res_violations
-        doc["verdict"] = "ok" if ok else "fail"
-        _emit(args, _json_dumps(doc))
-    else:
-        lines = [
-            f"collection: k={coll.k} n={coll.n}",
-            f"ranks: ({', '.join(str(r) for r in ranks(coll))})",
-            f"rectangular: {'yes' if is_rectangular(coll) else 'no'}",
-            f"exceptional: {'ok' if not exc_violations else f'{len(exc_violations)} violations'}",
-        ]
-        if exc_violations:
-            v = exc_violations[0]
-            lines.append(
-                f"  first: {v.kind} {format_multidegree(v.witness[0])} -> "
-                f"{format_multidegree(v.witness[1])}"
-            )
-        lines.append(f"nesting: {'ok' if nest is None else 'violated at block ' + str(nest.detail)}")
-        if verdict is not None:
-            if verdict.status == FULL:
-                lines.append(
-                    f"fullness: FULL (margin {verdict.detail['margin']}, "
-                    f"trace length {verdict.state.trace_length})"
-                )
-            elif verdict.status == NOT_FULL_BY_RANK:
-                lines.append(
-                    f"fullness: NOT_FULL_BY_RANK "
-                    f"({verdict.detail['bundles']} bundles, expected {verdict.detail['expected']})"
-                )
-            else:
-                missing = ", ".join(
-                    format_multidegree(p) for p in verdict.detail["missing_sample"][:4]
-                )
-                lines.append(
-                    f"fullness: INCONCLUSIVE (margin {verdict.detail['margin']}, missing {missing})"
-                )
-        if res_violations is not None:
-            lines.append(f"residual: {'ok' if not res_violations else f'{len(res_violations)} violations'}")
-        lines.append(f"verdict: {'ok' if ok else 'fail'}")
-        _emit(args, "\n".join(lines) + "\n")
-    if ok:
-        return EXIT_OK
-    if verdict is not None and verdict.status == INCONCLUSIVE and not exc_violations and nest is None:
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAIL
+        text.append(f"fullness: {_fullness_text(verdict)}")
+        rc = {FULL: EXIT_OK, INCONCLUSIVE: EXIT_INCONCLUSIVE}.get(verdict.status, EXIT_FAIL)
+    if violations or nest is not None:
+        rc = EXIT_FAIL
+    doc["verdict"] = "ok" if rc == EXIT_OK else "fail"
+    text.append(f"verdict: {doc['verdict']}")
+    return _render(args, rc, text=text, json=doc)
 
 
 def cmd_dims(args) -> int:
     table = schur_weyl_table(args.h, args.k)
     witness = divisibility_criterion(args.h, args.k)
-    if args.format == "json":
-        doc = {
-            "schema": JSON_SCHEMA,
-            "h": args.h,
-            "k": args.k,
-            "rows": [
-                {
-                    "lambda": format_multidegree(lam),
-                    "dim_schur": s,
-                    "dim_irrep_transpose": r,
-                    "divisible": s % args.h == 0,
-                }
-                for lam, s, r in table.rows
-            ],
-            "mass": table.mass,
-            "divisibility_ok": witness is None,
-            "witness": format_multidegree(witness) if witness else None,
+    rows = [
+        {
+            "lambda": format_multidegree(lam),
+            "dim_schur": s,
+            "dim_irrep_transpose": r,
+            "divisible": s % args.h == 0,
         }
-        _emit(args, _json_dumps(doc))
-    else:
-        lines = ["lambda\tdim_schur\tdim_irrep_transpose\tdivisible"]
-        for lam, s, r in table.rows:
-            lines.append(
-                f"{format_multidegree(lam)}\t{s}\t{r}\t{'yes' if s % args.h == 0 else 'no'}"
-            )
-        if args.format == "text":
-            lines.append(f"mass: {table.mass}")
-            lines.append(
-                "divisibility: ok"
-                if witness is None
-                else f"divisibility: fail (witness {format_multidegree(witness)})"
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+        for lam, s, r in table.rows
+    ]
+    doc = {
+        "schema": JSON_SCHEMA,
+        "h": args.h,
+        "k": args.k,
+        "rows": rows,
+        "mass": table.mass,
+        "divisibility_ok": witness is None,
+        "witness": format_multidegree(witness) if witness else None,
+    }
+    tsv = ["lambda\tdim_schur\tdim_irrep_transpose\tdivisible"] + [
+        f"{row['lambda']}\t{row['dim_schur']}\t{row['dim_irrep_transpose']}\t"
+        f"{_yes(row['divisible'])}"
+        for row in rows
+    ]
+    divisibility = "ok" if witness is None else f"fail (witness {doc['witness']})"
+    text = tsv + [f"mass: {table.mass}", f"divisibility: {divisibility}"]
+    return _render(args, EXIT_OK, text=text, json=doc, tsv=tsv)
 
 
 def cmd_bounds(args) -> int:
     r0_min, rd_max = lef_bounds(args.h, args.k)
-    inv = invariant_bound(args.h, args.k)
-    if args.format == "json":
-        doc = {
-            "schema": JSON_SCHEMA,
-            "h": args.h,
-            "k": args.k,
-            "r0_min": r0_min,
-            "rd_max": rd_max,
-            "invariant_r0_min": inv,
-        }
-        _emit(args, _json_dumps(doc))
-    elif args.format == "tsv":
-        _emit(
-            args,
-            "h\tk\tr0_min\trd_max\tinvariant_r0_min\n"
-            f"{args.h}\t{args.k}\t{r0_min}\t{rd_max}\t{inv}\n",
-        )
-    else:
-        _emit(
-            args,
-            f"h={args.h} k={args.k}\n"
-            f"r0_min: {r0_min}\nrd_max: {rd_max}\ninvariant_r0_min: {inv}\n",
-        )
-    return EXIT_OK
+    doc = {
+        "schema": JSON_SCHEMA,
+        "h": args.h,
+        "k": args.k,
+        "r0_min": r0_min,
+        "rd_max": rd_max,
+        "invariant_r0_min": invariant_bound(args.h, args.k),
+    }
+    fields = ("h", "k", "r0_min", "rd_max", "invariant_r0_min")
+    tsv = ["\t".join(fields), "\t".join(str(doc[key]) for key in fields)]
+    text = [f"h={args.h} k={args.k}"] + [f"{key}: {doc[key]}" for key in fields[2:]]
+    return _render(args, EXIT_OK, text=text, json=doc, tsv=tsv)
 
 
 def _load_seed(path):
@@ -277,15 +256,14 @@ def _load_seed(path):
     if not isinstance(doc, dict):
         raise ValueError("seed file must hold a JSON object")
     if "blocks" in doc:
-        coll = collection_from_json(json.dumps(doc))
-        from .lefschetz import flatten_bundles
-
+        coll = collection_from_json(doc)
         return coll.k, coll.n, flatten_bundles(coll)
     try:
-        k = int(doc["k"])
-        raw_points = doc["points"]
-    except (KeyError, TypeError) as exc:
+        k, raw_points = doc["k"], doc["points"]
+    except KeyError as exc:
         raise ValueError(f"malformed seed file: {exc}") from None
+    if type(k) is not int:
+        raise ValueError(f"malformed seed file: k must be an integer, got {json.dumps(k)}")
     if not isinstance(raw_points, list) or not all(isinstance(p, str) for p in raw_points):
         raise ValueError(
             'malformed seed file: points must be a list of multidegree strings such as "(1,0)"'
@@ -300,39 +278,35 @@ def cmd_closure(args) -> int:
         raise ValueError("--n is required when the seed file carries no n")
     if file_n is not None and args.n is not None and args.n != file_n:
         raise ValueError(f"--n {args.n} conflicts with seed file n={file_n}")
-    margin = args.margin if args.margin is not None else n + 1
-    state, missing = close_cube(seed, n, k, margin)
+    state, missing = close_cube(seed, n, k, args.margin)
     status = FULL if not missing else INCONCLUSIVE
-
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(_trace_jsonl(state.trace))
-    if args.format == "json":
-        doc = {
+            fh.write("".join(json.dumps(_trace_doc(app)) + "\n" for app in state.trace))
+
+    def doc():
+        out = {
             "schema": JSON_SCHEMA,
             "k": k,
             "n": n,
-            "margin": margin,
+            "margin": -state.box.lo,
             "status": status,
             "members": state.member_count,
             "box_size": state.box.size,
             "trace": [_trace_doc(app) for app in state.trace],
         }
         if missing:
-            doc["missing_sample"] = [format_multidegree(p) for p in missing]
-        _emit(args, _json_dumps(doc))
-    else:
-        lines = [
-            f"status: {status}",
-            f"members: {state.member_count} of {state.box.size}",
-            f"trace entries: {state.trace_length}",
-        ]
-        if missing:
-            lines.append(
-                "missing: " + ", ".join(format_multidegree(p) for p in missing[:4])
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if status == FULL else EXIT_INCONCLUSIVE
+            out["missing_sample"] = [format_multidegree(p) for p in missing]
+        return out
+
+    text = [
+        f"status: {status}",
+        f"members: {state.member_count} of {state.box.size}",
+        f"trace entries: {state.trace_length}",
+    ]
+    if missing:
+        text.append("missing: " + ", ".join(format_multidegree(p) for p in missing[:4]))
+    return _render(args, EXIT_OK if status == FULL else EXIT_INCONCLUSIVE, text=text, json=doc)
 
 
 def cmd_search(args) -> int:
@@ -351,56 +325,40 @@ def cmd_search(args) -> int:
     result = (
         search_rectangular(spec) if args.target == "rectangular" else search_minimal(spec)
     )
-    if args.format == "json":
-        out = []
-        for coll in result.found:
-            out.append(
-                json.dumps(
-                    {
-                        "k": coll.k,
-                        "n": coll.n,
-                        "ranks": list(ranks(coll)),
-                        "blocks": [
-                            [format_multidegree(r) for r in b.reps()] for b in coll.blocks
-                        ],
-                    }
-                )
-            )
-        out.append(
-            json.dumps(
-                {
-                    "summary": True,
-                    "hits": len(result.found),
-                    "inconclusive": len(result.inconclusive),
-                    "nodes": result.nodes_visited,
-                    "exhausted": result.exhausted,
-                }
-            )
-        )
-        _emit(args, "\n".join(out) + "\n")
-    else:
-        lines = []
-        for coll in result.found:
-            blocks = "; ".join(
-                ",".join(format_multidegree(r) for r in b.reps()) for b in coll.blocks
-            )
-            lines.append(f"hit ranks=({', '.join(str(r) for r in ranks(coll))}) blocks {blocks}")
-        lines.append(
-            f"hits: {len(result.found)}, inconclusive: {len(result.inconclusive)}, "
-            f"nodes: {result.nodes_visited}, exhausted: {'yes' if result.exhausted else 'no'}"
-        )
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_INCONCLUSIVE if result.inconclusive or not result.exhausted else EXIT_OK
+    hits = [
+        {
+            "k": coll.k,
+            "n": coll.n,
+            "ranks": list(ranks(coll)),
+            "blocks": [[format_multidegree(r) for r in b.reps()] for b in coll.blocks],
+        }
+        for coll in result.found
+    ]
+    summary = {
+        "summary": True,
+        "hits": len(result.found),
+        "inconclusive": len(result.inconclusive),
+        "nodes": result.nodes_visited,
+        "exhausted": result.exhausted,
+    }
+    text = [
+        f"hit ranks={_ranks_text(coll)} blocks " + "; ".join(",".join(b) for b in hit["blocks"])
+        for coll, hit in zip(result.found, hits)
+    ]
+    text.append(
+        f"hits: {summary['hits']}, inconclusive: {summary['inconclusive']}, "
+        f"nodes: {summary['nodes']}, exhausted: {_yes(result.exhausted)}"
+    )
+    rc = EXIT_INCONCLUSIVE if result.inconclusive or not result.exhausted else EXIT_OK
+    return _render(args, rc, text=text, json=hits + [summary])
 
 
 def cmd_report(args) -> int:
     sections = []
 
-    grid_ok = True
-    for k in range(1, 4):
-        for n in range(1, 4):
-            if check_theorem_semiorthogonality(k, n) is not None:
-                grid_ok = False
+    grid_ok = all(
+        check_theorem_semiorthogonality(k, n) is None for k in range(1, 4) for n in range(1, 4)
+    )
     sections.append(("semiorthogonality grid k<=3 n<=3", "ok" if grid_ok else "FAIL"))
 
     coll = x32_minimal()
@@ -409,7 +367,7 @@ def cmd_report(args) -> int:
     sections.append(
         (
             "x32-minimal",
-            f"ranks ({', '.join(str(r) for r in ranks(coll))}), "
+            f"ranks {_ranks_text(coll)}, "
             f"exceptional {'ok' if not check_exceptional(coll) else 'FAIL'}, "
             f"fullness {verdict.status} at margin 2, "
             f"residual {'ok' if not res else 'FAIL'}",
@@ -418,9 +376,7 @@ def cmd_report(args) -> int:
 
     for k in (2, 3, 4):
         v = verify_fullness(xk1(k))
-        sections.append(
-            (f"xk1 k={k}", f"ranks ({', '.join(str(r) for r in ranks(xk1(k)))}), {v.status}")
-        )
+        sections.append((f"xk1 k={k}", f"ranks {_ranks_text(xk1(k))}, {v.status}"))
 
     v = verify_fullness(x3n_rectangular(3))
     sections.append(("x3n-rectangular n=3", v.status))
@@ -439,18 +395,14 @@ def cmd_report(args) -> int:
     )
 
     ok = grid_ok and verdict.status == FULL and not res
-    if args.format == "json":
-        doc = {
-            "schema": JSON_SCHEMA,
-            "sections": [{"name": name, "value": value} for name, value in sections],
-            "ok": ok,
-        }
-        _emit(args, _json_dumps(doc))
-    else:
-        width = max(len(name) for name, _ in sections)
-        lines = [f"{name.ljust(width)}  {value}" for name, value in sections]
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if ok else EXIT_FAIL
+    doc = {
+        "schema": JSON_SCHEMA,
+        "sections": [{"name": name, "value": value} for name, value in sections],
+        "ok": ok,
+    }
+    width = max(len(name) for name, _ in sections)
+    text = [f"{name.ljust(width)}  {value}" for name, value in sections]
+    return _render(args, EXIT_OK if ok else EXIT_FAIL, text=text, json=doc)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .lattice import Box, OrbitSet, orbit_of
+from .lattice import Box, OrbitSet, orbit_set
 from .lefschetz import LefschetzCollection, is_exceptional
 from .reptheory import content_orbit_count, partitions_of, perm_module_dim
 from .saturation import FULL, INCONCLUSIVE, verify_fullness
@@ -73,11 +73,10 @@ def _pool_by_shape(spec: SearchSpec):
     by_shape = {}
     if not box.lo <= 0 <= box.hi:
         return by_shape
-    for head in itertools.combinations_with_replacement(range(box.hi, -1, -1), spec.k - 1):
-        o = orbit_of(head + (0,))
+    heads = itertools.combinations_with_replacement(range(box.hi, -1, -1), spec.k - 1)
+    # one orbit_set, so the whole pool is sized before any orbit is built
+    for o in orbit_set(spec.k, (head + (0,) for head in heads)).orbits:
         by_shape.setdefault(o.stabilizer_shape, []).append(o)
-    for orbits in by_shape.values():
-        orbits.sort(key=lambda o: o.rep)
     return by_shape
 
 

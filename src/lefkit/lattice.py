@@ -18,6 +18,11 @@ from math import factorial, prod
 
 Multidegree = tuple[int, ...]
 
+# Most bundles orbit_of and orbit_set build at once; larger S_k-stable sets
+# are refused before any element exists.  xk1(14), the largest collection
+# the tests and benchmarks build, has 16,384.
+MAX_ORBIT_BUNDLES = 2 ** 22
+
 
 def canonical_rep(a) -> Multidegree:
     """Coordinates sorted weakly decreasing, the lex-largest point of the orbit.
@@ -102,14 +107,25 @@ def _multiset_permutations(values) -> tuple[Multidegree, ...]:
         out.append(tuple(a))
 
 
+def _orbit_size(rep) -> int:
+    """Orbit-stabilizer: k! over the order of the Young subgroup fixing rep."""
+    return factorial(len(rep)) // prod(factorial(m) for m in stabilizer_shape(rep))
+
+
+def _refuse_above_limit(bundles: int):
+    if bundles > MAX_ORBIT_BUNDLES:
+        raise ValueError(
+            f"S_k-stable set of {bundles} bundles is more than the limit of "
+            f"{MAX_ORBIT_BUNDLES}"
+        )
+
+
 def orbit_of(a) -> Orbit:
-    """The full S_k-orbit of a multidegree."""
+    """The full S_k-orbit of a multidegree; sized, and refused above the limit, first."""
     rep = canonical_rep(a)
+    _refuse_above_limit(_orbit_size(rep))
     elements = _multiset_permutations(rep)
-    shape = stabilizer_shape(rep)
-    # orbit-stabilizer: |orbit| * |S_shape| = k!
-    assert len(elements) * prod(factorial(m) for m in shape) == factorial(len(rep))
-    return Orbit(rep=rep, elements=elements, stabilizer_shape=shape)
+    return Orbit(rep=rep, elements=elements, stabilizer_shape=stabilizer_shape(rep))
 
 
 @dataclass(frozen=True)
@@ -152,6 +168,7 @@ def orbit_set(k: int, reps) -> OrbitSet:
         if len(a) != k:
             raise ValueError(f"arity mismatch: expected k={k}, got {a}")
         seen[canonical_rep(a)] = True
+    _refuse_above_limit(sum(map(_orbit_size, seen)))
     orbits = tuple(orbit_of(rep) for rep in sorted(seen))
     return OrbitSet(k=k, orbits=orbits)
 

@@ -270,16 +270,24 @@ def collection_to_json(coll: LefschetzCollection) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def collection_from_json(text: str) -> LefschetzCollection:
-    doc = json.loads(text)
+def collection_from_json(doc) -> LefschetzCollection:
+    """Read a collection document, given as JSON text or as the parsed object.
+
+    k and n must be JSON integers: true, 2.7 and "2" are refused, not truncated.
+    """
+    if isinstance(doc, str):
+        doc = json.loads(doc)
     if not isinstance(doc, dict) or doc.get("schema") != JSON_SCHEMA:
         raise ValueError(f"expected a collection document with schema {JSON_SCHEMA!r}")
     try:
-        k = int(doc["k"])
-        n = int(doc["n"])
-        raw_blocks = doc["blocks"]
-    except (KeyError, TypeError, ValueError) as exc:
+        k, n, raw_blocks = doc["k"], doc["n"], doc["blocks"]
+    except KeyError as exc:
         raise ValueError(f"malformed collection document: {exc}") from None
+    for key, value in (("k", k), ("n", n)):
+        if type(value) is not int:
+            raise ValueError(
+                f"malformed collection document: {key} must be an integer, got {json.dumps(value)}"
+            )
     if not isinstance(raw_blocks, list) or not all(
         isinstance(reps, list) and all(isinstance(r, str) for r in reps)
         for reps in raw_blocks

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .lattice import OrbitSet
 
@@ -169,19 +169,6 @@ def divisibility_criterion(h: int, k: int):
     if not failing:
         return None
     return min(failing)
-
-
-def binomial_predicate(h: int, k: int) -> bool:
-    """True iff h does not divide k and h divides C(h, r) for r = 1..min(k, h-1).
-
-    A sufficient, purely binomial condition for the divisibility criterion;
-    holds for all prime h with k < h.
-    """
-    if h < 1 or k < 1:
-        raise ValueError("h and k must be at least 1")
-    if k % h == 0:
-        return False
-    return all(comb(h, r) % h == 0 for r in range(1, min(k, h - 1) + 1))
 
 
 def lef_bounds(h: int, k: int) -> tuple[int, int]:

@@ -132,13 +132,7 @@ class ClosureState:
 
         Ascending lex order, at most `limit` of them.
         """
-        if target.k != self.box.k or target.lo < self.box.lo or target.hi > self.box.hi:
-            raise ValueError(
-                f"target [{target.lo}, {target.hi}]^{target.k} not inside box "
-                f"[{self.box.lo}, {self.box.hi}]^{self.box.k}"
-            )
-        offset = target.lo - self.box.lo
-        sub = self.grid[(slice(offset, offset + target.width),) * target.k]
+        sub = self.grid[_sub_box(self.box, target)]
         flat = np.flatnonzero(~sub)[:limit]
         coords = np.stack(np.unravel_index(flat, sub.shape), axis=1) + target.lo
         return list(map(tuple, coords.tolist()))
@@ -168,6 +162,26 @@ class Verdict:
     status: str
     state: ClosureState | None
     detail: dict = field(default_factory=dict)
+
+
+def _sub_box(box: Box, target: Box) -> tuple[slice, ...]:
+    """The slices selecting `target` in a grid over `box`; ValueError unless it is inside."""
+    if target.k != box.k or target.lo < box.lo or target.hi > box.hi:
+        raise ValueError(
+            f"target [{target.lo}, {target.hi}]^{target.k} not inside box "
+            f"[{box.lo}, {box.hi}]^{box.k}"
+        )
+    offset = target.lo - box.lo
+    return (slice(offset, offset + target.width),) * target.k
+
+
+def _margin(n: int, margin: int | None) -> int:
+    """The closure margin around the cube [0, n]^k: n + 1 by default, never negative."""
+    if margin is None:
+        return n + 1
+    if margin < 0:
+        raise ValueError("margin must be nonnegative")
+    return margin
 
 
 def _insert_coord(line, axis, value):
@@ -242,11 +256,11 @@ def _axis_pass(grid, axis, h):
     return _Pass(axis=axis, lines=lines, starts=starts, added=added)
 
 
-def close(seed, n: int, box: Box, stop_when_contains=None) -> ClosureState:
+def close(seed, n: int, box: Box, target: Box | None = None) -> ClosureState:
     """Least fixed point of the window rule over `box`, starting from `seed`.
 
-    stop_when_contains, if given, is a set of points; sweeping stops early
-    once all of them are members (checked after each axis pass).  This keeps
+    target, if given, is a box inside `box`; sweeping stops early once all
+    its points are members (checked after each axis pass).  This keeps
     traces small when only a target region matters; it never changes whether
     the target is reached, only how much of the rest of the box gets filled.
     """
@@ -268,21 +282,10 @@ def close(seed, n: int, box: Box, stop_when_contains=None) -> ClosureState:
     if seed:
         grid[tuple((np.array(list(seed)) - box.lo).T)] = True
 
-    target_idx = None
-    if stop_when_contains is not None:
-        pts = [tuple(int(c) for c in p) for p in stop_when_contains]
-        for p in pts:
-            if p not in box:
-                raise ValueError(
-                    f"target point {format_multidegree(p)} outside box"
-                )
-        target_idx = tuple(
-            np.array([p[i] - box.lo for p in pts], dtype=np.intp)
-            for i in range(box.k)
-        )
+    window = None if target is None else _sub_box(box, target)
 
     def target_met():
-        return target_idx is not None and bool(grid[target_idx].all())
+        return window is not None and bool(grid[window].all())
 
     passes = []
     done = target_met()
@@ -302,20 +305,22 @@ def close(seed, n: int, box: Box, stop_when_contains=None) -> ClosureState:
     return ClosureState(box=box, n=n, seed=seed, grid=grid, passes=tuple(passes))
 
 
-def close_cube(seed, n: int, k: int, margin: int, drop_outside: bool = False):
+def close_cube(seed, n: int, k: int, margin: int | None = None, drop_outside: bool = False):
     """Close `seed` over [-margin, n+margin]^k, stopping once [0, n]^k is covered.
 
-    Returns the state and the first MISSING_SAMPLE points of the cube that
-    were not reached, ascending lex; an empty sample certifies that the
-    cube, and so everything, is generated.  With drop_outside, seed points
-    outside the box are dropped instead of refused (generating the cube
-    from fewer seeds is still a sound certificate).
+    margin defaults to n + 1 and must not be negative.  Returns the state
+    and the first MISSING_SAMPLE points of the cube that were not reached,
+    ascending lex; an empty sample certifies that the cube, and so
+    everything, is generated.  With drop_outside, seed points outside the
+    box are dropped instead of refused (generating the cube from fewer
+    seeds is still a sound certificate).
     """
+    margin = _margin(n, margin)
     box = Box(lo=-margin, hi=n + margin, k=k)
     if drop_outside:
         seed = [p for p in seed if p in box]
     cube = Box(lo=0, hi=n, k=k)
-    state = close(seed, n, box, stop_when_contains=cube.points())
+    state = close(seed, n, box, target=cube)
     return state, tuple(state.missing_points(cube, limit=MISSING_SAMPLE))
 
 
@@ -352,36 +357,23 @@ def verify_fullness(coll: LefschetzCollection, margin: int | None = None) -> Ver
 
     A full collection must have exactly (n+1)^k bundles; any other count is
     NOT_FULL_BY_RANK before any closure runs.  With the count right, the
-    twisted bundles seed a closure over [-margin, n+margin]^k; covering the
-    cube [0, n]^k certifies FULL (the cube generates everything), otherwise
-    the verdict is INCONCLUSIVE for this margin.
+    twisted bundles seed a closure over [-margin, n+margin]^k (close_cube's
+    margin rule); covering the cube [0, n]^k certifies FULL (the cube
+    generates everything), otherwise the verdict is INCONCLUSIVE for this
+    margin.  A negative margin is refused even when the count decides.
     """
     n, k = coll.n, coll.k
-    h = n + 1
-    if margin is None:
-        margin = h
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
+    _margin(n, margin)
     bundles = flatten_bundles(coll)
-    expected = h ** k
+    expected = (n + 1) ** k
     if len(bundles) != expected or len(set(bundles)) != expected:
-        return Verdict(
-            status=NOT_FULL_BY_RANK,
-            state=None,
-            detail={
-                "bundles": len(set(bundles)),
-                "expected": expected,
-                "ranks": ranks(coll),
-            },
-        )
+        detail = {"bundles": len(set(bundles)), "expected": expected, "ranks": ranks(coll)}
+        return Verdict(status=NOT_FULL_BY_RANK, state=None, detail=detail)
     state, missing = close_cube(bundles, n, k, margin, drop_outside=True)
     if not missing:
-        return Verdict(status=FULL, state=state, detail={"margin": margin})
-    return Verdict(
-        status=INCONCLUSIVE,
-        state=state,
-        detail={"margin": margin, "missing_sample": missing},
-    )
+        return Verdict(status=FULL, state=state, detail={"margin": -state.box.lo})
+    detail = {"margin": -state.box.lo, "missing_sample": missing}
+    return Verdict(status=INCONCLUSIVE, state=state, detail=detail)
 
 
 def residual_check(
@@ -395,9 +387,6 @@ def residual_check(
     violations found (empty list means the residual check passed).
     """
     n, k = rect_part.n, rect_part.k
-    h = n + 1
-    if margin is None:
-        margin = h
     if residual.k != k:
         return [Violation(kind="invariance", witness=(residual.k, k))]
     flat = flatten_bundles(rect_part)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import lefkit
+from lefkit import lattice
 from lefkit.cli import main
 from lefkit.lefschetz import collection_from_json, x32_minimal
 
@@ -251,6 +252,52 @@ def test_malformed_seed_points_exit_2(capsys, tmp_path):
         rc, _, err = run(capsys, "closure", "--seed-file", str(path), "--n", "1")
         assert rc == 2
         assert err.startswith("error:") and "points" in err
+    # a non-integer k is refused, not truncated to a smaller closure
+    for k in (2.9, True, "2"):
+        path.write_text(json.dumps({"k": k, "points": ["(0,0)", "(1,0)"]}))
+        rc, out, err = run(capsys, "closure", "--seed-file", str(path), "--n", "1")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and "k must be an integer" in err
+    path.write_text(json.dumps({"schema": "lefkit/1", "k": 2, "n": 1.5, "blocks": [["(0,0)"]]}))
+    for argv in (("closure", "--seed-file", str(path)), ("verify", "--collection", str(path))):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert "n must be an integer, got 1.5" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--builtin", "x32-minimal"),
+        ("verify", "--builtin", "x3n-rectangular", "--n", "5"),  # decided by rank alone
+        ("verify", "--builtin", "x32-rect", "--residual", "(1,-1,0)"),
+        ("closure", "--seed-file", "seed.json", "--n", "3"),
+    ],
+    ids=["verify", "verify-by-rank", "verify-residual", "closure"],
+)
+def test_negative_margin_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("seed.json").write_text(json.dumps({"k": 2, "points": ["(0,0)"]}))
+    rc, out, err = run(capsys, *argv, "--margin", "-1")
+    assert (rc, out, err) == (2, "", "error: margin must be nonnegative\n")
+
+
+def test_oversized_collections_refused_before_building(capsys, tmp_path, monkeypatch):
+    def boom(values):
+        raise AssertionError("orbit elements generated before the size check")
+
+    monkeypatch.setattr(lattice, "_multiset_permutations", boom)
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps({"schema": "lefkit/1", "k": 40, "n": 1,
+                                "blocks": [["(" + ",".join(["1"] * 20 + ["0"] * 20) + ")"]]}))
+    for argv in (
+        ("verify", "--builtin", "xk1", "--k", "30"),
+        ("search", "--k", "20", "--n", "1", "--target", "minimal"),
+        ("verify", "--collection", str(path)),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("error: S_k-stable set of") and "limit" in err
 
 
 def test_bad_multidegree_exits_2(capsys):

@@ -4,7 +4,9 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from lefkit import lattice
 from lefkit.lattice import (
+    MAX_ORBIT_BUNDLES,
     Box,
     canonical_rep,
     format_multidegree,
@@ -90,6 +92,25 @@ def test_orbit_set_sorting_and_dedup():
     flat = s.bundles()
     assert flat[0] == (0, 0, 0)
     assert len(flat) == len(set(flat)) == 7
+
+
+def test_oversized_orbits_refused_before_generation(monkeypatch):
+    def boom(values):
+        raise AssertionError("orbit elements generated before the size check")
+
+    monkeypatch.setattr(lattice, "_multiset_permutations", boom)
+    big = tuple(range(30))  # an orbit of 30! elements
+    with pytest.raises(ValueError, match="limit"):
+        orbit_of(big)
+    with pytest.raises(ValueError, match="limit"):
+        orbit_set(30, [big])
+    # every orbit of {0,1}^24 is below the limit, all 2^24 points together
+    # are above it: refused before any orbit is built
+    cube = [(1,) * m + (0,) * (24 - m) for m in range(25)]
+    sizes = [factorial(24) // (factorial(m) * factorial(24 - m)) for m in range(25)]
+    assert max(sizes) < MAX_ORBIT_BUNDLES < sum(sizes)
+    with pytest.raises(ValueError, match="16777216 bundles"):
+        orbit_set(24, cube)
 
 
 def test_orbit_set_rejects_bad_arity():

@@ -297,6 +297,13 @@ def test_json_rejects_bad_documents():
         doc = {"schema": "lefkit/1", "k": 2, "n": 1, "blocks": blocks}
         with pytest.raises(ValueError, match="list of lists"):
             collection_from_json(json.dumps(doc))
+    # k and n must be JSON integers, never truncated or coerced
+    for key, value in (("n", 2.7), ("n", "2"), ("k", True), ("k", 2.0), ("k", None)):
+        doc = {"schema": "lefkit/1", "k": 2, "n": 1, "blocks": [["(0,0)"]], key: value}
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            collection_from_json(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            collection_from_json(doc)
 
 
 @given(n=st.integers(1, 4))

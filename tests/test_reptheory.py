@@ -1,12 +1,11 @@
 import itertools
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lefkit.lattice import orbit_set
 from lefkit.reptheory import (
-    binomial_predicate,
     content_orbit_count,
     count_partitions,
     dim_irrep,
@@ -260,28 +259,11 @@ def test_divisibility_criterion_known_values():
 
 
 def test_divisibility_k3_iff_h_not_multiple_of_3():
-    for h in range(2, 22):
-        ok = divisibility_criterion(h, 3) is None
-        assert ok == (h % 3 != 0), h
-
-
-def test_binomial_predicate_known_values():
-    assert binomial_predicate(3, 2)
-    assert binomial_predicate(5, 3)
-    assert not binomial_predicate(4, 3)  # C(4,2) = 6 is not divisible by 4
-    assert not binomial_predicate(2, 2)  # h divides k
-    assert not binomial_predicate(6, 4)
-    # h prime, k < h always passes
-    for h in (2, 3, 5, 7, 11):
-        for k in range(1, h):
-            assert binomial_predicate(h, k)
-
-
-def test_binomial_predicate_implies_divisibility():
-    for h in range(2, 13):
-        for k in range(1, 7):
-            if binomial_predicate(h, k):
-                assert divisibility_criterion(h, k) is None, (h, k)
+    # exact rule: every Schur dimension is divisible by h iff gcd(h, k) = 1
+    for h in range(2, 25):
+        for k in range(1, 13):
+            ok = divisibility_criterion(h, k) is None
+            assert ok == (gcd(h, k) == 1), (h, k)
 
 
 def test_lef_bounds_known_values():

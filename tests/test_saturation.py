@@ -173,8 +173,9 @@ def test_close_respects_stop_target():
     coll = x32_minimal()
     seed = flatten_bundles(coll)
     box = Box(lo=-2, hi=4, k=3)
-    target = list(Box(lo=0, hi=2, k=3).points())
-    state = close(seed, 2, box, stop_when_contains=target)
+    cube = Box(lo=0, hi=2, k=3)
+    target = list(cube.points())
+    state = close(seed, 2, box, target=cube)
     assert set(target) <= state.members
     assert replay_trace(state.seed, 2, box, state.trace) == state.members
     full_state = close(seed, 2, box)
@@ -375,7 +376,7 @@ def closure_cases(draw):
 def test_grid_state_matches_eager_reference(case):
     seed, n, box, target, stop = case
     stop_at = list(target.points()) if stop else None
-    state = close(seed, n, box, stop_when_contains=stop_at)
+    state = close(seed, n, box, target=target if stop else None)
     members, trace = eager_close(seed, n, box, stop_when_contains=stop_at)
     assert state.member_count == len(members)
     assert state.trace_length == len(trace)

@@ -35,6 +35,7 @@ from .lefschetz import (
     is_exceptional,
     is_rectangular,
     ranks,
+    staircase_rectangular,
     x32_minimal,
     x32_rectangular_part,
     x32_residual,

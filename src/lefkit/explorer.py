@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .lattice import Box, OrbitSet, orbit_set
+from .lattice import Box, OrbitSet, normalised_reps, orbit_set
 from .lefschetz import LefschetzCollection, is_exceptional
-from .reptheory import content_orbit_count, partitions_of, perm_module_dim
-from .saturation import FULL, INCONCLUSIVE, verify_fullness
+from .reptheory import content_orbit_count, decreasing_tuples, partitions_of, perm_module_dim
+from .saturation import FULL, INCONCLUSIVE, _margin, verify_fullness
 
 TARGET_RECTANGULAR = "rectangular"
 TARGET_MINIMAL = "minimal"
@@ -49,6 +49,7 @@ class SearchSpec:
             raise ValueError(f"unknown target {self.target!r}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
+        _margin(self.n, self.margin)
 
 
 @dataclass
@@ -73,9 +74,8 @@ def _pool_by_shape(spec: SearchSpec):
     by_shape = {}
     if not box.lo <= 0 <= box.hi:
         return by_shape
-    heads = itertools.combinations_with_replacement(range(box.hi, -1, -1), spec.k - 1)
     # one orbit_set, so the whole pool is sized before any orbit is built
-    for o in orbit_set(spec.k, (head + (0,) for head in heads)).orbits:
+    for o in orbit_set(spec.k, normalised_reps(spec.k, box.hi)).orbits:
         by_shape.setdefault(o.stabilizer_shape, []).append(o)
     return by_shape
 
@@ -108,23 +108,22 @@ def _run(spec: SearchSpec, block_tuples) -> SearchResult:
     )
 
 
-def _chain_blocks(spec: SearchSpec, chains_of):
-    """Block tuples whose per-shape orbit counts follow the given chains.
+def _chain_blocks(spec: SearchSpec, head_cap):
+    """Block tuples whose per-shape orbit counts follow decreasing chains.
 
-    chains_of(t, avail) lists the allowed chains for one stabilizer shape:
-    tuples of h orbit counts, one per block, weakly decreasing so that the
-    blocks nest; t is the shape's orbit count in the class space
-    (C^h)^(x k) and avail its orbit count in the pool.  A shape with no
-    chain admits no candidate.  Chain combinations are enumerated by
-    ascending block-size signature (r_0, r_1, ...), and concrete orbit
-    choices are nested top-down in lex order.
+    Each stabilizer shape's chains are the tuples of h orbit counts, one
+    per block, weakly decreasing so that the blocks nest and summing to t,
+    the shape's orbit count in the class space (C^h)^(x k).  head_cap(t,
+    avail) caps the first count; avail is the shape's orbit count in the
+    pool.  A shape with no chain admits no candidate.  Chain combinations
+    are enumerated by ascending block-size signature (r_0, r_1, ...), and
+    concrete orbit choices are nested top-down in lex order.
     """
     h = spec.n + 1
     by_shape = _pool_by_shape(spec)
     shapes = partitions_of(spec.k)
-    per_shape_chains = [
-        chains_of(content_orbit_count(h, lam), len(by_shape.get(lam, []))) for lam in shapes
-    ]
+    counts = [(content_orbit_count(h, lam), len(by_shape.get(lam, []))) for lam in shapes]
+    per_shape_chains = [decreasing_tuples(t, h, head_cap(t, avail)) for t, avail in counts]
 
     def signature(chain_combo):
         return tuple(
@@ -160,18 +159,17 @@ def search_rectangular(spec: SearchSpec) -> SearchResult:
 
     With pruning on, the block's orbit-type vector is forced exactly: the
     h-fold repeat of the block must tile the class space (C^h)^(x k), so
-    each shape's orbit count must be content_orbit_count/h, the constant
-    chain.  Non-integral quota means no rectangular collection exists over
-    any pool (sound pruning, not heuristic).  With pruning off, every
-    S_k-stable subset with (n+1)^(k-1) bundles is tried.
+    each shape's chain is constant: a decreasing chain whose head is at
+    most its mean t // h.  When h does not divide t there is none, and no
+    rectangular collection exists over any pool (sound pruning, not
+    heuristic).  With pruning off, every S_k-stable subset with
+    (n+1)^(k-1) bundles is tried.
     """
     if spec.target != TARGET_RECTANGULAR:
         raise ValueError("spec.target must be 'rectangular'")
     h = spec.n + 1
     if spec.prune:
-        return _run(
-            spec, _chain_blocks(spec, lambda t, avail: [(t // h,) * h] if t % h == 0 else [])
-        )
+        return _run(spec, _chain_blocks(spec, lambda t, avail: t // h))
 
     orbits = sorted(
         (o for group in _pool_by_shape(spec).values() for o in group), key=lambda o: o.rep
@@ -193,22 +191,6 @@ def search_rectangular(spec: SearchSpec) -> SearchResult:
     )
 
 
-def _decreasing_compositions(total, parts, cap):
-    """Weakly decreasing tuples of `parts` nonnegative ints summing to total, head <= cap."""
-
-    def rec(remaining, slots, bound):
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        lo = -(-remaining // slots)  # head of a decreasing tuple is at least the mean
-        for head in range(min(bound, remaining), lo - 1, -1):
-            for rest in rec(remaining - head, slots - 1, head):
-                yield (head,) + rest
-
-    yield from rec(total, parts, cap)
-
-
 def search_minimal(spec: SearchSpec) -> SearchResult:
     """Certified length-(n+1) chains, smallest first blocks first.
 
@@ -220,7 +202,4 @@ def search_minimal(spec: SearchSpec) -> SearchResult:
     """
     if spec.target != TARGET_MINIMAL:
         raise ValueError("spec.target must be 'minimal'")
-    h = spec.n + 1
-    return _run(
-        spec, _chain_blocks(spec, lambda t, avail: _decreasing_compositions(t, h, cap=avail))
-    )
+    return _run(spec, _chain_blocks(spec, lambda t, avail: avail))

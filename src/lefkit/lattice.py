@@ -46,7 +46,10 @@ def stabilizer_shape(a) -> tuple[int, ...]:
 
 
 def parse_multidegree(text: str, k: int | None = None) -> Multidegree:
-    """Parse the textual form "(2,1,0)" used by the CLI and JSON reports."""
+    """Parse the textual form "(2,1,0)" used by the CLI and JSON reports.
+
+    Each coordinate is an optional sign and ASCII digits, with ASCII whitespace around.
+    """
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"multidegree must look like (a,b,...), got {text!r}")
@@ -54,7 +57,10 @@ def parse_multidegree(text: str, k: int | None = None) -> Multidegree:
     if not body:
         raise ValueError(f"empty multidegree: {text!r}")
     try:
-        coords = tuple(int(part.strip()) for part in body.split(","))
+        # on ASCII text without underscores, int() reads exactly a sign and digits
+        if not body.isascii() or "_" in body:
+            raise ValueError
+        coords = tuple(int(part) for part in body.split(","))
     except ValueError:
         raise ValueError(f"non-integer coordinate in {text!r}") from None
     if k is not None and len(coords) != k:
@@ -151,11 +157,14 @@ class OrbitSet:
     def bundle_count(self) -> int:
         return sum(o.size for o in self.orbits)
 
-    def has_orbit(self, rep) -> bool:
-        return canonical_rep(rep) in set(self.reps())
-
     def __contains__(self, a) -> bool:
-        return self.has_orbit(a)
+        return canonical_rep(a) in self.reps()
+
+
+def normalised_reps(k: int, hi: int):
+    """Reps c_1 >= ... >= c_k = 0 with c_1 <= hi, in descending lex order."""
+    for head in itertools.combinations_with_replacement(range(hi, -1, -1), k - 1):
+        yield head + (0,)
 
 
 def orbit_set(k: int, reps) -> OrbitSet:

@@ -18,6 +18,7 @@ from .lattice import (
     OrbitSet,
     canonical_rep,
     format_multidegree,
+    normalised_reps,
     orbit_set,
     parse_multidegree,
     twist,
@@ -64,47 +65,25 @@ class Violation:
     detail: tuple = field(default=())
 
 
-def _slope_reps(k: int, n: int, strict: bool):
+def _staircase(k: int, n: int, strict: bool):
     """Reps c_1 >= ... >= c_k = 0 with k*c_i < (n+1)*(k-i) (or <=) for i < k."""
-    h = n + 1
-
-    def bound(i):
-        # largest value allowed at position i (1-based), before the chain cap
-        slack = h * (k - i)
-        if strict:
-            return (slack - 1) // k
-        return slack // k
-
-    def rec(i, prev):
-        if i == k:
-            yield (0,)
-            return
-        for c in range(min(prev, bound(i)), -1, -1):
-            for rest in rec(i + 1, c):
-                yield (c,) + rest
-
-    if k == 1:
-        yield (0,)
-        return
-    yield from rec(1, bound(1))
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    caps = [((n + 1) * (k - i) - strict) // k for i in range(1, k)]
+    reps = normalised_reps(k, caps[0] if caps else 0)
+    return [c for c in reps if all(x <= cap for x, cap in zip(c, caps))]
 
 
 def build_E(k: int, n: int) -> OrbitSet:
     """Orbits of c with c_1 >= ... >= c_k = 0 and k*c_i < (n+1)*(k-i) for i < k."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return orbit_set(k, _slope_reps(k, n, strict=True))
+    return orbit_set(k, _staircase(k, n, strict=True))
 
 
 def build_Ehat(k: int, n: int) -> OrbitSet:
     """Non-strict variant of build_E: k*c_i <= (n+1)*(k-i) for i < k."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return orbit_set(k, _slope_reps(k, n, strict=False))
+    return orbit_set(k, _staircase(k, n, strict=False))
 
 
 def adjust(base: OrbitSet, add=(), remove=()) -> OrbitSet:
@@ -212,10 +191,18 @@ def check_theorem_semiorthogonality(k: int, n: int):
     return Violation(kind="ext", witness=(a, b), detail=ext_graded(n, a, b))
 
 
+def staircase_rectangular(k: int, n: int) -> LefschetzCollection:
+    """The rectangular candidate on (P^n)^k: n+1 copies of build_E(k, n).
+
+    The paper's rectangular collections for k = 3 and for n = 1 with k odd
+    are this builder.  When gcd(n+1, k) > 1 the block has the wrong size.
+    """
+    return LefschetzCollection(k=k, n=n, blocks=(build_E(k, n),) * (n + 1))
+
+
 def x3n_rectangular(n: int) -> LefschetzCollection:
-    """The rectangular candidate on (P^n)^3: n+1 copies of build_E(3, n)."""
-    block = build_E(3, n)
-    return LefschetzCollection(k=3, n=n, blocks=(block,) * (n + 1))
+    """The rectangular candidate on (P^n)^3: staircase_rectangular(3, n)."""
+    return staircase_rectangular(3, n)
 
 
 def x32_minimal() -> LefschetzCollection:
@@ -249,12 +236,9 @@ def xk1(k: int) -> LefschetzCollection:
     build_Ehat(k, 1) (at least half zero), giving ranks
     ((2^k + C(k, k/2)) / 2, (2^k - C(k, k/2)) / 2).
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    a = build_E(k, 1)
     if k % 2 == 1:
-        return LefschetzCollection(k=k, n=1, blocks=(a, a))
-    return LefschetzCollection(k=k, n=1, blocks=(build_Ehat(k, 1), a))
+        return staircase_rectangular(k, 1)
+    return LefschetzCollection(k=k, n=1, blocks=(build_Ehat(k, 1), build_E(k, 1)))
 
 
 def collection_to_json(coll: LefschetzCollection) -> str:

@@ -32,30 +32,53 @@ def _check_partition(lam) -> Partition:
     return lam
 
 
+# Most partitions partitions_rho lists at once; the list is counted first and
+# refused above this.  The largest list the tests build, partitions_rho(3, 60), has 331.
+MAX_PARTITIONS = 2 ** 16
+
+
+def decreasing_tuples(total: int, parts: int, cap: int):
+    """Weakly decreasing tuples of `parts` nonnegative ints summing to total, head <= cap.
+
+    Descending lex order.
+    """
+
+    def rec(remaining, slots, bound):
+        if slots == 0:
+            if remaining == 0:
+                yield ()
+            return
+        lo = -(-remaining // slots)  # head of a decreasing tuple is at least the mean
+        for head in range(min(bound, remaining), lo - 1, -1):
+            for rest in rec(remaining - head, slots - 1, head):
+                yield (head,) + rest
+
+    yield from rec(total, parts, cap)
+
+
 @cache
+def partitions_rho(h: int, k: int) -> tuple[Partition, ...]:
+    """Partitions of k with at most h rows, descending lex order.
+
+    Counted first, and refused above MAX_PARTITIONS before any is built.
+    """
+    if h < 1 or k < 1:
+        raise ValueError("h and k must be at least 1")
+    rows = min(h, k)
+    count = count_partitions(k, rows)
+    if count > MAX_PARTITIONS:
+        raise ValueError(
+            f"{count} partitions of {k} with at most {h} rows are more than the limit "
+            f"of {MAX_PARTITIONS}"
+        )
+    return tuple(tuple(p for p in lam if p) for lam in decreasing_tuples(k, rows, k))
+
+
 def partitions_of(k: int) -> tuple[Partition, ...]:
     """All partitions of k, descending lex (so dominance-compatible: (k) first)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return ((),)
-
-    def gen(remaining, max_part):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, max_part), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(k, k))
-
-
-def partitions_rho(h: int, k: int) -> tuple[Partition, ...]:
-    """Partitions of k with at most h rows, descending lex order."""
-    if h < 1 or k < 1:
-        raise ValueError("h and k must be at least 1")
-    return tuple(lam for lam in partitions_of(k) if len(lam) <= h)
+    return partitions_rho(k, k) if k else ((),)
 
 
 def transpose(lam) -> Partition:
@@ -165,10 +188,7 @@ def divisibility_criterion(h: int, k: int):
 
     Otherwise the lex-least failing partition is returned as the witness.
     """
-    failing = [lam for lam in partitions_rho(h, k) if dim_schur(lam, h) % h != 0]
-    if not failing:
-        return None
-    return min(failing)
+    return min((lam for lam, s, _ in schur_weyl_table(h, k).rows if s % h), default=None)
 
 
 def lef_bounds(h: int, k: int) -> tuple[int, int]:
@@ -178,14 +198,8 @@ def lef_bounds(h: int, k: int) -> tuple[int, int]:
     decreasing block multiplicities forces the first block to carry at least
     ceil/h and the last at most floor/h of each irreducible isotype.
     """
-    r0 = 0
-    rd = 0
-    for lam in partitions_rho(h, k):
-        s = dim_schur(lam, h)
-        r = dim_irrep(transpose(lam))
-        r0 += -(-s // h) * r
-        rd += (s // h) * r
-    return r0, rd
+    rows = schur_weyl_table(h, k).rows
+    return sum(-(-s // h) * r for _, s, r in rows), sum((s // h) * r for _, s, r in rows)
 
 
 def invariant_bound(h: int, k: int) -> int:
@@ -198,26 +212,25 @@ def invariant_bound(h: int, k: int) -> int:
     module; permutation characters are independent, so the tiling is forced
     shape by shape.  A weakly decreasing chain of h nonnegative integers
     with sum t has head at least ceil(t/h), and that head is attained, so
-    the shapes minimise independently.
+    the shapes minimise independently.  Shapes with more than h rows have
+    no copies, so only partitions_rho(h, k) is summed.
     """
     if h < 2:
         raise ValueError("h must be at least 2")
     if k < 1:
         raise ValueError("k must be at least 1")
-    total = 0
-    for lam in partitions_of(k):
-        t = content_orbit_count(h, lam)
-        total += -(-t // h) * perm_module_dim(lam)
-    return total
+    return sum(
+        -(-content_orbit_count(h, lam) // h) * perm_module_dim(lam) for lam in partitions_rho(h, k)
+    )
 
 
 @cache
-def count_partitions(m: int) -> int:
-    """Number of partitions of m."""
+def count_partitions(m: int, largest: int | None = None) -> int:
+    """Number of partitions of m, with no part above `largest` (or rows, by conjugation)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     table = [1] + [0] * m
-    for part in range(1, m + 1):
+    for part in range(1, (m if largest is None else largest) + 1):
         for total in range(part, m + 1):
             table[total] += table[total - part]
     return table[m]
@@ -250,6 +263,7 @@ class SchurWeylTable:
         return sum(s * r for _, s, r in self.rows)
 
 
+@cache
 def schur_weyl_table(h: int, k: int) -> SchurWeylTable:
     rows = tuple(
         (lam, dim_schur(lam, h), dim_irrep(transpose(lam)))

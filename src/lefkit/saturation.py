@@ -78,9 +78,6 @@ class ClosureState:
     box.lo + i_k) is a member; it is read-only.  member_count, trace_length
     and missing_points read the arrays.  members (a frozenset of points) and
     trace (the RuleApplications in engine order) are built on first access.
-    Two states are equal when box, n, seed, grid and trace length agree;
-    their traces are then equal too, because every recorded pass strictly
-    grows the grid.
     """
 
     box: Box
@@ -136,18 +133,6 @@ class ClosureState:
         flat = np.flatnonzero(~sub)[:limit]
         coords = np.stack(np.unravel_index(flat, sub.shape), axis=1) + target.lo
         return list(map(tuple, coords.tolist()))
-
-    def __eq__(self, other):
-        if not isinstance(other, ClosureState):
-            return NotImplemented
-        return (
-            (self.box, self.n, self.seed, self.trace_length)
-            == (other.box, other.n, other.seed, other.trace_length)
-            and np.array_equal(self.grid, other.grid)
-        )
-
-    def __hash__(self):
-        return hash((self.box, self.n, self.seed, self.member_count))
 
 
 @dataclass(frozen=True)

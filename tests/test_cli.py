@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lefkit
-from lefkit import lattice
+from lefkit import lattice, reptheory
 from lefkit.cli import main
 from lefkit.lefschetz import collection_from_json, x32_minimal
 
@@ -272,8 +272,10 @@ def test_malformed_seed_points_exit_2(capsys, tmp_path):
         ("verify", "--builtin", "x3n-rectangular", "--n", "5"),  # decided by rank alone
         ("verify", "--builtin", "x32-rect", "--residual", "(1,-1,0)"),
         ("closure", "--seed-file", "seed.json", "--n", "3"),
+        # no candidate reaches the closure, so only the search spec can refuse it
+        ("search", "--k", "3", "--n", "2", "--target", "rectangular", "--no-prune"),
     ],
-    ids=["verify", "verify-by-rank", "verify-residual", "closure"],
+    ids=["verify", "verify-by-rank", "verify-residual", "closure", "search-no-closure"],
 )
 def test_negative_margin_exits_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -300,10 +302,26 @@ def test_oversized_collections_refused_before_building(capsys, tmp_path, monkeyp
         assert err.startswith("error: S_k-stable set of") and "limit" in err
 
 
+def test_oversized_partition_lists_refused_before_building(capsys, monkeypatch):
+    def boom(total, parts, cap):
+        raise AssertionError("partitions generated before the size check")
+
+    monkeypatch.setattr(reptheory, "decreasing_tuples", boom)
+    for argv, count in ((("bounds", "--h", "50", "--k", "50"), 204226),
+                        (("dims", "--h", "100", "--k", "100"), 190569292)):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err == (f"error: {count} partitions of {argv[-1]} with at most {argv[2]} rows "
+                       "are more than the limit of 65536\n")
+
+
 def test_bad_multidegree_exits_2(capsys):
     rc, _, err = run(capsys, "ext", "--n", "2", "--from", "(1,0", "--to", "(0,0)")
     assert rc == 2
     assert err.startswith("error:")
+    rc, out, err = run(capsys, "ext", "--n", "1", "--from", "(1_0)", "--to", "(0)")
+    assert (rc, out) == (2, "")
+    assert err == "error: non-integer coordinate in '(1_0)'\n"
 
 
 def test_search_smoke(capsys):

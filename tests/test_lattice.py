@@ -133,6 +133,9 @@ def test_parse_format_roundtrip_examples():
         parse_multidegree("()")
     with pytest.raises(ValueError):
         parse_multidegree("(1,2)", k=3)
+    for text in ("(1_0)", "(1,2_0)", "(\u0663,2)"):  # int() would read 10, 20 and 3
+        with pytest.raises(ValueError, match="non-integer coordinate"):
+            parse_multidegree(text)
 
 
 @given(a=multidegree_strategy())

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lefkit import ext, lefschetz
+from lefkit import ext, lattice, lefschetz
 from lefkit.ext import ext_graded, is_orthogonal_pair
 from lefkit.lattice import canonical_rep, orbit_set, twist
 from lefkit.lefschetz import (
@@ -26,6 +26,7 @@ from lefkit.lefschetz import (
     x32_minimal,
     x32_rectangular_part,
     x32_residual,
+    staircase_rectangular,
     x3n_rectangular,
     xk1,
 )
@@ -313,3 +314,46 @@ def test_x3n_rectangular_shape(n):
     assert len(coll.blocks) == n + 1
     assert is_rectangular(coll)
     assert check_lefschetz(coll) is None
+
+
+def slope_reps_reference(k, n, strict):
+    """The staircase reps by the recursion on the slope bounds that build_E first used."""
+    h = n + 1
+
+    def bound(i):
+        slack = h * (k - i)
+        return (slack - 1) // k if strict else slack // k
+
+    def rec(i, prev):
+        if i == k:
+            yield (0,)
+            return
+        for c in range(min(prev, bound(i)), -1, -1):
+            for rest in rec(i + 1, c):
+                yield (c,) + rest
+
+    if k == 1:
+        yield (0,)
+        return
+    yield from rec(1, bound(1))
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["E", "Ehat"])
+def test_staircase_matches_slope_recursion(strict):
+    build = build_E if strict else build_Ehat
+    for k in range(1, 9):
+        for n in range(1, 9):
+            reps = sorted(slope_reps_reference(k, n, strict))
+            assert sorted(lefschetz._staircase(k, n, strict)) == reps, (k, n)
+            # whole orbit sets only where they are cheap to build
+            if sum(map(lattice._orbit_size, reps)) <= 2 ** 15:
+                assert build(k, n).reps() == tuple(reps), (k, n)
+
+
+def test_paper_rectangular_collections_are_the_staircase():
+    for n in range(1, 7):
+        assert staircase_rectangular(3, n) == x3n_rectangular(n)
+    for k in range(1, 12, 2):
+        assert staircase_rectangular(k, 1) == xk1(k)
+    coll = staircase_rectangular(4, 2)
+    assert coll.blocks == (build_E(4, 2),) * 3

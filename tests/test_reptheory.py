@@ -4,6 +4,7 @@ from math import comb, factorial, gcd, prod
 import pytest
 from hypothesis import given, strategies as st
 
+from lefkit import reptheory
 from lefkit.lattice import orbit_set
 from lefkit.reptheory import (
     content_orbit_count,
@@ -86,6 +87,62 @@ def test_partitions_rho():
     assert partitions_rho(1, 4) == ((4,),)
     with pytest.raises(ValueError):
         partitions_rho(0, 3)
+
+
+def partitions_of_reference(k):
+    """All partitions of k by the recursion partitions_of first used, descending lex."""
+
+    def gen(remaining, max_part):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, max_part), 0, -1):
+            for rest in gen(remaining - first, first):
+                yield (first,) + rest
+
+    return tuple(gen(k, k))
+
+
+def partitions_rho_reference(h, k):
+    """Partitions of k with at most h rows, filtered from all partitions of k."""
+    return tuple(lam for lam in partitions_of_reference(k) if len(lam) <= h)
+
+
+def invariant_bound_reference(h, k):
+    """invariant_bound summed over every partition of k, as it first was."""
+    return sum(
+        -(-content_orbit_count(h, lam) // h) * perm_module_dim(lam)
+        for lam in partitions_of_reference(k)
+    )
+
+
+def test_partitions_match_filtered_reference():
+    for k in range(15):
+        assert partitions_of(k) == partitions_of_reference(k), k
+    for h in range(1, 16):
+        for k in range(1, 15):
+            assert partitions_rho(h, k) == partitions_rho_reference(h, k), (h, k)
+            assert len(partitions_rho(h, k)) == count_partitions(k, h), (h, k)
+            if h >= 2:
+                assert invariant_bound(h, k) == invariant_bound_reference(h, k), (h, k)
+
+
+def test_rows_bounded_partitions_never_list_all_partitions(monkeypatch):
+    def boom(k):
+        raise AssertionError("all partitions of k listed")
+
+    monkeypatch.setattr(reptheory, "partitions_of", boom)
+    assert len(partitions_rho(3, 60)) == count_partitions(60, 3) == 331
+    # the first block holds at least its share of the 3^60 bundles
+    assert invariant_bound(3, 60) >= 3 ** 59
+
+
+def test_partition_lists_refused_above_limit():
+    assert count_partitions(50, 50) > reptheory.MAX_PARTITIONS >= count_partitions(40, 40)
+    with pytest.raises(ValueError, match="204226 partitions of 50 with at most 50 rows"):
+        partitions_rho(50, 50)
+    with pytest.raises(ValueError, match="limit of 65536"):
+        partitions_of(100)
 
 
 @given(lam=partition_strategy())

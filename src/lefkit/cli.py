@@ -178,14 +178,16 @@ def cmd_verify(args) -> int:
     if violations:
         first = doc["exceptional_violations"][0]
         text.append(f"  first: {first['kind']} {first['witness'][0]} -> {first['witness'][1]}")
-    text.append(f"nesting: {'ok' if nest is None else f'violated at block {nest.detail}'}")
+    text.append(f"nesting: {'ok' if nest is None else f'violated at block {nest.detail[0]}'}")
     if args.residual:
         # with a residual the meaningful generation check is the joint one
         rep = parse_multidegree(args.residual, k=coll.k)
         res = residual_check(coll, orbit_set(coll.k, [rep]), margin=args.margin)
         doc["residual_ok"] = not res
         text.append(f"residual: {f'{len(res)} violations' if res else 'ok'}")
-        rc = EXIT_FAIL if res else EXIT_OK
+        # only a closure stopping short at this margin leaves the residual undecided
+        undecided = all(v.detail == (INCONCLUSIVE,) for v in res)
+        rc = EXIT_OK if not res else EXIT_INCONCLUSIVE if undecided else EXIT_FAIL
     else:
         verdict = verify_fullness(coll, margin=args.margin)
         doc["fullness"] = verdict.status

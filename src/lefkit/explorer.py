@@ -13,14 +13,31 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import prod
 
 from .lattice import Box, OrbitSet, normalised_reps, orbit_set
 from .lefschetz import LefschetzCollection, is_exceptional
-from .reptheory import content_orbit_count, decreasing_tuples, partitions_of, perm_module_dim
+from .reptheory import (
+    content_orbit_count,
+    count_partitions,
+    decreasing_tuples,
+    partitions_of,
+    perm_module_dim,
+)
 from .saturation import FULL, INCONCLUSIVE, _margin, verify_fullness
 
 TARGET_RECTANGULAR = "rectangular"
 TARGET_MINIMAL = "minimal"
+
+# Most chain combinations a search sorts at once; they are counted first and
+# refused above this.  The largest the tests sort, minimal (k, n) = (2, 6),
+# has 155; minimal (3, 6) has 9,667,903.
+MAX_CHAIN_COMBINATIONS = 2 ** 16
+
+# Smallest m with more than MAX_CHAIN_COMBINATIONS partitions (44).
+_TOO_MANY_PARTITIONS = next(
+    m for m in itertools.count() if count_partitions(m) > MAX_CHAIN_COMBINATIONS
+)
 
 
 @dataclass(frozen=True)
@@ -108,6 +125,22 @@ def _run(spec: SearchSpec, block_tuples) -> SearchResult:
     )
 
 
+def _chain_count(t: int, h: int, cap: int) -> int:
+    """Chains of h counts summing to t with head <= cap, counted to one past the limit.
+
+    They are the partitions of t that fit in an h x cap box.  By Sylvester's
+    unimodality of the Gaussian binomial coefficients there are at least
+    p(min(t, h*cap - t, h, cap)) of them, which refuses a huge space without
+    enumerating it.
+    """
+    if not 0 <= t <= h * cap:
+        return 0
+    if min(t, h * cap - t, h, cap) >= _TOO_MANY_PARTITIONS:
+        return MAX_CHAIN_COMBINATIONS + 1
+    chains = itertools.islice(decreasing_tuples(t, h, cap), MAX_CHAIN_COMBINATIONS + 1)
+    return sum(1 for _ in chains)
+
+
 def _chain_blocks(spec: SearchSpec, head_cap):
     """Block tuples whose per-shape orbit counts follow decreasing chains.
 
@@ -117,13 +150,22 @@ def _chain_blocks(spec: SearchSpec, head_cap):
     avail) caps the first count; avail is the shape's orbit count in the
     pool.  A shape with no chain admits no candidate.  Chain combinations
     are enumerated by ascending block-size signature (r_0, r_1, ...), and
-    concrete orbit choices are nested top-down in lex order.
+    concrete orbit choices are nested top-down in lex order.  The
+    combinations are counted before they are built and sorted, and more
+    than MAX_CHAIN_COMBINATIONS are refused.
     """
     h = spec.n + 1
     by_shape = _pool_by_shape(spec)
     shapes = partitions_of(spec.k)
-    counts = [(content_orbit_count(h, lam), len(by_shape.get(lam, []))) for lam in shapes]
-    per_shape_chains = [decreasing_tuples(t, h, head_cap(t, avail)) for t, avail in counts]
+    totals = [content_orbit_count(h, lam) for lam in shapes]
+    caps = [head_cap(t, len(by_shape.get(lam, []))) for lam, t in zip(shapes, totals)]
+    size = prod(_chain_count(t, h, cap) for t, cap in zip(totals, caps))
+    if size > MAX_CHAIN_COMBINATIONS:
+        raise ValueError(
+            f"at least {size} chain combinations for k={spec.k}, n={spec.n}, more than "
+            f"the limit of {MAX_CHAIN_COMBINATIONS}; use a smaller n or k"
+        )
+    per_shape_chains = [decreasing_tuples(t, h, cap) for t, cap in zip(totals, caps)]
 
     def signature(chain_combo):
         return tuple(
@@ -132,17 +174,24 @@ def _chain_blocks(spec: SearchSpec, head_cap):
         )
 
     def nested_choices(lam, chain):
-        """Nested tuples of orbit sets for one shape, sizes given by chain."""
+        """Nested tuples of orbit sets for one shape, sizes given by chain.
 
-        def rec(level, parent):
-            if level == h:
-                yield ()
-                return
-            for picked in itertools.combinations(parent, chain[level]):
-                for rest in rec(level + 1, picked):
-                    yield (picked,) + rest
-
-        yield from rec(0, by_shape.get(lam, []))
+        Depth first in lex order, with one combinations iterator per level
+        on a stack instead of recursion, so any h works.
+        """
+        levels = [itertools.combinations(by_shape.get(lam, []), chain[0])]
+        picked = []
+        while levels:
+            choice = next(levels[-1], None)
+            if choice is None:
+                levels.pop()
+                if picked:
+                    picked.pop()
+            elif len(levels) == h:
+                yield (*picked, choice)
+            else:
+                picked.append(choice)
+                levels.append(itertools.combinations(choice, chain[len(levels)]))
 
     for combo in sorted(itertools.product(*per_shape_chains), key=signature):
         for assembled in itertools.product(

@@ -26,15 +26,27 @@ _CHUNK_ROWS = 128
 # Coordinates are held as int64; inside this bound differences cannot wrap.
 _COORD_LIMIT = 2 ** 62
 
+# Longest graded dimension vector built, in degrees: n+1 for one factor,
+# k*n+1 for a product; longer ones are refused before they are allocated.
+MAX_EXT_DEGREES = 2 ** 20
+
 
 def _check_n(n: int):
     if n < 1:
         raise ValueError(f"projective factor dimension n must be >= 1, got {n}")
 
 
+def _check_degrees(count: int):
+    if count > MAX_EXT_DEGREES:
+        raise ValueError(
+            f"graded dimensions in {count} degrees are more than the limit of {MAX_EXT_DEGREES}"
+        )
+
+
 def line_cohomology(n: int, d: int) -> GradedDims:
     """Dimensions of H^i(P^n, O(d)) for i = 0..n."""
     _check_n(n)
+    _check_degrees(n + 1)
     dims = [0] * (n + 1)
     if d >= 0:
         dims[0] = comb(d + n, n)
@@ -58,6 +70,7 @@ def ext_graded(n: int, a, b) -> GradedDims:
     if len(a) != len(b):
         raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
     k = len(a)
+    _check_degrees(k * n + 1)
     acc = [1]
     for ai, bi in zip(a, b):
         factor = line_cohomology(n, bi - ai)

@@ -57,7 +57,8 @@ class Violation:
     kind: "order" (duplicate bundle), "ext" (nonvanishing Ext where required
     to vanish, detail holds the graded dimensions), "nesting" (block not
     contained in its predecessor), "invariance" (orbit arity mismatch), or
-    "generation" (window closure failed to reach the target cube).
+    "generation" (the bundles do not generate the cube; detail holds the
+    verdict status, NOT_FULL_BY_RANK or INCONCLUSIVE at the closure margin).
     """
 
     kind: str

@@ -40,20 +40,29 @@ MAX_PARTITIONS = 2 ** 16
 def decreasing_tuples(total: int, parts: int, cap: int):
     """Weakly decreasing tuples of `parts` nonnegative ints summing to total, head <= cap.
 
-    Descending lex order.
+    Descending lex order.  Built in place without recursion, so any number
+    of parts works: each tuple fills its tail greedily below a bound, and
+    the next one lowers the rightmost part whose tail still fits under it.
     """
-
-    def rec(remaining, slots, bound):
-        if slots == 0:
-            if remaining == 0:
-                yield ()
+    if not 0 <= total <= parts * cap:
+        return
+    out = [0] * parts
+    start, bound, remaining = 0, cap, total
+    while True:
+        for i in range(start, parts):
+            out[i] = bound = min(bound, remaining)
+            remaining -= bound
+        yield tuple(out)
+        tail = 0
+        for start in range(parts - 1, -1, -1):
+            # lowering out[start] by one leaves tail + 1 for the parts after it
+            if tail < (parts - 1 - start) * (out[start] - 1):
+                break
+            tail += out[start]
+        else:
             return
-        lo = -(-remaining // slots)  # head of a decreasing tuple is at least the mean
-        for head in range(min(bound, remaining), lo - 1, -1):
-            for rest in rec(remaining - head, slots - 1, head):
-                yield (head,) + rest
-
-    yield from rec(total, parts, cap)
+        out[start] -= 1
+        start, bound, remaining = start + 1, out[start], tail + 1
 
 
 @cache

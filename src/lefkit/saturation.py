@@ -4,8 +4,8 @@ The single generation rule: if n+1 consecutive points of an axis-parallel
 line all belong to the generated set, the whole line (inside the working
 box) belongs to it.  The closure is the least fixed point of that rule and
 does not depend on application order; the engine applies it in a canonical
-order (axes ascending, lines ascending lex, sweeps repeated until stable)
-so traces are deterministic.
+order (axes visited cyclically until k passes in a row add nothing, lines
+ascending lex) so traces are deterministic.
 
 The engine's state is a boolean numpy grid over the box.  Each axis pass is
 recorded as arrays (the flooded lines, their first windows and the points
@@ -18,7 +18,7 @@ how FULL verdicts stay auditable.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -197,12 +197,10 @@ def _window_mask(grid, axis, h):
 def _fold(ufunc, a, axis):
     """ufunc.reduce over `axis`, keeping it with length 1.
 
-    Along the last axis of a multi-dimensional grid this is one ufunc call
-    per slice, since numpy's own reduction is slow along a short
-    contiguous axis.
+    One in-place ufunc call per slice along `axis`: on the short axes of a
+    closure box this beats numpy's own reduction, most of all along the
+    contiguous last axis.
     """
-    if a.ndim == 1 or axis < a.ndim - 1:
-        return ufunc.reduce(a, axis=axis, keepdims=True)
     out = _slab(a, axis, 0, 1).copy()
     for i in range(1, a.shape[axis]):
         ufunc(out, _slab(a, axis, i, i + 1), out=out)
@@ -244,10 +242,11 @@ def _axis_pass(grid, axis, h):
 def close(seed, n: int, box: Box, target: Box | None = None) -> ClosureState:
     """Least fixed point of the window rule over `box`, starting from `seed`.
 
-    target, if given, is a box inside `box`; sweeping stops early once all
-    its points are members (checked after each axis pass).  This keeps
-    traces small when only a target region matters; it never changes whether
-    the target is reached, only how much of the rest of the box gets filled.
+    The axes are visited cyclically until k passes in a row add nothing (the
+    fixed point) or, if target (a box inside `box`) is given, until all its
+    points are members.  The target keeps traces small when only it matters;
+    it never changes whether it is reached, only how much of the rest of the
+    box gets filled.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -272,19 +271,15 @@ def close(seed, n: int, box: Box, target: Box | None = None) -> ClosureState:
     def target_met():
         return window is not None and bool(grid[window].all())
 
-    passes = []
-    done = target_met()
-    changed = True
-    while changed and not done:
-        changed = False
-        for axis in range(box.k):
-            record = _axis_pass(grid, axis, h)
-            if record is not None:
-                changed = True
-                passes.append(record)
-                if target_met():
-                    done = True
-                    break
+    passes, idle, axis = [], 0, 0
+    while idle < box.k and not target_met():
+        record = _axis_pass(grid, axis, h)
+        if record is None:
+            idle += 1
+        else:
+            passes.append(record)
+            idle = 0
+        axis = (axis + 1) % box.k
 
     grid.flags.writeable = False
     return ClosureState(box=box, n=n, seed=seed, grid=grid, passes=tuple(passes))
@@ -337,28 +332,39 @@ def replay_trace(seed, n: int, box: Box, trace) -> frozenset:
     return frozenset(members)
 
 
-def verify_fullness(coll: LefschetzCollection, margin: int | None = None) -> Verdict:
-    """Decide fullness of an exceptional collection by rank count plus closure.
+def _generation_verdict(bundles, n: int, k: int, margin: int | None) -> Verdict:
+    """Decide whether `bundles` generate: the distinct-bundle count, then the closure.
 
-    A full collection must have exactly (n+1)^k bundles; any other count is
-    NOT_FULL_BY_RANK before any closure runs.  With the count right, the
-    twisted bundles seed a closure over [-margin, n+margin]^k (close_cube's
-    margin rule); covering the cube [0, n]^k certifies FULL (the cube
-    generates everything), otherwise the verdict is INCONCLUSIVE for this
-    margin.  A negative margin is refused even when the count decides.
+    Generating with exactly (n+1)^k bundles needs that many distinct ones;
+    any other count is NOT_FULL_BY_RANK before any closure runs.  With the
+    count right, the bundles seed a closure over [-margin, n+margin]^k
+    (close_cube's margin rule); covering the cube [0, n]^k certifies FULL
+    (the cube generates everything), otherwise the verdict is INCONCLUSIVE
+    for this margin.  A negative margin is refused even when the count decides.
     """
-    n, k = coll.n, coll.k
     _margin(n, margin)
-    bundles = flatten_bundles(coll)
     expected = (n + 1) ** k
-    if len(bundles) != expected or len(set(bundles)) != expected:
-        detail = {"bundles": len(set(bundles)), "expected": expected, "ranks": ranks(coll)}
+    distinct = len(set(bundles))
+    if len(bundles) != expected or distinct != expected:
+        detail = {"bundles": distinct, "expected": expected}
         return Verdict(status=NOT_FULL_BY_RANK, state=None, detail=detail)
     state, missing = close_cube(bundles, n, k, margin, drop_outside=True)
     if not missing:
         return Verdict(status=FULL, state=state, detail={"margin": -state.box.lo})
     detail = {"margin": -state.box.lo, "missing_sample": missing}
     return Verdict(status=INCONCLUSIVE, state=state, detail=detail)
+
+
+def verify_fullness(coll: LefschetzCollection, margin: int | None = None) -> Verdict:
+    """Decide fullness of an exceptional collection by rank count plus closure.
+
+    The twisted bundles go through _generation_verdict; a NOT_FULL_BY_RANK
+    verdict also carries the collection's ranks.
+    """
+    verdict = _generation_verdict(flatten_bundles(coll), coll.n, coll.k, margin)
+    if verdict.status != NOT_FULL_BY_RANK:
+        return verdict
+    return replace(verdict, detail={**verdict.detail, "ranks": ranks(coll)})
 
 
 def residual_check(
@@ -368,8 +374,12 @@ def residual_check(
 
     Verifies, exhaustively, that every twisted bundle of every block has
     vanishing Ext into every residual bundle, and that the union of all
-    those bundles window-generates the cube [0, n]^k.  Returns all
-    violations found (empty list means the residual check passed).
+    those bundles generates the cube [0, n]^k by verify_fullness's rule.
+    Returns all violations found (empty list means the residual check
+    passed).  A generation violation's detail is the verdict status:
+    NOT_FULL_BY_RANK when the union has the wrong bundle count, with the
+    counts as witness; INCONCLUSIVE when its closure stopped short at this
+    margin, with unreached cube points as witness.
     """
     n, k = rect_part.n, rect_part.k
     if residual.k != k:
@@ -384,7 +394,11 @@ def residual_check(
         )
         for q, r in np.argwhere(~orthogonal_mask(n, flat, res_bundles)).tolist()
     ]
-    _, missing = close_cube(set(flat) | set(res_bundles), n, k, margin, drop_outside=True)
-    if missing:
-        out.append(Violation(kind="generation", witness=missing))
+    verdict = _generation_verdict(flat + res_bundles, n, k, margin)
+    if verdict.status == NOT_FULL_BY_RANK:
+        witness = (verdict.detail["bundles"], verdict.detail["expected"])
+        out.append(Violation(kind="generation", witness=witness, detail=(NOT_FULL_BY_RANK,)))
+    elif verdict.status == INCONCLUSIVE:
+        witness = verdict.detail["missing_sample"]
+        out.append(Violation(kind="generation", witness=witness, detail=(INCONCLUSIVE,)))
     return out

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lefkit
-from lefkit import lattice, reptheory
+from lefkit import explorer, lattice, reptheory
 from lefkit.cli import main
 from lefkit.lefschetz import collection_from_json, x32_minimal
 
@@ -313,6 +313,43 @@ def test_oversized_partition_lists_refused_before_building(capsys, monkeypatch):
         assert (rc, out) == (2, ""), argv
         assert err == (f"error: {count} partitions of {argv[-1]} with at most {argv[2]} rows "
                        "are more than the limit of 65536\n")
+
+
+def test_oversized_searches_refused_before_sorting_chains(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("chain combinations sorted before the size check")
+
+    monkeypatch.setattr(explorer, "sorted", boom, raising=False)
+    # (3, 6) counts every chain; (2, 2000) is refused by the partition lower bound
+    for argv, size in ((("--k", "3", "--n", "6", "--budget", "10"), 9667903),
+                       (("--k", "2", "--n", "2000"), 65537)):
+        rc, out, err = run(capsys, "search", *argv, "--target", "minimal")
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith(f"error: at least {size} chain combinations")
+        assert err.endswith("more than the limit of 65536; use a smaller n or k\n")
+
+
+def test_huge_n_refused_before_allocating_graded_dimensions(capsys, tmp_path):
+    huge = 10 ** 12
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps({"schema": "lefkit/1", "k": 1, "n": huge,
+                                "blocks": [["(5)"], ["(0)"]]}))
+    for argv in (("ext", "--n", str(huge), "--from", "(0)", "--to", "(0)"),
+                 ("verify", "--collection", str(path))):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err == (f"error: graded dimensions in {huge + 1} degrees are more than "
+                       "the limit of 1048576\n")
+
+
+@pytest.mark.parametrize("margin, rc, line", [("0", 3, "residual: 1 violations"),
+                                               ("1", 0, "residual: ok")])
+def test_residual_closure_stopping_short_exits_3(capsys, margin, rc, line):
+    # the union has the right 27 bundles; at margin 0 its closure stops short
+    argv = ("verify", "--builtin", "x32-rect", "--residual", "(1,-1,0)", "--margin", margin)
+    got, out, _ = run(capsys, *argv)
+    assert got == rc
+    assert line in out.splitlines()
 
 
 def test_bad_multidegree_exits_2(capsys):

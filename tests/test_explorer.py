@@ -17,7 +17,7 @@ from lefkit.lefschetz import (
     ranks,
     x32_minimal,
 )
-from lefkit.reptheory import content_orbit_count, partitions_of
+from lefkit.reptheory import content_orbit_count, count_partitions, decreasing_tuples, partitions_of
 from lefkit.saturation import FULL, INCONCLUSIVE, verify_fullness
 
 
@@ -326,3 +326,13 @@ def test_exceptionality_verdict_does_not_depend_on_flatten_order(monkeypatch, k,
         spec = SearchSpec(k=k, n=n, target="rectangular", prune=prune)
         visited += search_rectangular(spec).nodes_visited
     assert len(checked) == visited > 0
+
+
+def test_chain_count_is_exact_below_the_limit_and_above_the_partition_bound():
+    for t, h, cap in itertools.product(range(14), range(1, 6), range(6)):
+        exact = sum(1 for _ in decreasing_tuples(t, h, cap))
+        assert explorer._chain_count(t, h, cap) == exact, (t, h, cap)
+        if exact:
+            # Sylvester: partitions of t in an h x cap box are at least p(min(...))
+            assert exact >= count_partitions(min(t, h * cap - t, h, cap)), (t, h, cap)
+    assert explorer._chain_count(10 ** 6, 2001, 2001) == explorer.MAX_CHAIN_COMBINATIONS + 1

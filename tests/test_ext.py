@@ -142,3 +142,16 @@ def test_serre_duality(n, k, data):
     forward = ext_graded(n, a, b)
     dual = ext_graded(n, b, twist(a, -(n + 1)))
     assert forward == dual[::-1]
+
+
+def test_dense_vectors_sized_before_allocation():
+    limit = ext.MAX_EXT_DEGREES
+    assert len(line_cohomology(limit - 1, 0)) == limit
+    with pytest.raises(ValueError, match="limit"):
+        line_cohomology(limit, 0)
+    # two factors of limit // 2 + 1 degrees each, limit + 1 for the product
+    with pytest.raises(ValueError, match="limit"):
+        ext_graded(limit // 2, (0, 0), (0, 0))
+    # the vanishing predicates build no vector
+    assert is_orthogonal_pair(10 ** 12, (1,), (0,))
+    assert orthogonal_mask(10 ** 12, [(1,)], [(0,)]).tolist() == [[True]]

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from math import comb, factorial, gcd, prod
 
 import pytest
@@ -9,6 +10,7 @@ from lefkit.lattice import orbit_set
 from lefkit.reptheory import (
     content_orbit_count,
     count_partitions,
+    decreasing_tuples,
     dim_irrep,
     dim_schur,
     divisibility_criterion,
@@ -385,3 +387,24 @@ def test_equivariant_lengths_known_values():
     assert equivariant_lengths(regular) == ((1,), 1)
     bhat = orbit_set(3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)])
     assert equivariant_lengths(bhat) == ((3, 2, 2, 1), 8)
+
+
+def test_decreasing_tuples_match_filtered_product():
+    for total, parts, cap in itertools.product(range(9), range(5), range(-1, 6)):
+        expected = sorted(
+            (t for t in itertools.product(range(cap + 1), repeat=parts)
+             if sum(t) == total and all(a >= b for a, b in zip(t, t[1:]))),
+            reverse=True,
+        )
+        assert list(decreasing_tuples(total, parts, cap)) == expected, (total, parts, cap)
+
+
+def test_decreasing_tuples_take_any_number_of_parts():
+    parts = 5 * sys.getrecursionlimit()
+    assert list(decreasing_tuples(parts, parts, 1)) == [(1,) * parts]
+    # j twos and parts + 1 - 2j ones for j = 1 .. (parts + 1) // 2, j descending
+    count = 0
+    for count, last in enumerate(decreasing_tuples(parts + 1, parts, 2), 1):
+        assert last.count(2) == (parts + 1) // 2 - count + 1
+    assert count == (parts + 1) // 2
+    assert last == (2,) + (1,) * (parts - 1)

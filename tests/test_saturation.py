@@ -435,3 +435,44 @@ def test_fold_matches_numpy_reduce():
             for ufunc in (np.logical_and, np.logical_or):
                 want = ufunc.reduce(a, axis=axis, keepdims=True)
                 assert np.array_equal(saturation._fold(ufunc, a, axis), want)
+
+
+@pytest.mark.parametrize(
+    "seed, n, k",
+    [
+        ([(0, 0, 0), (1, 0, 0)], 1, 3),  # one line floods, then nothing
+        ([(0, 0), (1, 0), (0, 1)], 1, 2),  # a cross, never the corner (1, 1)
+        ([(0, 0)], 1, 2),  # no pass gains anything
+        ([(0,), (2,)], 1, 1),
+    ],
+)
+def test_fixed_point_stops_after_exactly_k_idle_passes(monkeypatch, seed, n, k):
+    # inconclusive seeds: the cube is never covered, so only the fixed point ends the loop
+    calls = []
+    axis_pass = saturation._axis_pass
+
+    def counting(grid, axis, h):
+        record = axis_pass(grid, axis, h)
+        calls.append((axis, record is not None))
+        return record
+
+    monkeypatch.setattr(saturation, "_axis_pass", counting)
+    state, missing = close_cube(seed, n, k, margin=1)
+    assert missing
+    gains = [i for i, (_, gained) in enumerate(calls) if gained]
+    assert len(calls) - 1 - (gains[-1] if gains else -1) == k
+    assert [axis for axis, _ in calls] == [i % k for i in range(len(calls))]
+    assert len(state.passes) == len(gains)
+
+
+def test_residual_generation_violation_records_its_case():
+    rect, res = x32_rectangular_part(), x32_residual()
+    # the right bundle count whose closure stops short at margin 0: undecided
+    (v,) = residual_check(rect, res, margin=0)
+    assert (v.kind, v.detail) == ("generation", (INCONCLUSIVE,))
+    assert v.witness and all(0 <= c <= 2 for p in v.witness for c in p)  # unreached cube points
+    assert residual_check(rect, res, margin=1) == []
+    # too few bundles: decided by the count, before any closure
+    small = LefschetzCollection(k=3, n=2, blocks=(rect.blocks[0],) * 2)
+    (v,) = [v for v in residual_check(small, res) if v.kind == "generation"]
+    assert (v.witness, v.detail) == ((20, 27), (NOT_FULL_BY_RANK,))

@@ -1,12 +1,12 @@
 """Enumerative search for S_k-stable Lefschetz collections, certified by closure.
 
 Candidates are assembled from whole orbits (reps normalised to last
-coordinate zero), filtered by exact K-theoretic necessities, then checked
-one at a time as they are generated: exceptionality first, then fullness by
-window closure.  No candidate list is kept, so memory does not grow with the
-candidate count.  Hits are certified collections; candidates whose closure
-is inconclusive at the working margin are reported separately rather than
-dropped (the CLI then exits 3).
+coordinate zero), filtered by exact K-theoretic necessities, and drawn
+lazily from one depth-first walk that picks orbits slot by slot.  Each is
+checked as it is generated (exceptionality, then fullness by window
+closure) and no candidate list is kept.  Hits are certified collections;
+candidates whose closure is inconclusive at the working margin are
+reported separately rather than dropped (the CLI then exits 3).
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ class SearchSpec:
             raise ValueError(f"unknown target {self.target!r}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
+        if self.pool_box is not None and self.pool_box.k != self.k:
+            raise ValueError(f"pool_box has {self.pool_box.k} coordinates, not k={self.k}")
         _margin(self.n, self.margin)
 
 
@@ -120,9 +122,7 @@ def _run(spec: SearchSpec, block_tuples) -> SearchResult:
         elif status == INCONCLUSIVE:
             inconclusive.append(coll)
     exhausted = next(block_tuples, None) is None
-    return SearchResult(
-        found=found, exhausted=exhausted, nodes_visited=nodes, inconclusive=inconclusive
-    )
+    return SearchResult(found, exhausted, nodes, inconclusive)
 
 
 def _chain_count(t: int, h: int, cap: int) -> int:
@@ -141,24 +141,47 @@ def _chain_count(t: int, h: int, cap: int) -> int:
     return sum(1 for _ in chains)
 
 
+def _depth_first(extend):
+    """Complete paths of a search tree as tuples, depth first in step order.
+
+    extend(path) returns the steps that may follow a partial path, or None once it
+    is complete (the empty path never is).  Steps are drawn lazily from one
+    iterator per depth, kept on a stack rather than recursing.
+    """
+    path, stack = [], [iter(extend([]))]
+    while stack:
+        for step in stack[-1]:
+            path.append(step)
+            steps = extend(path)
+            if steps is not None:
+                stack.append(iter(steps))
+                break
+            yield tuple(path)
+            path.pop()
+        else:
+            stack.pop()
+            del path[-1:]  # the step into the finished depth; the root has none
+
+
 def _chain_blocks(spec: SearchSpec, head_cap):
     """Block tuples whose per-shape orbit counts follow decreasing chains.
 
-    Each stabilizer shape's chains are the tuples of h orbit counts, one
-    per block, weakly decreasing so that the blocks nest and summing to t,
-    the shape's orbit count in the class space (C^h)^(x k).  head_cap(t,
-    avail) caps the first count; avail is the shape's orbit count in the
-    pool.  A shape with no chain admits no candidate.  Chain combinations
-    are enumerated by ascending block-size signature (r_0, r_1, ...), and
-    concrete orbit choices are nested top-down in lex order.  The
-    combinations are counted before they are built and sorted, and more
-    than MAX_CHAIN_COMBINATIONS are refused.
+    Each stabilizer shape's chains are the tuples of h orbit counts, one per block,
+    weakly decreasing so that the blocks nest and summing to t, the shape's orbit
+    count in the class space (C^h)^(x k).  head_cap(t, avail) caps the first count;
+    avail is the shape's orbit count in the pool.  A shape with no chain admits no
+    candidate.  Chain combinations are counted (more than MAX_CHAIN_COMBINATIONS are
+    refused), then taken by ascending block-size signature (r_0, r_1, ...).  Each is
+    walked over (shape, level) slots, shape-major: a slot picks its count of orbits,
+    in lex order, from the shape's pool at level 0, else from the slot before.
+    Block i is the union of the picks in path[i::h].
     """
     h = spec.n + 1
     by_shape = _pool_by_shape(spec)
     shapes = partitions_of(spec.k)
+    pools = [by_shape.get(lam, []) for lam in shapes]
     totals = [content_orbit_count(h, lam) for lam in shapes]
-    caps = [head_cap(t, len(by_shape.get(lam, []))) for lam, t in zip(shapes, totals)]
+    caps = [head_cap(t, len(pool)) for pool, t in zip(pools, totals)]
     size = prod(_chain_count(t, h, cap) for t, cap in zip(totals, caps))
     if size > MAX_CHAIN_COMBINATIONS:
         raise ValueError(
@@ -173,32 +196,17 @@ def _chain_blocks(spec: SearchSpec, head_cap):
             for i in range(h)
         )
 
-    def nested_choices(lam, chain):
-        """Nested tuples of orbit sets for one shape, sizes given by chain.
-
-        Depth first in lex order, with one combinations iterator per level
-        on a stack instead of recursion, so any h works.
-        """
-        levels = [itertools.combinations(by_shape.get(lam, []), chain[0])]
-        picked = []
-        while levels:
-            choice = next(levels[-1], None)
-            if choice is None:
-                levels.pop()
-                if picked:
-                    picked.pop()
-            elif len(levels) == h:
-                yield (*picked, choice)
-            else:
-                picked.append(choice)
-                levels.append(itertools.combinations(choice, chain[len(levels)]))
-
     for combo in sorted(itertools.product(*per_shape_chains), key=signature):
-        for assembled in itertools.product(
-            *(nested_choices(lam, chain) for lam, chain in zip(shapes, combo))
-        ):
+        counts = [count for chain in combo for count in chain]
+
+        def extend(path):
+            i = len(path)
+            if i < len(counts):
+                return itertools.combinations(path[-1] if i % h else pools[i // h], counts[i])
+
+        for path in _depth_first(extend):
             yield tuple(
-                _block(spec.k, [o for per_shape in assembled for o in per_shape[level]])
+                _block(spec.k, [o for picked in path[level::h] for o in picked])
                 for level in range(h)
             )
 
@@ -212,7 +220,7 @@ def search_rectangular(spec: SearchSpec) -> SearchResult:
     most its mean t // h.  When h does not divide t there is none, and no
     rectangular collection exists over any pool (sound pruning, not
     heuristic).  With pruning off, every S_k-stable subset with
-    (n+1)^(k-1) bundles is tried.
+    (n+1)^(k-1) bundles is tried, taking rising pool orbit indices that fit.
     """
     if spec.target != TARGET_RECTANGULAR:
         raise ValueError("spec.target must be 'rectangular'")
@@ -220,24 +228,16 @@ def search_rectangular(spec: SearchSpec) -> SearchResult:
     if spec.prune:
         return _run(spec, _chain_blocks(spec, lambda t, avail: t // h))
 
-    orbits = sorted(
-        (o for group in _pool_by_shape(spec).values() for o in group), key=lambda o: o.rep
-    )
+    orbits = sorted(itertools.chain(*_pool_by_shape(spec).values()), key=lambda o: o.rep)
 
-    def subsets(i, remaining):
-        if remaining == 0:
-            yield ()
-            return
-        if i == len(orbits):
-            return
-        if orbits[i].size <= remaining:
-            for rest in subsets(i + 1, remaining - orbits[i].size):
-                yield (orbits[i],) + rest
-        yield from subsets(i + 1, remaining)
+    def extend(path):
+        left = h ** (spec.k - 1) - sum(orbits[j].size for j in path)
+        if left:
+            start = path[-1] + 1 if path else 0
+            return (j for j in range(start, len(orbits)) if orbits[j].size <= left)
 
-    return _run(
-        spec, ((_block(spec.k, picked),) * h for picked in subsets(0, h ** (spec.k - 1)))
-    )
+    blocks = ((_block(spec.k, [orbits[j] for j in path]),) * h for path in _depth_first(extend))
+    return _run(spec, blocks)
 
 
 def search_minimal(spec: SearchSpec) -> SearchResult:

@@ -380,14 +380,25 @@ def test_search_json_summary(capsys):
     }
 
 
-def test_search_with_inconclusive_candidates_exits_3(capsys):
-    # at margin 0 the known (13,7,7) chain is inconclusive, so the one hit
-    # found, (19,7,1), is no certified minimum even though the pool is exhausted
-    rc, out, _ = run(
-        capsys, "search", "--k", "3", "--n", "2", "--target", "minimal", "--margin", "0"
-    )
-    assert rc == 3
-    assert out.splitlines()[-1] == "hits: 1, inconclusive: 3, nodes: 1008, exhausted: yes"
+@pytest.mark.parametrize(
+    "argv, summary",
+    [
+        # at margin 0 the known (13,7,7) chain is inconclusive, so the one hit
+        # found, (19,7,1), is no certified minimum even though the pool is exhausted
+        (("--k", "3", "--n", "2", "--target", "minimal", "--margin", "0"),
+         "hits: 1, inconclusive: 3, nodes: 1008, exhausted: yes"),
+        # the unpruned walk over 1,501 pool orbits stops at the budget; a generator
+        # that recursed once per pool orbit raised RecursionError here
+        (("--k", "2", "--n", "3", "--target", "rectangular", "--no-prune",
+          "--pool-hi", "1500", "--budget", "5"),
+         "hits: 0, inconclusive: 0, nodes: 5, exhausted: no"),
+    ],
+    ids=["inconclusive-candidates", "budget-runs-out"],
+)
+def test_search_exits_3(capsys, argv, summary):
+    rc, out, err = run(capsys, "search", *argv)
+    assert (rc, err) == (3, "")
+    assert out.splitlines()[-1] == summary
 
 
 def test_report(capsys):

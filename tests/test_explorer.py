@@ -17,7 +17,13 @@ from lefkit.lefschetz import (
     ranks,
     x32_minimal,
 )
-from lefkit.reptheory import content_orbit_count, count_partitions, decreasing_tuples, partitions_of
+from lefkit.reptheory import (
+    content_orbit_count,
+    count_partitions,
+    decreasing_tuples,
+    partitions_of,
+    perm_module_dim,
+)
 from lefkit.saturation import FULL, INCONCLUSIVE, verify_fullness
 
 
@@ -32,6 +38,8 @@ def test_spec_validation():
         SearchSpec(k=2, n=1, target="nonsense")
     with pytest.raises(ValueError):
         SearchSpec(k=2, n=1, target="minimal", budget=0)
+    with pytest.raises(ValueError, match="pool_box has 2 coordinates, not k=3"):
+        SearchSpec(k=3, n=2, target="minimal", pool_box=Box(0, 4, 2))
     with pytest.raises(ValueError):
         search_rectangular(SearchSpec(k=2, n=1, target="minimal"))
     with pytest.raises(ValueError):
@@ -336,3 +344,123 @@ def test_chain_count_is_exact_below_the_limit_and_above_the_partition_bound():
             # Sylvester: partitions of t in an h x cap box are at least p(min(...))
             assert exact >= count_partitions(min(t, h * cap - t, h, cap)), (t, h, cap)
     assert explorer._chain_count(10 ** 6, 2001, 2001) == explorer.MAX_CHAIN_COMBINATIONS + 1
+
+
+def nested_product_blocks(spec, head_cap):
+    """Chain blocks from per-shape nested choices joined by itertools.product.
+
+    The reference for the depth-first slot walk of _chain_blocks: each shape's
+    nested orbit choices are built in full, then combined shape by shape.
+    """
+    h = spec.n + 1
+    by_shape = explorer._pool_by_shape(spec)
+    shapes = partitions_of(spec.k)
+    totals = [content_orbit_count(h, lam) for lam in shapes]
+    caps = [head_cap(t, len(by_shape.get(lam, []))) for lam, t in zip(shapes, totals)]
+    per_shape_chains = [decreasing_tuples(t, h, cap) for t, cap in zip(totals, caps)]
+
+    def signature(chain_combo):
+        return tuple(
+            sum(chain[i] * perm_module_dim(lam) for lam, chain in zip(shapes, chain_combo))
+            for i in range(h)
+        )
+
+    def nested_choices(lam, chain):
+        levels = [itertools.combinations(by_shape.get(lam, []), chain[0])]
+        picked = []
+        while levels:
+            choice = next(levels[-1], None)
+            if choice is None:
+                levels.pop()
+                if picked:
+                    picked.pop()
+            elif len(levels) == h:
+                yield (*picked, choice)
+            else:
+                picked.append(choice)
+                levels.append(itertools.combinations(choice, chain[len(levels)]))
+
+    for combo in sorted(itertools.product(*per_shape_chains), key=signature):
+        for assembled in itertools.product(
+            *(nested_choices(lam, chain) for lam, chain in zip(shapes, combo))
+        ):
+            yield tuple(
+                explorer._block(spec.k, [o for per_shape in assembled for o in per_shape[level]])
+                for level in range(h)
+            )
+
+
+def recursive_subset_blocks(spec):
+    """Unpruned rectangular blocks from include-first recursion over the sorted pool."""
+    orbits = sorted(
+        (o for group in explorer._pool_by_shape(spec).values() for o in group),
+        key=lambda o: o.rep,
+    )
+
+    def subsets(i, remaining):
+        if remaining == 0:
+            yield ()
+            return
+        if i == len(orbits):
+            return
+        if orbits[i].size <= remaining:
+            for rest in subsets(i + 1, remaining - orbits[i].size):
+                yield (orbits[i],) + rest
+        yield from subsets(i + 1, remaining)
+
+    h = spec.n + 1
+    for picked in subsets(0, h ** (spec.k - 1)):
+        yield (explorer._block(spec.k, picked),) * h
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SearchSpec(k=k, n=n, target="minimal")
+     for k, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]]
+    + [SearchSpec(k=3, n=2, target="minimal", pool_box=Box(0, 4, 3))]
+    + [SearchSpec(k=k, n=n, target="rectangular") for k, n in [(2, 2), (3, 3), (5, 1), (7, 1)]]
+    + [SearchSpec(k=k, n=n, target="rectangular", prune=False)
+       for k, n in [(2, 1), (2, 2), (3, 1), (3, 2)]]
+    + [SearchSpec(k=2, n=3, target="rectangular", pool_box=Box(0, 9, 2), prune=False)],
+    ids=lambda spec: f"{spec.target}-{spec.k}-{spec.n}"
+    + ("" if spec.prune else "-unpruned") + (f"-hi{spec.pool_box.hi}" if spec.pool_box else ""),
+)
+def test_depth_first_candidates_match_reference_generators(monkeypatch, spec):
+    # every candidate in the same order, not only the hits
+    monkeypatch.setattr(explorer, "_run", lambda spec, block_tuples: list(block_tuples))
+    if spec.target == "minimal":
+        walked = search_minimal(spec)
+        reference = nested_product_blocks(spec, lambda t, avail: avail)
+    elif spec.prune:
+        walked = search_rectangular(spec)
+        reference = nested_product_blocks(spec, lambda t, avail: t // (spec.n + 1))
+    else:
+        walked = search_rectangular(spec)
+        reference = recursive_subset_blocks(spec)
+    assert walked
+    assert walked == list(reference)
+
+
+class CountingItertools:
+    """itertools, counting the orbit choices drawn from combinations."""
+
+    def __init__(self):
+        self.drawn = 0
+
+    def __getattr__(self, name):
+        return getattr(itertools, name)
+
+    def combinations(self, pool, r):
+        for choice in itertools.combinations(pool, r):
+            self.drawn += 1
+            yield choice
+
+
+def test_budget_bounds_the_orbit_choices_drawn(monkeypatch):
+    # the first candidate takes one choice per (shape, level) slot, 2 x 17 of them,
+    # and the exhaustion probe 17 more; building every nested choice first took 413,287
+    counting = CountingItertools()
+    monkeypatch.setattr(explorer, "itertools", counting)
+    result = search_rectangular(SearchSpec(k=2, n=16, target="rectangular", budget=1))
+    assert (result.nodes_visited, result.exhausted, len(result.found)) == (1, False, 1)
+    assert counting.drawn <= 51

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .ext import ext_graded, is_orthogonal_pair
-from .lattice import Box, format_multidegree, orbit_set, parse_multidegree
+from .lattice import format_multidegree, orbit_set, parse_multidegree
 from .lefschetz import (
     JSON_SCHEMA,
     check_exceptional,
@@ -55,12 +55,12 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-# --builtin name -> (builder taking the parsed arguments, the option it needs)
+# --builtin name -> (builder taking the parsed arguments, the options it takes)
 BUILTINS = {
-    "x3n-rectangular": (lambda args: x3n_rectangular(args.n), "n"),
-    "x32-minimal": (lambda args: x32_minimal(), None),
-    "x32-rect": (lambda args: x32_rectangular_part(), None),
-    "xk1": (lambda args: xk1(args.k), "k"),
+    "x3n-rectangular": (lambda args: x3n_rectangular(args.n), ("n",)),
+    "x32-minimal": (lambda args: x32_minimal(), ()),
+    "x32-rect": (lambda args: x32_rectangular_part(), ()),
+    "xk1": (lambda args: xk1(args.k), ("k",)),
 }
 
 
@@ -123,14 +123,20 @@ def cmd_ext(args) -> int:
 
 
 def _load_collection(args):
+    # each builtin takes only its own --k/--n; a collection document carries both
+    if args.collection:
+        source, takes = "--collection", ()
+    elif args.builtin is None:
+        raise ValueError("provide --builtin or --collection")
+    else:
+        (build, takes), source = BUILTINS[args.builtin], f"--builtin {args.builtin}"
+    for option in ("k", "n"):
+        given = getattr(args, option) is not None
+        if given != (option in takes):
+            raise ValueError(f"{source} {'takes no' if given else 'needs'} --{option}")
     if args.collection:
         with open(args.collection, encoding="utf-8") as fh:
             return collection_from_json(fh.read())
-    if args.builtin is None:
-        raise ValueError("provide --builtin or --collection")
-    build, needs = BUILTINS[args.builtin]
-    if needs and getattr(args, needs) is None:
-        raise ValueError(f"--builtin {args.builtin} needs --{needs}")
     return build(args)
 
 
@@ -312,21 +318,15 @@ def cmd_closure(args) -> int:
 
 
 def cmd_search(args) -> int:
-    pool_box = None
-    if args.pool_hi is not None:
-        pool_box = Box(lo=0, hi=args.pool_hi, k=args.k)
     spec = SearchSpec(
-        k=args.k,
-        n=args.n,
-        target=args.target,
-        pool_box=pool_box,
-        budget=args.budget,
-        margin=args.margin,
-        prune=not args.no_prune,
+        k=args.k, n=args.n, pool_hi=args.pool_hi, budget=args.budget, margin=args.margin
     )
-    result = (
-        search_rectangular(spec) if args.target == "rectangular" else search_minimal(spec)
-    )
+    if args.target == "rectangular":
+        result = search_rectangular(spec, prune=not args.no_prune)
+    elif args.no_prune:
+        raise ValueError("--no-prune applies to --target rectangular only")
+    else:
+        result = search_minimal(spec)
     hits = [
         {
             "k": coll.k,

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import prod
 
-from .lattice import Box, OrbitSet, normalised_reps, orbit_set
+from .lattice import OrbitSet, normalised_reps, orbit_set
 from .lefschetz import LefschetzCollection, is_exceptional
 from .reptheory import (
     content_orbit_count,
@@ -25,9 +25,6 @@ from .reptheory import (
     perm_module_dim,
 )
 from .saturation import FULL, INCONCLUSIVE, _margin, verify_fullness
-
-TARGET_RECTANGULAR = "rectangular"
-TARGET_MINIMAL = "minimal"
 
 # Most chain combinations a search sorts at once; they are counted first and
 # refused above this.  The largest the tests sort, minimal (k, n) = (2, 6),
@@ -42,32 +39,27 @@ _TOO_MANY_PARTITIONS = next(
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Search parameters.
+    """Search parameters, the same for both searches.
 
-    pool_box bounds the orbit reps considered (default [0, n+1]^k); budget
-    caps the number of candidates evaluated; margin is passed through to
-    verify_fullness; prune toggles the exact rank and divisibility
-    necessities for the rectangular target (kept switchable so tests can
-    compare pruned and unpruned runs).
+    pool_hi bounds the orbit reps considered (default n+1): reps are weakly
+    decreasing with last coordinate 0, so the pool is every such rep in
+    [0, pool_hi]^k.  budget caps the number of candidates evaluated; margin
+    is passed through to verify_fullness.
     """
 
     k: int
     n: int
-    target: str
-    pool_box: Box | None = None
+    pool_hi: int | None = None
     budget: int = 10 ** 6
     margin: int | None = None
-    prune: bool = True
 
     def __post_init__(self):
         if self.k < 1 or self.n < 1:
             raise ValueError("k and n must be at least 1")
-        if self.target not in (TARGET_RECTANGULAR, TARGET_MINIMAL):
-            raise ValueError(f"unknown target {self.target!r}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
-        if self.pool_box is not None and self.pool_box.k != self.k:
-            raise ValueError(f"pool_box has {self.pool_box.k} coordinates, not k={self.k}")
+        if self.pool_hi is not None and self.pool_hi < 0:
+            raise ValueError("pool_hi must be nonnegative")
         _margin(self.n, self.margin)
 
 
@@ -89,12 +81,10 @@ class SearchResult:
 
 def _pool_by_shape(spec: SearchSpec):
     """Candidate orbits (rep sorted decreasing, last coordinate 0), by stabilizer shape."""
-    box = spec.pool_box or Box(lo=0, hi=spec.n + 1, k=spec.k)
+    hi = spec.n + 1 if spec.pool_hi is None else spec.pool_hi
     by_shape = {}
-    if not box.lo <= 0 <= box.hi:
-        return by_shape
     # one orbit_set, so the whole pool is sized before any orbit is built
-    for o in orbit_set(spec.k, normalised_reps(spec.k, box.hi)).orbits:
+    for o in orbit_set(spec.k, normalised_reps(spec.k, hi)).orbits:
         by_shape.setdefault(o.stabilizer_shape, []).append(o)
     return by_shape
 
@@ -211,21 +201,20 @@ def _chain_blocks(spec: SearchSpec, head_cap):
             )
 
 
-def search_rectangular(spec: SearchSpec) -> SearchResult:
+def search_rectangular(spec: SearchSpec, prune: bool = True) -> SearchResult:
     """All certified rectangular collections (n+1 equal blocks) in the pool.
 
-    With pruning on, the block's orbit-type vector is forced exactly: the
-    h-fold repeat of the block must tile the class space (C^h)^(x k), so
-    each shape's chain is constant: a decreasing chain whose head is at
-    most its mean t // h.  When h does not divide t there is none, and no
-    rectangular collection exists over any pool (sound pruning, not
-    heuristic).  With pruning off, every S_k-stable subset with
-    (n+1)^(k-1) bundles is tried, taking rising pool orbit indices that fit.
+    With prune (the default), the block's orbit-type vector is forced
+    exactly: the h-fold repeat of the block must tile the class space
+    (C^h)^(x k), so each shape's chain is constant: a decreasing chain whose
+    head is at most its mean t // h.  When h does not divide t there is
+    none, and no rectangular collection exists over any pool (sound pruning,
+    not heuristic).  With prune=False, every S_k-stable subset with
+    (n+1)^(k-1) bundles is tried, taking rising pool orbit indices that fit;
+    the switch lets tests compare pruned and unpruned runs.
     """
-    if spec.target != TARGET_RECTANGULAR:
-        raise ValueError("spec.target must be 'rectangular'")
     h = spec.n + 1
-    if spec.prune:
+    if prune:
         return _run(spec, _chain_blocks(spec, lambda t, avail: t // h))
 
     orbits = sorted(itertools.chain(*_pool_by_shape(spec).values()), key=lambda o: o.rep)
@@ -249,6 +238,4 @@ def search_minimal(spec: SearchSpec) -> SearchResult:
     ascending block-size signature, so the first hits have minimal first
     block.  Rectangular chains, when arithmetically feasible, are included.
     """
-    if spec.target != TARGET_MINIMAL:
-        raise ValueError("spec.target must be 'minimal'")
     return _run(spec, _chain_blocks(spec, lambda t, avail: avail))

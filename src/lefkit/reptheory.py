@@ -18,16 +18,11 @@ from .lattice import OrbitSet
 Partition = tuple[int, ...]
 
 
-def is_partition(lam) -> bool:
-    lam = tuple(lam)
-    return all(isinstance(p, int) and p > 0 for p in lam) and all(
-        lam[i] >= lam[i + 1] for i in range(len(lam) - 1)
-    )
-
-
 def _check_partition(lam) -> Partition:
     lam = tuple(lam)
-    if not is_partition(lam):
+    if not all(isinstance(p, int) and p > 0 for p in lam) or any(
+        a < b for a, b in zip(lam, lam[1:])
+    ):
         raise ValueError(f"not a partition: {lam}")
     return lam
 
@@ -108,6 +103,18 @@ def hook_lengths(lam) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _schur_and_irrep(lam: Partition, h: int) -> tuple[int, int]:
+    """(dim_schur(lam, h), dim_irrep(lam)) of a partition with at most h rows.
+
+    Both divide by the hook product, computed once.  lam and its transpose
+    have the same hook lengths, so the second is also dim_irrep(transpose(lam)).
+    """
+    hooks = prod(x for row in hook_lengths(lam) for x in row)
+    q, r = divmod(prod(h + j - i for i in range(len(lam)) for j in range(lam[i])), hooks)
+    assert r == 0, (lam, h)
+    return q, factorial(sum(lam)) // hooks
+
+
 def dim_schur(lam, h: int) -> int:
     """Dimension of the Schur functor S^lam applied to an h-dimensional space.
 
@@ -117,13 +124,7 @@ def dim_schur(lam, h: int) -> int:
     lam = _check_partition(lam)
     if h < 1:
         raise ValueError("h must be at least 1")
-    if len(lam) > h:
-        return 0
-    numer = prod(h + j - i for i in range(len(lam)) for j in range(lam[i]))
-    denom = prod(x for row in hook_lengths(lam) for x in row)
-    q, r = divmod(numer, denom)
-    assert r == 0, (lam, h)
-    return q
+    return _schur_and_irrep(lam, h)[0] if len(lam) <= h else 0
 
 
 def dim_irrep(mu) -> int:
@@ -274,8 +275,5 @@ class SchurWeylTable:
 
 @cache
 def schur_weyl_table(h: int, k: int) -> SchurWeylTable:
-    rows = tuple(
-        (lam, dim_schur(lam, h), dim_irrep(transpose(lam)))
-        for lam in partitions_rho(h, k)
-    )
+    rows = tuple((lam, *_schur_and_irrep(lam, h)) for lam in partitions_rho(h, k))
     return SchurWeylTable(h=h, k=k, rows=rows)

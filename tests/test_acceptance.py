@@ -179,15 +179,15 @@ def test_criterion_08_block_size_bounds():
 
 def test_criterion_09_search_certificates():
     start = time.perf_counter()
-    rect32 = search_rectangular(SearchSpec(k=3, n=2, target="rectangular"))
+    rect32 = search_rectangular(SearchSpec(k=3, n=2))
     assert rect32.exhausted
     assert rect32.found == []
 
-    min32 = search_minimal(SearchSpec(k=3, n=2, target="minimal"))
+    min32 = search_minimal(SearchSpec(k=3, n=2))
     assert min32.exhausted
     assert any(ranks(c) == (13, 7, 7) for c in min32.found)
 
-    rect33 = search_rectangular(SearchSpec(k=3, n=3, target="rectangular"))
+    rect33 = search_rectangular(SearchSpec(k=3, n=3))
     assert rect33.exhausted
     e33 = build_E(3, 3).reps()
     assert any(c.blocks[0].reps() == e33 for c in rect33.found)

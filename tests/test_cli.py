@@ -1,4 +1,5 @@
 import contextlib
+import doctest
 import hashlib
 import io
 import json
@@ -13,11 +14,18 @@ import pytest
 import lefkit
 from lefkit import explorer, lattice, reptheory
 from lefkit.cli import main
-from lefkit.lefschetz import collection_from_json, x32_minimal
+from lefkit.lefschetz import collection_from_json, collection_to_json, x32_minimal
 
 
 GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading, fence):
+    """The text of the first ```fence block after the README heading."""
+    text = README.read_text(encoding="utf-8").split(heading, 1)[1]
+    return text.split("```" + fence, 1)[1].split("```", 1)[0]
 
 
 def run(capsys, *argv):
@@ -59,9 +67,7 @@ def test_golden_output(case, tmp_path, monkeypatch):
 
 def test_readme_commands_run(tmp_path, monkeypatch):
     # the documented command lines, in order, against the real parser
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
-    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    block = readme_block("## Command line", "sh")
     commands = [shlex.split(line, comments=True) for line in block.splitlines()]
     commands = [argv[1:] for argv in commands if argv[:1] == ["lefkit"]]
     assert len(commands) >= 9
@@ -69,6 +75,17 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0, argv
+
+
+def test_readme_library_example_runs():
+    # the >>> session under "Library example"; plain `python -m doctest README.md`
+    # would also read the closing fence as expected output
+    block = readme_block("## Library example", "python")
+    example = doctest.DocTestParser().get_doctest(block, {}, "README", str(README), 0)
+    report = io.StringIO()
+    result = doctest.DocTestRunner().run(example, out=report.write)
+    assert result.attempted >= 6
+    assert result.failed == 0, report.getvalue()
 
 
 def test_ext_text(capsys):
@@ -145,9 +162,38 @@ def test_verify_dump_roundtrip(capsys):
 
 
 def test_verify_missing_builtin_arg(capsys):
-    rc, _, err = run(capsys, "verify", "--builtin", "xk1")
-    assert rc == 2
-    assert err.startswith("error:")
+    # an option missing, or given where it does not apply or cannot hold
+    for argv in (
+        ("verify", "--builtin", "xk1"),
+        ("search", "--k", "2", "--n", "2", "--target", "minimal", "--no-prune"),
+        ("search", "--k", "2", "--n", "2", "--target", "minimal", "--pool-hi", "-1"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("error:"), argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--builtin", "xk1", "--k", "3", "--n", "5"), "--builtin xk1 takes no --n"),
+        (("--builtin", "x3n-rectangular", "--n", "3", "--k", "3"),
+         "--builtin x3n-rectangular takes no --k"),
+        (("--builtin", "x32-minimal", "--k", "5"), "--builtin x32-minimal takes no --k"),
+        (("--builtin", "x32-rect", "--n", "2", "--dump"), "--builtin x32-rect takes no --n"),
+        (("--collection", "coll.json", "--k", "3"), "--collection takes no --k"),
+        (("--collection", "coll.json", "--n", "2"), "--collection takes no --n"),
+    ],
+    ids=["xk1-n", "x3n-k", "x32-minimal-k", "x32-rect-n", "collection-k", "collection-n"],
+)
+def test_verify_refuses_k_and_n_its_source_does_not_take(
+    capsys, tmp_path, monkeypatch, argv, message
+):
+    # a dropped option is a wrong verdict: --builtin xk1 --k 3 --n 5 would verify (P^1)^3
+    monkeypatch.chdir(tmp_path)
+    Path("coll.json").write_text(collection_to_json(x32_minimal()), encoding="utf-8")
+    rc, out, err = run(capsys, "verify", *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_dims_tsv(capsys):

@@ -1,3 +1,4 @@
+import functools
 import graphlib
 import itertools
 import re
@@ -7,7 +8,7 @@ import pytest
 from lefkit import explorer
 from lefkit.ext import is_orthogonal_pair
 from lefkit.explorer import SearchResult, SearchSpec, search_minimal, search_rectangular
-from lefkit.lattice import Box, orbit_of, orbit_set
+from lefkit.lattice import orbit_of, orbit_set
 from lefkit.lefschetz import (
     LefschetzCollection,
     build_E,
@@ -33,21 +34,15 @@ def sig(coll):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        SearchSpec(k=0, n=1, target="rectangular")
+        SearchSpec(k=0, n=1)
     with pytest.raises(ValueError):
-        SearchSpec(k=2, n=1, target="nonsense")
-    with pytest.raises(ValueError):
-        SearchSpec(k=2, n=1, target="minimal", budget=0)
-    with pytest.raises(ValueError, match="pool_box has 2 coordinates, not k=3"):
-        SearchSpec(k=3, n=2, target="minimal", pool_box=Box(0, 4, 2))
-    with pytest.raises(ValueError):
-        search_rectangular(SearchSpec(k=2, n=1, target="minimal"))
-    with pytest.raises(ValueError):
-        search_minimal(SearchSpec(k=2, n=1, target="rectangular"))
+        SearchSpec(k=2, n=1, budget=0)
+    with pytest.raises(ValueError, match="pool_hi must be nonnegative"):
+        SearchSpec(k=2, n=1, pool_hi=-1)
 
 
 def test_rectangular_single_factor():
-    result = search_rectangular(SearchSpec(k=1, n=1, target="rectangular"))
+    result = search_rectangular(SearchSpec(k=1, n=1))
     assert result.exhausted
     assert len(result.found) == 1
     coll = result.found[0]
@@ -56,7 +51,7 @@ def test_rectangular_single_factor():
 
 
 def test_rectangular_32_prunes_everything():
-    result = search_rectangular(SearchSpec(k=3, n=2, target="rectangular"))
+    result = search_rectangular(SearchSpec(k=3, n=2))
     assert result.exhausted
     assert result.found == []
     assert result.nodes_visited == 0
@@ -64,10 +59,7 @@ def test_rectangular_32_prunes_everything():
 
 def test_rectangular_32_unpruned_finds_nothing_either():
     # pruning safety: the unpruned search over the same pool also has no hits
-    spec = SearchSpec(
-        k=3, n=2, target="rectangular", pool_box=Box(0, 2, 3), prune=False
-    )
-    result = search_rectangular(spec)
+    result = search_rectangular(SearchSpec(k=3, n=2, pool_hi=2), prune=False)
     assert result.exhausted
     assert result.found == []
     assert result.nodes_visited > 0  # it did consider candidates
@@ -75,18 +67,14 @@ def test_rectangular_32_unpruned_finds_nothing_either():
 
 def test_rectangular_pruning_safety_tiny():
     for k, n in [(2, 1), (2, 2), (1, 1), (1, 2)]:
-        pruned = search_rectangular(SearchSpec(k=k, n=n, target="rectangular"))
-        unpruned = search_rectangular(
-            SearchSpec(k=k, n=n, target="rectangular", prune=False)
-        )
+        pruned = search_rectangular(SearchSpec(k=k, n=n))
+        unpruned = search_rectangular(SearchSpec(k=k, n=n), prune=False)
         assert pruned.exhausted and unpruned.exhausted
         assert {sig(c) for c in pruned.found} == {sig(c) for c in unpruned.found}, (k, n)
 
 
 def test_rectangular_33_rediscovers_slope_block():
-    result = search_rectangular(
-        SearchSpec(k=3, n=3, target="rectangular", pool_box=Box(0, 3, 3))
-    )
+    result = search_rectangular(SearchSpec(k=3, n=3, pool_hi=3))
     assert result.exhausted
     e33 = build_E(3, 3).reps()
     assert any(c.blocks[0].reps() == e33 for c in result.found)
@@ -95,7 +83,7 @@ def test_rectangular_33_rediscovers_slope_block():
 
 
 def test_minimal_two_lines():
-    result = search_minimal(SearchSpec(k=2, n=1, target="minimal"))
+    result = search_minimal(SearchSpec(k=2, n=1))
     assert result.exhausted
     assert len(result.found) == 1
     coll = result.found[0]
@@ -105,7 +93,7 @@ def test_minimal_two_lines():
 
 
 def test_minimal_32_certifies_13_7_7():
-    result = search_minimal(SearchSpec(k=3, n=2, target="minimal"))
+    result = search_minimal(SearchSpec(k=3, n=2))
     assert result.exhausted
     assert result.found
     first = result.found[0]
@@ -119,17 +107,17 @@ def test_minimal_32_certifies_13_7_7():
 
 
 def test_budget_truncates_and_reports():
-    result = search_minimal(SearchSpec(k=3, n=2, target="minimal", budget=10))
+    result = search_minimal(SearchSpec(k=3, n=2, budget=10))
     assert not result.exhausted
     assert result.nodes_visited == 10
-    result = search_rectangular(SearchSpec(k=3, n=3, target="rectangular", budget=3))
+    result = search_rectangular(SearchSpec(k=3, n=3, budget=3))
     assert not result.exhausted
     assert result.nodes_visited == 3
     # a budget that exactly covers the space still exhausts it
-    full = search_rectangular(SearchSpec(k=5, n=1, target="rectangular")).nodes_visited
-    at_budget = search_rectangular(SearchSpec(k=5, n=1, target="rectangular", budget=full))
+    full = search_rectangular(SearchSpec(k=5, n=1)).nodes_visited
+    at_budget = search_rectangular(SearchSpec(k=5, n=1, budget=full))
     assert at_budget.exhausted and at_budget.nodes_visited == full
-    short = search_rectangular(SearchSpec(k=5, n=1, target="rectangular", budget=full - 1))
+    short = search_rectangular(SearchSpec(k=5, n=1, budget=full - 1))
     assert not short.exhausted and short.nodes_visited == full - 1
 
 
@@ -145,26 +133,27 @@ def test_is_exceptional_agrees_with_check_exceptional_on_search_candidates(monke
     monkeypatch.setattr(explorer, "is_exceptional", checked)
     visited = 0
     for k, n, hi in [(3, 1, 3), (2, 4, 5), (3, 2, 4)]:
-        spec = SearchSpec(k=k, n=n, target="rectangular", pool_box=Box(0, hi, k), prune=False)
-        visited += search_rectangular(spec).nodes_visited
-    visited += search_minimal(SearchSpec(k=3, n=2, target="minimal")).nodes_visited
+        visited += search_rectangular(SearchSpec(k=k, n=n, pool_hi=hi), prune=False).nodes_visited
+    visited += search_minimal(SearchSpec(k=3, n=2)).nodes_visited
     assert len(outcomes) == visited
     assert any(outcomes) and not all(outcomes)
 
 
+search_unpruned = functools.partial(search_rectangular, prune=False)
+
+
 @pytest.mark.parametrize(
-    "spec",
+    "search,spec",
     [
-        SearchSpec(k=3, n=2, target="minimal"),
-        SearchSpec(k=2, n=3, target="minimal"),
-        SearchSpec(k=3, n=2, target="rectangular", prune=False),
+        (search_minimal, SearchSpec(k=3, n=2)),
+        (search_minimal, SearchSpec(k=2, n=3)),
+        (search_unpruned, SearchSpec(k=3, n=2)),
     ],
     ids=["minimal-3-2", "minimal-2-3", "rectangular-3-2-unpruned"],
 )
-def test_blocks_from_pool_orbits_match_rebuilt_blocks(monkeypatch, spec):
+def test_blocks_from_pool_orbits_match_rebuilt_blocks(monkeypatch, search, spec):
     # blocks built from the pool's Orbit objects equal blocks rebuilt from
     # their reps with orbit_set, so hits, node counts and hit order agree
-    search = search_minimal if spec.target == "minimal" else search_rectangular
     reused = search(spec)
     from_pool = explorer._block
     built = []
@@ -185,11 +174,14 @@ def test_blocks_from_pool_orbits_match_rebuilt_blocks(monkeypatch, spec):
     assert reference.found == reused.found
 
 
-def filtered_product_pool(spec):
-    """The search pool as a filtered box product: the reference for _pool_by_shape."""
-    box = spec.pool_box or Box(lo=0, hi=spec.n + 1, k=spec.k)
+def filtered_product_pool(spec, lo=0):
+    """The search pool as a filtered product of [lo, hi]^k: the reference for _pool_by_shape.
+
+    Any lo <= 0 gives the same pool: reps outside [0, hi]^k are filtered out.
+    """
+    hi = spec.n + 1 if spec.pool_hi is None else spec.pool_hi
     by_shape = {}
-    for rep in itertools.product(range(box.hi, max(box.lo, 0) - 1, -1), repeat=spec.k):
+    for rep in itertools.product(range(hi, lo - 1, -1), repeat=spec.k):
         if rep[-1] != 0 or any(rep[i] < rep[i + 1] for i in range(spec.k - 1)):
             continue
         o = orbit_of(rep)
@@ -234,7 +226,7 @@ def quota_rectangular(spec):
 
 
 @pytest.mark.parametrize(
-    "k,n,pool_box,budget",
+    "k,n,pool_hi,budget",
     [
         (1, 1, None, 10 ** 6),
         (1, 2, None, 10 ** 6),
@@ -247,12 +239,12 @@ def quota_rectangular(spec):
         (4, 1, None, 10 ** 6),
         (5, 1, None, 10 ** 6),
         (7, 1, None, 10 ** 6),
-        (3, 3, Box(-1, 5, 3), 10 ** 6),
+        (3, 3, 5, 10 ** 6),
         (3, 3, None, 100),
     ],
 )
-def test_rectangular_chain_matches_quota_reference(k, n, pool_box, budget):
-    spec = SearchSpec(k=k, n=n, target="rectangular", pool_box=pool_box, budget=budget)
+def test_rectangular_chain_matches_quota_reference(k, n, pool_hi, budget):
+    spec = SearchSpec(k=k, n=n, pool_hi=pool_hi, budget=budget)
     streamed, reference = search_rectangular(spec), quota_rectangular(spec)
     assert streamed.nodes_visited == reference.nodes_visited
     assert streamed.exhausted == reference.exhausted
@@ -261,22 +253,22 @@ def test_rectangular_chain_matches_quota_reference(k, n, pool_box, budget):
 
 
 @pytest.mark.parametrize("k", range(1, 6))
-@pytest.mark.parametrize("lo,hi", [(-2, -1), (-2, 0), (-2, 3), (0, 0), (0, 2), (0, 5), (1, 5)])
+@pytest.mark.parametrize("lo,hi", [(-2, 0), (-2, 3), (0, 0), (0, 2), (0, 5)])
 def test_pool_matches_filtered_product(k, lo, hi):
-    spec = SearchSpec(k=k, n=1, target="minimal", pool_box=Box(lo, hi, k))
-    assert explorer._pool_by_shape(spec) == filtered_product_pool(spec)
+    spec = SearchSpec(k=k, n=1, pool_hi=hi)
+    assert explorer._pool_by_shape(spec) == filtered_product_pool(spec, lo)
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "search,spec",
     [
-        SearchSpec(k=3, n=2, target="minimal", budget=50),
-        SearchSpec(k=3, n=3, target="rectangular"),
-        SearchSpec(k=3, n=2, target="rectangular", prune=False),
+        (search_minimal, SearchSpec(k=3, n=2, budget=50)),
+        (search_rectangular, SearchSpec(k=3, n=3)),
+        (search_unpruned, SearchSpec(k=3, n=2)),
     ],
     ids=["minimal-3-2", "rectangular-3-3", "rectangular-3-2-unpruned"],
 )
-def test_each_candidate_is_checked_before_the_next_is_built(monkeypatch, spec):
+def test_each_candidate_is_checked_before_the_next_is_built(monkeypatch, search, spec):
     events = []
     build, check = explorer._block, explorer.is_exceptional
 
@@ -290,7 +282,6 @@ def test_each_candidate_is_checked_before_the_next_is_built(monkeypatch, spec):
 
     monkeypatch.setattr(explorer, "_block", logged_block)
     monkeypatch.setattr(explorer, "is_exceptional", logged_check)
-    search = search_minimal if spec.target == "minimal" else search_rectangular
     result = search(spec)
     log = "".join(events)
     assert log.count("c") == result.nodes_visited > 0
@@ -329,10 +320,9 @@ def test_exceptionality_verdict_does_not_depend_on_flatten_order(monkeypatch, k,
         return verdict
 
     monkeypatch.setattr(explorer, "is_exceptional", compared)
-    visited = search_minimal(SearchSpec(k=k, n=n, target="minimal")).nodes_visited
+    visited = search_minimal(SearchSpec(k=k, n=n)).nodes_visited
     for prune in (True, False):
-        spec = SearchSpec(k=k, n=n, target="rectangular", prune=prune)
-        visited += search_rectangular(spec).nodes_visited
+        visited += search_rectangular(SearchSpec(k=k, n=n), prune=prune).nodes_visited
     assert len(checked) == visited > 0
 
 
@@ -413,29 +403,35 @@ def recursive_subset_blocks(spec):
         yield (explorer._block(spec.k, picked),) * h
 
 
+def search_case(target, spec, prune=True):
+    """A (target, spec, prune) parameter, named target-k-n[-unpruned][-hiH]."""
+    name = f"{target}-{spec.k}-{spec.n}" + ("" if prune else "-unpruned")
+    name += "" if spec.pool_hi is None else f"-hi{spec.pool_hi}"
+    return pytest.param(target, spec, prune, id=name)
+
+
 @pytest.mark.parametrize(
-    "spec",
-    [SearchSpec(k=k, n=n, target="minimal")
+    "target,spec,prune",
+    [search_case("minimal", SearchSpec(k=k, n=n))
      for k, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]]
-    + [SearchSpec(k=3, n=2, target="minimal", pool_box=Box(0, 4, 3))]
-    + [SearchSpec(k=k, n=n, target="rectangular") for k, n in [(2, 2), (3, 3), (5, 1), (7, 1)]]
-    + [SearchSpec(k=k, n=n, target="rectangular", prune=False)
+    + [search_case("minimal", SearchSpec(k=3, n=2, pool_hi=4))]
+    + [search_case("rectangular", SearchSpec(k=k, n=n))
+       for k, n in [(2, 2), (3, 3), (5, 1), (7, 1)]]
+    + [search_case("rectangular", SearchSpec(k=k, n=n), prune=False)
        for k, n in [(2, 1), (2, 2), (3, 1), (3, 2)]]
-    + [SearchSpec(k=2, n=3, target="rectangular", pool_box=Box(0, 9, 2), prune=False)],
-    ids=lambda spec: f"{spec.target}-{spec.k}-{spec.n}"
-    + ("" if spec.prune else "-unpruned") + (f"-hi{spec.pool_box.hi}" if spec.pool_box else ""),
+    + [search_case("rectangular", SearchSpec(k=2, n=3, pool_hi=9), prune=False)],
 )
-def test_depth_first_candidates_match_reference_generators(monkeypatch, spec):
+def test_depth_first_candidates_match_reference_generators(monkeypatch, target, spec, prune):
     # every candidate in the same order, not only the hits
     monkeypatch.setattr(explorer, "_run", lambda spec, block_tuples: list(block_tuples))
-    if spec.target == "minimal":
+    if target == "minimal":
         walked = search_minimal(spec)
         reference = nested_product_blocks(spec, lambda t, avail: avail)
-    elif spec.prune:
+    elif prune:
         walked = search_rectangular(spec)
         reference = nested_product_blocks(spec, lambda t, avail: t // (spec.n + 1))
     else:
-        walked = search_rectangular(spec)
+        walked = search_rectangular(spec, prune=False)
         reference = recursive_subset_blocks(spec)
     assert walked
     assert walked == list(reference)
@@ -461,6 +457,6 @@ def test_budget_bounds_the_orbit_choices_drawn(monkeypatch):
     # and the exhaustion probe 17 more; building every nested choice first took 413,287
     counting = CountingItertools()
     monkeypatch.setattr(explorer, "itertools", counting)
-    result = search_rectangular(SearchSpec(k=2, n=16, target="rectangular", budget=1))
+    result = search_rectangular(SearchSpec(k=2, n=16, budget=1))
     assert (result.nodes_visited, result.exhausted, len(result.found)) == (1, False, 1)
     assert counting.drawn <= 51

@@ -310,6 +310,23 @@ def test_schur_weyl_mass_identity():
             assert schur_weyl_table(h, k).mass == h ** k
 
 
+def test_schur_weyl_rows_match_dim_schur_and_transposed_irrep():
+    # each row divides by one hook product, shared by lam and its transpose
+    for h in range(1, 8):
+        for k in range(1, 9):
+            assert schur_weyl_table(h, k).rows == tuple(
+                (lam, dim_schur(lam, h), dim_irrep(transpose(lam)))
+                for lam in partitions_rho(h, k)
+            ), (h, k)
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (2, 0), (2, -1), (1.0,), (2, 1.5), ("1",)])
+def test_non_partitions_refused(bad):
+    for fn in (transpose, hook_lengths, dim_irrep, perm_module_dim, lambda lam: dim_schur(lam, 3)):
+        with pytest.raises(ValueError, match="not a partition"):
+            fn(bad)
+
+
 def test_divisibility_criterion_known_values():
     assert divisibility_criterion(3, 3) == (1, 1, 1)  # lex-least failing partition
     assert divisibility_criterion(4, 3) is None

@@ -98,7 +98,7 @@ def _ranks_text(coll) -> str:
 def _trace_doc(app):
     return {
         "axis": app.axis,
-        "line": list(app.line),
+        "line": app.line,
         "window_start": app.window_start,
         "added": [format_multidegree(p) for p in app.added],
     }
@@ -114,7 +114,7 @@ def cmd_ext(args) -> int:
         "n": args.n,
         "from": format_multidegree(a),
         "to": format_multidegree(b),
-        "dims": list(dims),
+        "dims": dims,
         "vanishes": vanishes,
     }
     text = [f"degree {i}: {d}" for i, d in enumerate(dims) if d]
@@ -124,16 +124,20 @@ def cmd_ext(args) -> int:
 
 def _load_collection(args):
     # each builtin takes only its own --k/--n; a collection document carries both
+    # and names no builtin; --dump writes the collection and checks nothing
     if args.collection:
-        source, takes = "--collection", ()
+        source, takes, options = "--collection", (), ("builtin", "k", "n")
     elif args.builtin is None:
         raise ValueError("provide --builtin or --collection")
     else:
         (build, takes), source = BUILTINS[args.builtin], f"--builtin {args.builtin}"
-    for option in ("k", "n"):
+        options = ("k", "n")
+    checks = [(source, option, option in takes) for option in options]
+    checks += [("--dump", option, False) for option in ("residual", "margin") if args.dump]
+    for name, option, needed in checks:
         given = getattr(args, option) is not None
-        if given != (option in takes):
-            raise ValueError(f"{source} {'takes no' if given else 'needs'} --{option}")
+        if given != needed:
+            raise ValueError(f"{name} {'takes no' if given else 'needs'} --{option}")
     if args.collection:
         with open(args.collection, encoding="utf-8") as fh:
             return collection_from_json(fh.read())
@@ -162,14 +166,14 @@ def cmd_verify(args) -> int:
         "schema": JSON_SCHEMA,
         "k": coll.k,
         "n": coll.n,
-        "ranks": list(ranks(coll)),
+        "ranks": ranks(coll),
         "rectangular": is_rectangular(coll),
         "exceptional": not violations,
         "exceptional_violations": [
             {
                 "kind": v.kind,
                 "witness": [format_multidegree(w) for w in v.witness],
-                "detail": list(v.detail),
+                "detail": v.detail,
             }
             for v in violations[:20]
         ],
@@ -185,25 +189,23 @@ def cmd_verify(args) -> int:
         first = doc["exceptional_violations"][0]
         text.append(f"  first: {first['kind']} {first['witness'][0]} -> {first['witness'][1]}")
     text.append(f"nesting: {'ok' if nest is None else f'violated at block {nest.detail[0]}'}")
+    residual_violations = []
     if args.residual:
         # with a residual the meaningful generation check is the joint one
         rep = parse_multidegree(args.residual, k=coll.k)
-        res = residual_check(coll, orbit_set(coll.k, [rep]), margin=args.margin)
-        doc["residual_ok"] = not res
-        text.append(f"residual: {f'{len(res)} violations' if res else 'ok'}")
-        # only a closure stopping short at this margin leaves the residual undecided
-        undecided = all(v.detail == (INCONCLUSIVE,) for v in res)
-        rc = EXIT_OK if not res else EXIT_INCONCLUSIVE if undecided else EXIT_FAIL
+        residual_violations, verdict = residual_check(
+            coll, orbit_set(coll.k, [rep]), margin=args.margin
+        )
+        count = len(residual_violations) + (verdict.status != FULL)
+        doc["residual_ok"] = not count
+        text.append(f"residual: {f'{count} violations' if count else 'ok'}")
     else:
         verdict = verify_fullness(coll, margin=args.margin)
         doc["fullness"] = verdict.status
-        doc["fullness_detail"] = {
-            key: (list(val) if isinstance(val, tuple) else val)
-            for key, val in verdict.detail.items()
-        }
+        doc["fullness_detail"] = verdict.detail
         text.append(f"fullness: {_fullness_text(verdict)}")
-        rc = {FULL: EXIT_OK, INCONCLUSIVE: EXIT_INCONCLUSIVE}.get(verdict.status, EXIT_FAIL)
-    if violations or nest is not None:
+    rc = {FULL: EXIT_OK, INCONCLUSIVE: EXIT_INCONCLUSIVE}.get(verdict.status, EXIT_FAIL)
+    if violations or residual_violations or nest is not None:
         rc = EXIT_FAIL
     doc["verdict"] = "ok" if rc == EXIT_OK else "fail"
     text.append(f"verdict: {doc['verdict']}")
@@ -331,7 +333,7 @@ def cmd_search(args) -> int:
         {
             "k": coll.k,
             "n": coll.n,
-            "ranks": list(ranks(coll)),
+            "ranks": ranks(coll),
             "blocks": [[format_multidegree(r) for r in b.reps()] for b in coll.blocks],
         }
         for coll in result.found
@@ -365,14 +367,15 @@ def cmd_report(args) -> int:
 
     coll = x32_minimal()
     verdict = verify_fullness(coll, margin=2)
-    res = residual_check(x32_rectangular_part(), x32_residual())
+    res_violations, res_verdict = residual_check(x32_rectangular_part(), x32_residual())
+    res_ok = not res_violations and res_verdict.status == FULL
     sections.append(
         (
             "x32-minimal",
             f"ranks {_ranks_text(coll)}, "
             f"exceptional {'ok' if not check_exceptional(coll) else 'FAIL'}, "
             f"fullness {verdict.status} at margin 2, "
-            f"residual {'ok' if not res else 'FAIL'}",
+            f"residual {'ok' if res_ok else 'FAIL'}",
         )
     )
 
@@ -396,7 +399,7 @@ def cmd_report(args) -> int:
         ("equivariant lengths of first block", f"{list(per_orbit)} total {total}")
     )
 
-    ok = grid_ok and verdict.status == FULL and not res
+    ok = grid_ok and verdict.status == FULL and res_ok
     doc = {
         "schema": JSON_SCHEMA,
         "sections": [{"name": name, "value": value} for name, value in sections],

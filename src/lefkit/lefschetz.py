@@ -12,10 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .ext import ext_graded, nonorthogonal_below, orthogonal_mask
 from .lattice import (
     Multidegree,
     OrbitSet,
+    _refuse_above_limit,
     canonical_rep,
     format_multidegree,
     normalised_reps,
@@ -55,10 +58,8 @@ class Violation:
     """One failed check, with enough data to re-verify it independently.
 
     kind: "order" (duplicate bundle), "ext" (nonvanishing Ext where required
-    to vanish, detail holds the graded dimensions), "nesting" (block not
-    contained in its predecessor), "invariance" (orbit arity mismatch), or
-    "generation" (the bundles do not generate the cube; detail holds the
-    verdict status, NOT_FULL_BY_RANK or INCONCLUSIVE at the closure margin).
+    to vanish, detail holds the graded dimensions), or "nesting" (block not
+    contained in its predecessor).
     """
 
     kind: str
@@ -109,8 +110,9 @@ def flatten_bundles(coll: LefschetzCollection) -> tuple[Multidegree, ...]:
     Blocks in order, block i twisted by i; within a block, orbits ascending
     lex by rep, elements ascending lex.  Inside the cube [0, n]^k this order
     linearly extends the componentwise order, which is what exceptionality
-    needs there.
+    needs there.  The total is sized first and refused above MAX_ORBIT_BUNDLES.
     """
+    _refuse_above_limit(sum(ranks(coll)))
     return tuple(
         twist(el, i)
         for i, block in enumerate(coll.blocks)
@@ -171,6 +173,19 @@ def is_exceptional(coll: LefschetzCollection) -> bool:
     return not any(len(qs) for qs, _ in nonorthogonal_below(coll.n, flatten_bundles(coll)))
 
 
+def ext_violations(n: int, sources, targets):
+    """Yield an "ext" Violation for each (a, b) in sources x targets with Ext*(O(a), O(b)) != 0.
+
+    Pairs come source-major, targets in their given order.  One mask covers
+    all pairs; graded dimensions are computed only for the pairs drawn.
+    """
+    bad = ~orthogonal_mask(n, sources, targets)
+    for i in np.flatnonzero(bad.any(axis=1)).tolist():
+        for j in np.flatnonzero(bad[i]).tolist():
+            a, b = sources[i], targets[j]
+            yield Violation(kind="ext", witness=(a, b), detail=ext_graded(n, a, b))
+
+
 def check_theorem_semiorthogonality(k: int, n: int):
     """Every bundle of build_E twisted by 1..n is Ext-orthogonal into build_Ehat.
 
@@ -184,12 +199,7 @@ def check_theorem_semiorthogonality(k: int, n: int):
     reps = build_E(k, n).reps()
     ehat_bundles = build_Ehat(k, n).bundles()
     twisted = [twist(rep, i) for i in range(1, n + 1) for rep in reps]
-    bad = ~orthogonal_mask(n, twisted, ehat_bundles)
-    if not bad.any():
-        return None
-    i, j = divmod(int(bad.argmax()), bad.shape[1])
-    a, b = twisted[i], ehat_bundles[j]
-    return Violation(kind="ext", witness=(a, b), detail=ext_graded(n, a, b))
+    return next(ext_violations(n, twisted, ehat_bundles), None)
 
 
 def staircase_rectangular(k: int, n: int) -> LefschetzCollection:

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ext import ext_graded, orthogonal_mask
 from .lattice import Box, Multidegree, OrbitSet, format_multidegree
-from .lefschetz import LefschetzCollection, Violation, flatten_bundles, ranks
+from .lefschetz import LefschetzCollection, Violation, ext_violations, flatten_bundles, ranks
 
 FULL = "FULL"
 NOT_FULL_BY_RANK = "NOT_FULL_BY_RANK"
@@ -369,36 +368,18 @@ def verify_fullness(coll: LefschetzCollection, margin: int | None = None) -> Ver
 
 def residual_check(
     rect_part: LefschetzCollection, residual: OrbitSet, margin: int | None = None
-) -> list[Violation]:
+) -> tuple[list[Violation], Verdict]:
     """Check a rectangular part against a residual orbit set.
 
-    Verifies, exhaustively, that every twisted bundle of every block has
-    vanishing Ext into every residual bundle, and that the union of all
-    those bundles generates the cube [0, n]^k by verify_fullness's rule.
-    Returns all violations found (empty list means the residual check
-    passed).  A generation violation's detail is the verdict status:
-    NOT_FULL_BY_RANK when the union has the wrong bundle count, with the
-    counts as witness; INCONCLUSIVE when its closure stopped short at this
-    margin, with unreached cube points as witness.
+    Returns the Ext violations, exhaustively, from every twisted bundle of
+    every block into every residual bundle (ext_violations order), and the
+    verdict of _generation_verdict on the union of all those bundles.  The
+    check passes when the list is empty and the verdict FULL.  A residual
+    of another arity than the collection raises ValueError.
     """
     n, k = rect_part.n, rect_part.k
     if residual.k != k:
-        return [Violation(kind="invariance", witness=(residual.k, k))]
-    flat = flatten_bundles(rect_part)
-    res_bundles = residual.bundles()
-    out = [
-        Violation(
-            kind="ext",
-            witness=(flat[q], res_bundles[r]),
-            detail=ext_graded(n, flat[q], res_bundles[r]),
-        )
-        for q, r in np.argwhere(~orthogonal_mask(n, flat, res_bundles)).tolist()
-    ]
-    verdict = _generation_verdict(flat + res_bundles, n, k, margin)
-    if verdict.status == NOT_FULL_BY_RANK:
-        witness = (verdict.detail["bundles"], verdict.detail["expected"])
-        out.append(Violation(kind="generation", witness=witness, detail=(NOT_FULL_BY_RANK,)))
-    elif verdict.status == INCONCLUSIVE:
-        witness = verdict.detail["missing_sample"]
-        out.append(Violation(kind="generation", witness=witness, detail=(INCONCLUSIVE,)))
-    return out
+        raise ValueError(f"arity mismatch: expected k={k}, got a residual of k={residual.k}")
+    flat, res_bundles = flatten_bundles(rect_part), residual.bundles()
+    violations = list(ext_violations(n, flat, res_bundles))
+    return violations, _generation_verdict(flat + res_bundles, n, k, margin)

@@ -116,8 +116,8 @@ def test_criterion_03_three_plane_minimal_collection():
 
 def test_criterion_04_residual_orthogonality():
     start = time.perf_counter()
-    violations = residual_check(x32_rectangular_part(), x32_residual())
-    assert violations == []
+    violations, verdict = residual_check(x32_rectangular_part(), x32_residual())
+    assert (violations, verdict.status) == ([], FULL)
     _done("criterion 04 residual orthogonality batteries", start, 1.0)
 
 

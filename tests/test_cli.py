@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lefkit
-from lefkit import explorer, lattice, reptheory
+from lefkit import explorer, lattice, lefschetz, reptheory
 from lefkit.cli import main
 from lefkit.lefschetz import collection_from_json, collection_to_json, x32_minimal
 
@@ -183,8 +183,13 @@ def test_verify_missing_builtin_arg(capsys):
         (("--builtin", "x32-rect", "--n", "2", "--dump"), "--builtin x32-rect takes no --n"),
         (("--collection", "coll.json", "--k", "3"), "--collection takes no --k"),
         (("--collection", "coll.json", "--n", "2"), "--collection takes no --n"),
+        (("--builtin", "xk1", "--collection", "coll.json"), "--collection takes no --builtin"),
+        (("--builtin", "x32-rect", "--dump", "--residual", "(9,9)", "--margin", "-5"),
+         "--dump takes no --residual"),
+        (("--builtin", "x32-rect", "--dump", "--margin", "2"), "--dump takes no --margin"),
     ],
-    ids=["xk1-n", "x3n-k", "x32-minimal-k", "x32-rect-n", "collection-k", "collection-n"],
+    ids=["xk1-n", "x3n-k", "x32-minimal-k", "x32-rect-n", "collection-k", "collection-n",
+         "collection-builtin", "dump-residual", "dump-margin"],
 )
 def test_verify_refuses_k_and_n_its_source_does_not_take(
     capsys, tmp_path, monkeypatch, argv, message
@@ -346,6 +351,17 @@ def test_oversized_collections_refused_before_building(capsys, tmp_path, monkeyp
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, ""), argv
         assert err.startswith("error: S_k-stable set of") and "limit" in err
+
+
+def test_oversized_flattened_collection_refused_before_flattening(capsys, monkeypatch):
+    # each block of E(3, 300) is within the orbit limit; its 301 copies are not
+    def boom(coll, i):
+        raise AssertionError("collection flattened before the size check")
+
+    monkeypatch.setattr(lefschetz, "twist", boom)
+    rc, out, err = run(capsys, "verify", "--builtin", "x3n-rectangular", "--n", "300")
+    assert (rc, out) == (2, "")
+    assert err == "error: S_k-stable set of 27270901 bundles is more than the limit of 4194304\n"
 
 
 def test_oversized_partition_lists_refused_before_building(capsys, monkeypatch):

@@ -19,6 +19,7 @@ from lefkit.lefschetz import (
     check_theorem_semiorthogonality,
     collection_from_json,
     collection_to_json,
+    ext_violations,
     flatten_bundles,
     is_exceptional,
     is_rectangular,
@@ -231,6 +232,27 @@ def test_check_exceptional_matches_scalar_reference(k, n, chunk, data):
     with mock.patch.object(ext, "_CHUNK_ROWS", chunk):
         assert check_exceptional(coll) == want
         assert is_exceptional(coll) == (want == [])
+
+
+@given(
+    k=st.integers(1, 3),
+    n=st.integers(1, 3),
+    chunk=st.sampled_from([1, 2, ext._CHUNK_ROWS]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_ext_violations_match_scalar_reference(k, n, chunk, data):
+    point = st.tuples(*[st.integers(-2, n + 2)] * k)
+    sources = data.draw(st.lists(point, max_size=6))
+    targets = data.draw(st.lists(point, max_size=6))
+    want = [
+        Violation(kind="ext", witness=(a, b), detail=ext_graded(n, a, b))
+        for a in sources
+        for b in targets
+        if not is_orthogonal_pair(n, a, b)
+    ]
+    with mock.patch.object(ext, "_CHUNK_ROWS", chunk):
+        assert list(ext_violations(n, sources, targets)) == want
 
 
 def test_x32_minimal_is_exceptional():

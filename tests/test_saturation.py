@@ -259,12 +259,12 @@ def test_full_implies_rank_count():
 
 
 def test_residual_check_passes_for_x32():
-    violations = residual_check(x32_rectangular_part(), x32_residual())
-    assert violations == []
+    violations, verdict = residual_check(x32_rectangular_part(), x32_residual())
+    assert (violations, verdict.status) == ([], FULL)
 
 
 def test_residual_check_catches_bad_residual():
-    violations = residual_check(x32_rectangular_part(), orbit_set(3, [(1, 0, 0)]))
+    violations, _ = residual_check(x32_rectangular_part(), orbit_set(3, [(1, 0, 0)]))
     kinds = {v.kind for v in violations}
     assert "ext" in kinds  # the rectangular part maps onto its own orbit
 
@@ -274,8 +274,13 @@ def test_residual_check_catches_non_generating_residual():
     small = LefschetzCollection(
         k=3, n=2, blocks=(x32_rectangular_part().blocks[0],) * 2
     )
-    violations = residual_check(small, x32_residual())
-    assert any(v.kind == "generation" for v in violations)
+    _, verdict = residual_check(small, x32_residual())
+    assert verdict.status == NOT_FULL_BY_RANK
+
+
+def test_residual_of_another_arity_is_refused():
+    with pytest.raises(ValueError, match="arity"):
+        residual_check(x32_rectangular_part(), orbit_set(2, [(1, 0)]))
 
 
 def test_closure_determinism():
@@ -468,11 +473,14 @@ def test_fixed_point_stops_after_exactly_k_idle_passes(monkeypatch, seed, n, k):
 def test_residual_generation_violation_records_its_case():
     rect, res = x32_rectangular_part(), x32_residual()
     # the right bundle count whose closure stops short at margin 0: undecided
-    (v,) = residual_check(rect, res, margin=0)
-    assert (v.kind, v.detail) == ("generation", (INCONCLUSIVE,))
-    assert v.witness and all(0 <= c <= 2 for p in v.witness for c in p)  # unreached cube points
-    assert residual_check(rect, res, margin=1) == []
+    violations, verdict = residual_check(rect, res, margin=0)
+    assert (violations, verdict.status) == ([], INCONCLUSIVE)
+    missing = verdict.detail["missing_sample"]
+    assert missing and all(0 <= c <= 2 for p in missing for c in p)  # unreached cube points
+    violations, verdict = residual_check(rect, res, margin=1)
+    assert (violations, verdict.status) == ([], FULL)
     # too few bundles: decided by the count, before any closure
     small = LefschetzCollection(k=3, n=2, blocks=(rect.blocks[0],) * 2)
-    (v,) = [v for v in residual_check(small, res) if v.kind == "generation"]
-    assert (v.witness, v.detail) == ((20, 27), (NOT_FULL_BY_RANK,))
+    _, verdict = residual_check(small, res)
+    assert verdict.status == NOT_FULL_BY_RANK
+    assert (verdict.detail["bundles"], verdict.detail["expected"]) == (20, 27)

@@ -24,6 +24,7 @@ from .lefschetz import (
     check_theorem_semiorthogonality,
     collection_from_json,
     collection_to_json,
+    exceptional_violations,
     flatten_bundles,
     is_rectangular,
     ranks,
@@ -160,7 +161,7 @@ def cmd_verify(args) -> int:
         dump = collection_to_json(coll).splitlines()
         return _render(args, EXIT_OK, text=dump, json=dump)
 
-    violations = check_exceptional(coll)
+    violation_count, violations = exceptional_violations(coll, shown=20)
     nest = check_lefschetz(coll)
     doc = {
         "schema": JSON_SCHEMA,
@@ -168,14 +169,14 @@ def cmd_verify(args) -> int:
         "n": coll.n,
         "ranks": ranks(coll),
         "rectangular": is_rectangular(coll),
-        "exceptional": not violations,
+        "exceptional": not violation_count,
         "exceptional_violations": [
             {
                 "kind": v.kind,
                 "witness": [format_multidegree(w) for w in v.witness],
                 "detail": v.detail,
             }
-            for v in violations[:20]
+            for v in violations
         ],
         "nesting_ok": nest is None,
     }
@@ -183,7 +184,7 @@ def cmd_verify(args) -> int:
         f"collection: k={coll.k} n={coll.n}",
         f"ranks: {_ranks_text(coll)}",
         f"rectangular: {_yes(doc['rectangular'])}",
-        f"exceptional: {f'{len(violations)} violations' if violations else 'ok'}",
+        f"exceptional: {f'{violation_count} violations' if violation_count else 'ok'}",
     ]
     if violations:
         first = doc["exceptional_violations"][0]

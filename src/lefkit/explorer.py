@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import prod
 
-from .lattice import OrbitSet, normalised_reps, orbit_set
+from .lattice import OrbitSet, _refuse_above_limit, normalised_reps, orbit_set
 from .lefschetz import LefschetzCollection, is_exceptional
 from .reptheory import (
     content_orbit_count,
@@ -82,15 +82,17 @@ class SearchResult:
 def _pool_by_shape(spec: SearchSpec):
     """Candidate orbits (rep sorted decreasing, last coordinate 0), by stabilizer shape."""
     hi = spec.n + 1 if spec.pool_hi is None else spec.pool_hi
+    # the pool's orbits partition the points of [0, hi]^k with a zero coordinate;
+    # they are counted and refused before any rep is drawn
+    _refuse_above_limit((hi + 1) ** spec.k - hi ** spec.k)
     by_shape = {}
-    # one orbit_set, so the whole pool is sized before any orbit is built
     for o in orbit_set(spec.k, normalised_reps(spec.k, hi)).orbits:
         by_shape.setdefault(o.stabilizer_shape, []).append(o)
     return by_shape
 
 
 def _block(k: int, orbits) -> OrbitSet:
-    """The OrbitSet of distinct pool orbits, reusing them rather than rebuilding each."""
+    """The OrbitSet of distinct pool orbits, reusing them and so their cached elements."""
     return OrbitSet(k=k, orbits=tuple(sorted(orbits, key=lambda o: o.rep)))
 
 

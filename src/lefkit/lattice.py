@@ -14,13 +14,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, prod
 
 Multidegree = tuple[int, ...]
 
-# Most bundles orbit_of and orbit_set build at once; larger S_k-stable sets
-# are refused before any element exists.  xk1(14), the largest collection
-# the tests and benchmarks build, has 16,384.
+# Most bundles enumerated at once: Orbit.elements, OrbitSet.bundles and a flattened
+# collection are sized by rep and refused above it before any bundle exists.  xk1(14),
+# the largest collection the tests and benchmarks flatten, has 16,384.
 MAX_ORBIT_BUNDLES = 2 ** 22
 
 
@@ -75,19 +76,27 @@ def format_multidegree(a) -> str:
 
 @dataclass(frozen=True)
 class Orbit:
-    """A single S_k-orbit of multidegrees.
+    """A single S_k-orbit of multidegrees, held by its weakly decreasing (lex-largest) rep.
 
-    rep is the weakly decreasing (lex-largest) element; elements are all
-    distinct coordinate permutations in ascending lex order.
+    elements are all distinct coordinate permutations in ascending lex order,
+    enumerated on first use and refused above MAX_ORBIT_BUNDLES.
     """
 
     rep: Multidegree
-    elements: tuple[Multidegree, ...]
-    stabilizer_shape: tuple[int, ...]
 
     @property
+    def stabilizer_shape(self) -> tuple[int, ...]:
+        return stabilizer_shape(self.rep)
+
+    @cached_property
     def size(self) -> int:
-        return len(self.elements)
+        """Orbit-stabilizer: k! over the order of the Young subgroup fixing rep."""
+        return factorial(len(self.rep)) // prod(map(factorial, self.stabilizer_shape))
+
+    @cached_property
+    def elements(self) -> tuple[Multidegree, ...]:
+        _refuse_above_limit(self.size)
+        return _multiset_permutations(self.rep)
 
 
 def _multiset_permutations(values) -> tuple[Multidegree, ...]:
@@ -113,11 +122,6 @@ def _multiset_permutations(values) -> tuple[Multidegree, ...]:
         out.append(tuple(a))
 
 
-def _orbit_size(rep) -> int:
-    """Orbit-stabilizer: k! over the order of the Young subgroup fixing rep."""
-    return factorial(len(rep)) // prod(factorial(m) for m in stabilizer_shape(rep))
-
-
 def _refuse_above_limit(bundles: int):
     if bundles > MAX_ORBIT_BUNDLES:
         raise ValueError(
@@ -127,11 +131,8 @@ def _refuse_above_limit(bundles: int):
 
 
 def orbit_of(a) -> Orbit:
-    """The full S_k-orbit of a multidegree; sized, and refused above the limit, first."""
-    rep = canonical_rep(a)
-    _refuse_above_limit(_orbit_size(rep))
-    elements = _multiset_permutations(rep)
-    return Orbit(rep=rep, elements=elements, stabilizer_shape=stabilizer_shape(rep))
+    """The S_k-orbit of a multidegree."""
+    return Orbit(canonical_rep(a))
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,8 @@ class OrbitSet:
         return tuple(o.rep for o in self.orbits)
 
     def bundles(self) -> tuple[Multidegree, ...]:
-        """All elements, orbit-major, ascending lex inside each orbit."""
+        """All elements, orbit-major, ascending lex inside each orbit; sized first."""
+        _refuse_above_limit(self.bundle_count)
         return tuple(el for o in self.orbits for el in o.elements)
 
     @property
@@ -171,15 +173,13 @@ def orbit_set(k: int, reps) -> OrbitSet:
     """Build an OrbitSet from any iterable of points (one per intended orbit)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    seen = {}
+    seen = set()
     for a in reps:
         a = tuple(int(c) for c in a)
         if len(a) != k:
             raise ValueError(f"arity mismatch: expected k={k}, got {a}")
-        seen[canonical_rep(a)] = True
-    _refuse_above_limit(sum(map(_orbit_size, seen)))
-    orbits = tuple(orbit_of(rep) for rep in sorted(seen))
-    return OrbitSet(k=k, orbits=orbits)
+        seen.add(canonical_rep(a))
+    return OrbitSet(k=k, orbits=tuple(orbit_of(rep) for rep in sorted(seen)))
 
 
 @dataclass(frozen=True)

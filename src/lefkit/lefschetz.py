@@ -149,23 +149,28 @@ def check_exceptional(coll: LefschetzCollection) -> list[Violation]:
     flattened sequence is exceptional (each member is a line bundle, hence
     exceptional on its own).
     """
-    flat = flatten_bundles(coll)
-    n = coll.n
-    out = []
+    return exceptional_violations(coll)[1]
+
+
+def exceptional_violations(coll: LefschetzCollection, shown: int | None = None):
+    """(count, first): how many violations check_exceptional finds, and the first `shown`.
+
+    One scan counts them all; Violations, and their graded dimensions, are
+    built only for the ones returned (all of them when shown is None).
+    """
+    flat, n = flatten_bundles(coll), coll.n
+    count, first = 0, []
     for qs, ps in nonorthogonal_below(n, flat):
-        for q, p in zip(qs.tolist(), ps.tolist()):
+        take = None if shown is None else shown - len(first)
+        for q, p in zip(qs[:take].tolist(), ps[:take].tolist()):
             later, earlier = flat[q], flat[p]
             if later == earlier:
-                out.append(Violation(kind="order", witness=(later, earlier)))
+                first.append(Violation(kind="order", witness=(later, earlier)))
             else:
-                out.append(
-                    Violation(
-                        kind="ext",
-                        witness=(later, earlier),
-                        detail=ext_graded(n, later, earlier),
-                    )
-                )
-    return out
+                detail = ext_graded(n, later, earlier)
+                first.append(Violation(kind="ext", witness=(later, earlier), detail=detail))
+        count += len(qs)
+    return count, first
 
 
 def is_exceptional(coll: LefschetzCollection) -> bool:

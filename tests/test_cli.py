@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ import pytest
 import lefkit
 from lefkit import explorer, lattice, lefschetz, reptheory
 from lefkit.cli import main
+from lefkit.ext import ext_graded
+from lefkit.lattice import format_multidegree
 from lefkit.lefschetz import collection_from_json, collection_to_json, x32_minimal
 
 
@@ -362,6 +365,60 @@ def test_oversized_flattened_collection_refused_before_flattening(capsys, monkey
     rc, out, err = run(capsys, "verify", "--builtin", "x3n-rectangular", "--n", "300")
     assert (rc, out) == (2, "")
     assert err == "error: S_k-stable set of 27270901 bundles is more than the limit of 4194304\n"
+
+
+def test_oversized_search_pools_refused_before_drawing_reps(capsys, monkeypatch):
+    # the pool is every point of [0, n+1]^k with a zero coordinate
+    def boom(k, hi):
+        raise AssertionError("pool reps drawn before the size check")
+
+    monkeypatch.setattr(explorer, "normalised_reps", boom)
+    for k, n, target in ((14, 14, "rectangular"), (12, 12, "minimal")):
+        rc, out, err = run(capsys, "search", "--k", str(k), "--n", str(n), "--target", target)
+        assert (rc, out) == (2, ""), target
+        bundles = (n + 2) ** k - (n + 1) ** k
+        assert err == (f"error: S_k-stable set of {bundles} bundles is more than the limit of "
+                       "4194304\n")
+
+
+def test_collections_built_and_dumped_from_reps_alone(capsys, monkeypatch):
+    def boom(values):
+        raise AssertionError("orbit elements generated")
+
+    monkeypatch.setattr(lattice, "_multiset_permutations", boom)
+    coll, half = lefschetz.xk1(30), comb(30, 15)
+    assert lefschetz.ranks(coll) == ((2 ** 30 + half) // 2, (2 ** 30 - half) // 2)
+    rc, out, err = run(capsys, "verify", "--builtin", "xk1", "--k", "30", "--dump")
+    assert (rc, err) == (0, "")
+    assert collection_from_json(out) == coll
+    rc, out, err = run(capsys, "verify", "--builtin", "xk1", "--k", "30")
+    assert (rc, out) == (2, "")
+    assert err == "error: S_k-stable set of 1073741824 bundles is more than the limit of 4194304\n"
+
+
+def test_verify_builds_only_the_violations_it_shows(capsys, tmp_path, monkeypatch):
+    # every block holds every rep of [0, n]^3: most later-to-earlier pairs fail
+    n, graded = 3, []
+    blocks = [[format_multidegree(r) for r in lattice.normalised_reps(3, n)]] * (n + 1)
+    doc = {"schema": "lefkit/1", "k": 3, "n": n, "blocks": blocks}
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps(doc))
+    want = lefschetz.check_exceptional(collection_from_json(doc))
+    assert len(want) > 20
+    monkeypatch.setattr(lefschetz, "ext_graded", lambda *a: graded.append(a) or ext_graded(*a))
+    rc, out, _ = run(capsys, "verify", "--collection", str(path), "--format", "json")
+    assert (rc, len(graded)) == (1, sum(v.kind == "ext" for v in want[:20]))
+    assert json.loads(out)["exceptional_violations"] == [
+        {"kind": v.kind, "witness": [format_multidegree(w) for w in v.witness],
+         "detail": list(v.detail)}
+        for v in want[:20]
+    ]
+    rc, out, _ = run(capsys, "verify", "--collection", str(path))
+    first = want[0]
+    assert rc == 1
+    assert (f"exceptional: {len(want)} violations\n  first: {first.kind} "
+            f"{format_multidegree(first.witness[0])} -> {format_multidegree(first.witness[1])}\n"
+            in out)
 
 
 def test_oversized_partition_lists_refused_before_building(capsys, monkeypatch):

@@ -1,5 +1,6 @@
+import dataclasses
 import itertools
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from lefkit import lattice
 from lefkit.lattice import (
     MAX_ORBIT_BUNDLES,
     Box,
+    Orbit,
     canonical_rep,
     format_multidegree,
     orbit_of,
@@ -62,6 +64,7 @@ def test_orbit_of_known_values():
     assert o.elements == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert o.stabilizer_shape == (2, 1)
     assert o.size == 3
+    assert o.elements is o.elements  # enumerated once, then cached
 
     o = orbit_of((1, -1, 0))
     assert o.rep == (1, 0, -1)
@@ -101,16 +104,26 @@ def test_oversized_orbits_refused_before_generation(monkeypatch):
     monkeypatch.setattr(lattice, "_multiset_permutations", boom)
     big = tuple(range(30))  # an orbit of 30! elements
     with pytest.raises(ValueError, match="limit"):
-        orbit_of(big)
+        orbit_of(big).elements
     with pytest.raises(ValueError, match="limit"):
-        orbit_set(30, [big])
+        orbit_set(30, [big]).bundles()
     # every orbit of {0,1}^24 is below the limit, all 2^24 points together
-    # are above it: refused before any orbit is built
+    # are above it: refused before any orbit's elements are enumerated
     cube = [(1,) * m + (0,) * (24 - m) for m in range(25)]
     sizes = [factorial(24) // (factorial(m) * factorial(24 - m)) for m in range(25)]
     assert max(sizes) < MAX_ORBIT_BUNDLES < sum(sizes)
     with pytest.raises(ValueError, match="16777216 bundles"):
-        orbit_set(24, cube)
+        orbit_set(24, cube).bundles()
+
+
+def test_orbits_are_held_by_rep(monkeypatch):
+    assert [f.name for f in dataclasses.fields(Orbit)] == ["rep"]
+    monkeypatch.setattr(lattice, "_multiset_permutations", lambda values: pytest.fail("built"))
+    s = orbit_set(30, [(1,) * 15 + (0,) * 15, (2,) + (0,) * 29])
+    assert [o.size for o in s.orbits] == [comb(30, 15), 30]
+    assert s.orbits[0].stabilizer_shape == (15, 15)
+    assert s.bundle_count == comb(30, 15) + 30
+    assert (0,) * 29 + (2,) in s
 
 
 def test_orbit_set_rejects_bad_arity():

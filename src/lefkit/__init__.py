@@ -47,10 +47,15 @@ from .saturation import (
     INCONCLUSIVE,
     NOT_FULL_BY_RANK,
     ClosureState,
+    OrbitClosureState,
+    OrbitRule,
     RuleApplication,
     Verdict,
     close,
     close_cube,
+    close_orbits,
+    expand_orbit_trace,
+    replay_orbit_trace,
     replay_trace,
     residual_check,
     verify_fullness,

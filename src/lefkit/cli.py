@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .ext import ext_graded, is_orthogonal_pair
 from .lattice import format_multidegree, orbit_set, parse_multidegree
 from .lefschetz import (
@@ -96,13 +98,29 @@ def _ranks_text(coll) -> str:
     return "(" + ", ".join(str(r) for r in ranks(coll)) + ")"
 
 
-def _trace_doc(app):
-    return {
-        "axis": app.axis,
-        "line": app.line,
-        "window_start": app.window_start,
-        "added": [format_multidegree(p) for p in app.added],
-    }
+def _multidegree_texts(points) -> list[str]:
+    """format_multidegree of each row of a nonempty integer array, all rows in one go."""
+    lo = int(points.min())
+    names = [str(v) for v in range(lo, int(points.max()) + 1)]
+    width = max(map(len, names))
+    # every coordinate as `width` bytes padded with spaces, then a comma
+    table = np.frombuffer("".join(s.rjust(width) + "," for s in names).encode(), np.uint8)
+    cells = table.reshape(len(names), width + 1)[points - lo].reshape(len(points), -1)
+    cells[:, -1] = ord(")")
+    text = cells.tobytes().decode().replace(" ", "")
+    return ("(" + text.replace(")", ")\n(")[:-2]).split("\n")
+
+
+def _trace_docs(state):
+    """The closure trace as one JSON-ready dict per rule application, in engine order.
+
+    Read from the state's pass arrays, with no RuleApplication built.
+    """
+    for axis, lines, starts, points, ends in state.pass_rows():
+        added, begin = _multidegree_texts(points), 0
+        for line, start, end in zip(lines, starts, ends):
+            yield {"axis": axis, "line": line, "window_start": start, "added": added[begin:end]}
+            begin = end
 
 
 def cmd_ext(args) -> int:
@@ -293,7 +311,7 @@ def cmd_closure(args) -> int:
     status = FULL if not missing else INCONCLUSIVE
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write("".join(json.dumps(_trace_doc(app)) + "\n" for app in state.trace))
+            fh.writelines(json.dumps(doc) + "\n" for doc in _trace_docs(state))
 
     def doc():
         out = {
@@ -304,7 +322,7 @@ def cmd_closure(args) -> int:
             "status": status,
             "members": state.member_count,
             "box_size": state.box.size,
-            "trace": [_trace_doc(app) for app in state.trace],
+            "trace": list(_trace_docs(state)),
         }
         if missing:
             out["missing_sample"] = [format_multidegree(p) for p in missing]

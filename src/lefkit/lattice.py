@@ -61,7 +61,7 @@ def parse_multidegree(text: str, k: int | None = None) -> Multidegree:
         # on ASCII text without underscores, int() reads exactly a sign and digits
         if not body.isascii() or "_" in body:
             raise ValueError
-        coords = tuple(int(part) for part in body.split(","))
+        coords = tuple(map(int, body.split(",")))
     except ValueError:
         raise ValueError(f"non-integer coordinate in {text!r}") from None
     if k is not None and len(coords) != k:

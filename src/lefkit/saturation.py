@@ -13,16 +13,36 @@ they gained); the member set and the trace of rule applications are built
 from the grid and those records only when asked for.  Every rule
 application can be replayed by an independent pure-set routine, which is
 how FULL verdicts stay auditable.
+
+The rule commutes with permuting coordinates, so the closure of an
+S_k-stable seed is S_k-stable and is decided on weakly decreasing reps
+alone: close_orbits floods orbit lines, the points sort(M + (z,)) of a
+weakly decreasing (k-1)-tuple M.  Fullness verdicts use it from k = 4 on,
+where it visits C(W+k-2, k-1) lines of W points instead of the grid's W^k
+cells; replay_orbit_trace checks its rules, and expand_orbit_trace turns
+them into the RuleApplications replay_trace reads.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
 from dataclasses import dataclass, field, replace
+from math import comb
 
 import numpy as np
 
-from .lattice import Box, Multidegree, OrbitSet, format_multidegree
+from .lattice import (
+    Box,
+    Multidegree,
+    Orbit,
+    OrbitSet,
+    _refuse_above_limit,
+    canonical_rep,
+    format_multidegree,
+    twist,
+)
 from .lefschetz import LefschetzCollection, Violation, ext_violations, flatten_bundles, ranks
 
 FULL = "FULL"
@@ -32,6 +52,10 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # Largest working box, in cells (one byte each in the grid, a few times that
 # in the sweep temporaries).  (P^1)^10 at margin 2 needs 6^10 ~ 6.0e7.
 MAX_BOX_CELLS = 2 ** 29
+
+# Most orbit lines in a close_orbits box, C(W+k-2, k-1) for box width W; the
+# reps it may hold are about W/k times as many.  xk1(13) at margin 2 has 6,188.
+MAX_ORBIT_LINES = 2 ** 20
 
 # Unreached cube points reported with an INCONCLUSIVE closure.
 MISSING_SAMPLE = 20
@@ -97,24 +121,34 @@ class ClosureState:
     def members(self) -> frozenset:
         return frozenset(map(tuple, (np.argwhere(self.grid) + self.box.lo).tolist()))
 
-    @functools.cached_property
-    def trace(self) -> tuple[RuleApplication, ...]:
+    def pass_rows(self):
+        """Each recorded pass, in engine order.
+
+        Yields (axis, lines, starts, points, ends): the flooded lines (the k-1
+        other coordinates each) and their window starts as lists, the points
+        gained as one integer array of k columns, line by line, and the list
+        of where each line's points end in it.
+        """
         lo = self.box.lo
-        out = []
         for p in self.passes:
             shape = self.grid.shape[: p.axis] + (1,) + self.grid.shape[p.axis + 1 :]
             coords = np.stack(np.unravel_index(p.lines, shape), axis=1) + lo
             rows, zs = np.nonzero(p.added)
             points = coords[rows]
             points[:, p.axis] = zs + lo
-            points = list(map(tuple, points.tolist()))
             ends = np.cumsum(np.count_nonzero(p.added, axis=1)).tolist()
             lines = np.delete(coords, p.axis, axis=1).tolist()
-            begin = 0
-            for line, start, end in zip(lines, (p.starts + lo).tolist(), ends):
+            yield p.axis, lines, (p.starts + lo).tolist(), points, ends
+
+    @functools.cached_property
+    def trace(self) -> tuple[RuleApplication, ...]:
+        out = []
+        for axis, lines, starts, points, ends in self.pass_rows():
+            points, begin = list(map(tuple, points.tolist())), 0
+            for line, start, end in zip(lines, starts, ends):
                 out.append(
                     RuleApplication(
-                        axis=p.axis,
+                        axis=axis,
                         line=tuple(line),
                         window_start=start,
                         added=tuple(points[begin:end]),
@@ -135,16 +169,51 @@ class ClosureState:
 
 
 @dataclass(frozen=True)
+class OrbitRule:
+    """One orbit-line flood: the line, the witnessing window, the reps added.
+
+    line is the weakly decreasing k-1 other coordinates; the reps
+    sort(line + (z,)) for z in [window_start, window_start + n] were all
+    members before this rule, and added lists the reps it gained, by
+    ascending z.
+    """
+
+    line: Multidegree
+    window_start: int
+    added: tuple[Multidegree, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class OrbitClosureState:
+    """The closure of an S_k-stable seed over `box`, held by weakly decreasing reps.
+
+    seed and members are frozensets of reps; trace holds the OrbitRules in
+    engine order.
+    """
+
+    box: Box
+    n: int
+    seed: frozenset
+    members: frozenset = field(repr=False)
+    trace: tuple[OrbitRule, ...] = field(repr=False)
+
+    @property
+    def trace_length(self) -> int:
+        return len(self.trace)
+
+
+@dataclass(frozen=True)
 class Verdict:
     """Outcome of a fullness check; certificate data depends on status.
 
-    FULL carries the closure state whose trace replays to cover [0, n]^k.
+    FULL carries the closure state (a ClosureState, or an OrbitClosureState
+    from k = 4 on) whose trace replays to cover [0, n]^k.
     NOT_FULL_BY_RANK carries the offending counts.  INCONCLUSIVE carries a
     sample of unreached points (enlarging the box may still succeed).
     """
 
     status: str
-    state: ClosureState | None
+    state: ClosureState | OrbitClosureState | None
     detail: dict = field(default_factory=dict)
 
 
@@ -331,36 +400,200 @@ def replay_trace(seed, n: int, box: Box, trace) -> frozenset:
     return frozenset(members)
 
 
-def _generation_verdict(bundles, n: int, k: int, margin: int | None) -> Verdict:
-    """Decide whether `bundles` generate: the distinct-bundle count, then the closure.
+def _lines_through(p) -> list[Multidegree]:
+    """The orbit lines holding a weakly decreasing point: p less one copy of each value."""
+    return [p[:i] + p[i + 1 :] for i in range(len(p)) if i == 0 or p[i] != p[i - 1]]
 
+
+def _line_points(line, lo: int, hi: int) -> list[Multidegree]:
+    """The reps sort(line + (z,)) for z = lo..hi, of a weakly decreasing line."""
+    points, i = [], len(line)
+    for z in range(lo, hi + 1):
+        while i and line[i - 1] < z:
+            i -= 1
+        points.append(line[:i] + (z,) + line[i:])
+    return points
+
+
+def _cube_reps(n: int, k: int):
+    """The weakly decreasing points of [0, n]^k."""
+    return itertools.combinations_with_replacement(range(n, -1, -1), k)
+
+
+def _lex_points(reps, limit: int) -> list[Multidegree]:
+    """The `limit` lex-smallest points whose coordinate multiset is one of `reps`.
+
+    A depth-first walk over prefixes, smallest coordinate first, that keeps
+    the reps (what is left of each) still containing the prefix; no orbit
+    is expanded.
+    """
+    out, stack = [], [((), list(reps))]
+    while stack and len(out) < limit:
+        prefix, pool = stack.pop()
+        if not pool[0]:
+            out.append(prefix)
+            continue
+        for v in sorted({c for r in pool for c in r}, reverse=True):
+            rest = [r[: r.index(v)] + r[r.index(v) + 1 :] for r in pool if v in r]
+            stack.append((prefix + (v,), rest))
+    return out
+
+
+def close_orbits(seed, n: int, k: int, margin: int | None = None):
+    """close_cube for an S_k-stable seed, given by any points of its orbits.
+
+    Members are the weakly decreasing reps in [-margin, n+margin]^k; seeds
+    outside are dropped.  A pass visits the orbit lines in ascending lex
+    order and floods each line holding n+1 consecutive member points at
+    once; lines that gained no member since their last visit are skipped,
+    as they would flood nothing.  The closure stops when all C(n+k, k) reps
+    of [0, n]^k are members or after a pass that adds nothing.  The line
+    count is refused above MAX_ORBIT_LINES before any line is built.
+    Returns the state and the first MISSING_SAMPLE unreached points of the
+    cube, ascending lex, as close_cube does.
+    """
+    margin = _margin(n, margin)
+    box = Box(lo=-margin, hi=n + margin, k=k)
+    lines = comb(box.width + k - 2, k - 1)
+    if lines > MAX_ORBIT_LINES:
+        raise ValueError(
+            f"box [{box.lo}, {box.hi}]^{k} has {lines} orbit lines, more than the "
+            f"limit of {MAX_ORBIT_LINES}; use a smaller margin"
+        )
+    seed = frozenset(canonical_rep(p) for p in seed if p in box)
+    members, trace, h = set(seed), [], n + 1
+
+    def in_cube(p):
+        return p[0] <= n and p[-1] >= 0
+
+    # lines that a flood reaches join this pass if they are ahead of it,
+    # the next one otherwise
+    covered, goal = sum(map(in_cube, members)), comb(n + k, k)
+    todo = {line for p in members for line in _lines_through(p)}
+    while todo and covered < goal:
+        heap, later = sorted(todo), set()
+        queued = set(heap)
+        while heap and covered < goal:
+            line = heapq.heappop(heap)
+            points = _line_points(line, box.lo, box.hi)
+            present = [p in members for p in points]
+            run = 0
+            for z, here in enumerate(present):
+                run = run + 1 if here else 0
+                if run == h:
+                    break
+            if run < h or all(present):
+                continue
+            added = tuple(p for p, here in zip(points, present) if not here)
+            members.update(added)
+            trace.append(OrbitRule(line=line, window_start=box.lo + z - n, added=added))
+            covered += sum(map(in_cube, added))
+            for other in {o for p in added for o in _lines_through(p)}:
+                if other < line:
+                    later.add(other)
+                elif other > line and other not in queued:
+                    queued.add(other)
+                    heapq.heappush(heap, other)
+        todo = later
+    state = OrbitClosureState(
+        box=box, n=n, seed=seed, members=frozenset(members), trace=tuple(trace)
+    )
+    missing = [r for r in _cube_reps(n, k) if r not in members]
+    return state, tuple(_lex_points(missing, MISSING_SAMPLE) if missing else ())
+
+
+def replay_orbit_trace(seed, n: int, box: Box, trace) -> frozenset:
+    """Re-run an orbit trace on plain sets of sorted reps, verifying each precondition.
+
+    Raises ValueError if the rep of a window point was not a member when its
+    rule fired, or if an added rep leaves the box or is off the rule's line.
+    Returns the final set of reps.
+    """
+    members = {canonical_rep(p) for p in seed}
+    for rule in trace:
+        line = canonical_rep(rule.line)
+        for z in range(rule.window_start, rule.window_start + n + 1):
+            if canonical_rep(line + (z,)) not in members:
+                raise ValueError(
+                    f"window point {format_multidegree(canonical_rep(line + (z,)))} missing "
+                    f"before rule on line {rule.line}"
+                )
+        for p in map(canonical_rep, rule.added):
+            if p not in box:
+                raise ValueError(f"added point {format_multidegree(p)} outside box")
+            if all(p[:i] + p[i + 1 :] != line for i in range(len(p))):
+                raise ValueError(f"added point {format_multidegree(p)} not on line {rule.line}")
+            members.add(p)
+    return frozenset(members)
+
+
+def expand_orbit_trace(trace) -> tuple[RuleApplication, ...]:
+    """The RuleApplications of an orbit trace, for replay_trace.
+
+    Each rule becomes one application per permutation of its line (ascending
+    lex) and per axis, in that order; each adds every point of its line
+    whose rep the rule added.
+    """
+    out = []
+    for rule in trace:
+        # the free coordinate of an added rep is what it holds beyond the line
+        zs = [sum(p) - sum(rule.line) for p in rule.added]
+        for line in Orbit(rule.line).elements:
+            for axis in range(len(line) + 1):
+                added = tuple(_insert_coord(line, axis, z) for z in zs)
+                out.append(RuleApplication(axis, line, rule.window_start, added))
+    return tuple(out)
+
+
+def _generation_verdict(reps, n: int, k: int, margin: int | None) -> Verdict:
+    """Decide whether the orbits of `reps` generate: the bundle counts, then the closure.
+
+    reps holds one weakly decreasing rep per orbit, repeats allowed.
     Generating with exactly (n+1)^k bundles needs that many distinct ones;
-    any other count is NOT_FULL_BY_RANK before any closure runs.  With the
-    count right, the bundles seed a closure over [-margin, n+margin]^k
-    (close_cube's margin rule); covering the cube [0, n]^k certifies FULL
-    (the cube generates everything), otherwise the verdict is INCONCLUSIVE
-    for this margin.  A negative margin is refused even when the count decides.
+    any other count, taken from the orbit sizes, is NOT_FULL_BY_RANK before
+    any closure runs.  With the count right, the orbits seed a closure over
+    [-margin, n+margin]^k (close_cube's margin rule): close_orbits from
+    k = 4 on, where it is the faster, and the grid below that.  Covering the
+    cube [0, n]^k certifies FULL (the cube generates everything), and an
+    orbit certificate is replayed by replay_orbit_trace first; otherwise the
+    verdict is INCONCLUSIVE for this margin.  A negative margin is refused
+    even when the count decides.
     """
     _margin(n, margin)
     expected = (n + 1) ** k
-    distinct = len(set(bundles))
-    if len(bundles) != expected or distinct != expected:
-        detail = {"bundles": distinct, "expected": expected}
+    size = {r: Orbit(r).size for r in reps}
+    count = sum(size.values())
+    if count != expected or sum(map(size.get, reps)) != expected:
+        detail = {"bundles": count, "expected": expected}
         return Verdict(status=NOT_FULL_BY_RANK, state=None, detail=detail)
-    state, missing = close_cube(bundles, n, k, margin, drop_outside=True)
+    if k >= 4:
+        state, missing = close_orbits(size, n, k, margin)
+        if not missing:
+            replayed = replay_orbit_trace(state.seed, n, state.box, state.trace)
+            if not replayed.issuperset(_cube_reps(n, k)):
+                raise ValueError("orbit closure certificate does not replay to the cube")
+    else:
+        _refuse_above_limit(expected)
+        seed = {p for r in size for p in itertools.permutations(r)}
+        state, missing = close_cube(seed, n, k, margin, drop_outside=True)
     if not missing:
         return Verdict(status=FULL, state=state, detail={"margin": -state.box.lo})
     detail = {"margin": -state.box.lo, "missing_sample": missing}
     return Verdict(status=INCONCLUSIVE, state=state, detail=detail)
 
 
+def _twisted_reps(coll: LefschetzCollection) -> list[Multidegree]:
+    """The rep of every orbit of the collection, block i twisted by i."""
+    return [twist(o.rep, i) for i, block in enumerate(coll.blocks) for o in block.orbits]
+
+
 def verify_fullness(coll: LefschetzCollection, margin: int | None = None) -> Verdict:
     """Decide fullness of an exceptional collection by rank count plus closure.
 
-    The twisted bundles go through _generation_verdict; a NOT_FULL_BY_RANK
+    The twisted orbits go through _generation_verdict; a NOT_FULL_BY_RANK
     verdict also carries the collection's ranks.
     """
-    verdict = _generation_verdict(flatten_bundles(coll), coll.n, coll.k, margin)
+    verdict = _generation_verdict(_twisted_reps(coll), coll.n, coll.k, margin)
     if verdict.status != NOT_FULL_BY_RANK:
         return verdict
     return replace(verdict, detail={**verdict.detail, "ranks": ranks(coll)})
@@ -380,6 +613,6 @@ def residual_check(
     n, k = rect_part.n, rect_part.k
     if residual.k != k:
         raise ValueError(f"arity mismatch: expected k={k}, got a residual of k={residual.k}")
-    flat, res_bundles = flatten_bundles(rect_part), residual.bundles()
-    violations = list(ext_violations(n, flat, res_bundles))
-    return violations, _generation_verdict(flat + res_bundles, n, k, margin)
+    violations = list(ext_violations(n, flatten_bundles(rect_part), residual.bundles()))
+    reps = _twisted_reps(rect_part) + list(residual.reps())
+    return violations, _generation_verdict(reps, n, k, margin)

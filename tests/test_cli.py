@@ -10,10 +10,11 @@ import sys
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lefkit
-from lefkit import explorer, lattice, lefschetz, reptheory
+from lefkit import cli, explorer, lattice, lefschetz, reptheory, saturation
 from lefkit.cli import main
 from lefkit.ext import ext_graded
 from lefkit.lattice import format_multidegree
@@ -268,6 +269,29 @@ def test_closure_from_dumped_collection(capsys, tmp_path):
     assert lines
     first = json.loads(lines[0])
     assert set(first) == {"axis", "line", "window_start", "added"}
+
+
+def test_trace_docs_match_the_rule_applications():
+    # wide margins give negative and two-digit coordinates
+    for seed, n, margin in (
+        (lefschetz.flatten_bundles(x32_minimal()), 2, 11),
+        ([(-3, 0), (-2, 0), (-3, 1), (-2, 1)], 1, 12),
+        ([(0,), (1,), (2,)], 2, 120),
+    ):
+        state, _ = saturation.close_cube(seed, n, len(seed[0]), margin)
+        assert list(cli._trace_docs(state)) == [
+            {"axis": app.axis, "line": list(app.line), "window_start": app.window_start,
+             "added": [format_multidegree(p) for p in app.added]}
+            for app in state.trace
+        ]
+
+
+def test_multidegree_texts_match_format_multidegree():
+    rng = np.random.default_rng(5)
+    for lo, hi, k in ((0, 1, 1), (-3, 4, 3), (-120, 7, 5), (95, 1003, 2)):
+        points = rng.integers(lo, hi + 1, size=(50, k))
+        want = [format_multidegree(p) for p in points.tolist()]
+        assert cli._multidegree_texts(points) == want
 
 
 def test_closure_inconclusive_exits_3(capsys, tmp_path):

@@ -1,16 +1,18 @@
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from lefkit import saturation
-from lefkit.lattice import Box, orbit_set
+from lefkit import lattice, saturation
+from lefkit.lattice import Box, canonical_rep, orbit_of, orbit_set
 from lefkit.lefschetz import (
     LefschetzCollection,
     flatten_bundles,
+    staircase_rectangular,
     x32_minimal,
     x32_rectangular_part,
     x32_residual,
@@ -20,11 +22,17 @@ from lefkit.saturation import (
     FULL,
     INCONCLUSIVE,
     MAX_BOX_CELLS,
+    MAX_ORBIT_LINES,
     MISSING_SAMPLE,
     NOT_FULL_BY_RANK,
+    OrbitClosureState,
+    OrbitRule,
     RuleApplication,
     close,
     close_cube,
+    close_orbits,
+    expand_orbit_trace,
+    replay_orbit_trace,
     replay_trace,
     residual_check,
     verify_fullness,
@@ -238,10 +246,40 @@ def test_oversized_box_refused_before_allocation(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("np.zeros called for an oversized box")
 
+    seed = flatten_bundles(xk1(14))
     monkeypatch.setattr(np, "zeros", no_allocation)
     assert 6 ** 14 > MAX_BOX_CELLS > 6 ** 10
     with pytest.raises(ValueError, match="cells"):
-        verify_fullness(xk1(14), margin=2)
+        close_cube(seed, 1, 14, margin=2)
+
+
+def test_orbit_closure_certifies_beyond_the_grid():
+    # the same box holds C(6+12, 13) = 8,568 orbit lines
+    verdict = verify_fullness(xk1(14), margin=2)
+    assert verdict.status == FULL and verdict.detail == {"margin": 2}
+    assert isinstance(verdict.state, OrbitClosureState)
+
+
+def test_orbit_line_limit_refused_before_any_line(monkeypatch):
+    def no_lines(*args):
+        raise AssertionError("an orbit line built for an oversized box")
+
+    monkeypatch.setattr(saturation, "_lines_through", no_lines)
+    monkeypatch.setattr(saturation, "_line_points", no_lines)
+    # (P^1)^20 at margin 4: C(10+18, 19) lines
+    assert comb(28, 19) > MAX_ORBIT_LINES > comb(26, 19)
+    with pytest.raises(ValueError, match=f"has {comb(28, 19)} orbit lines"):
+        verify_fullness(xk1(20), margin=4)
+
+
+def test_orbit_path_enumerates_no_element(monkeypatch):
+    def no_elements(self):
+        raise AssertionError("orbit elements enumerated")
+
+    monkeypatch.setattr(lattice.Orbit, "elements", property(no_elements))
+    verdict = verify_fullness(xk1(20))
+    assert verdict.status == FULL
+    assert replay_orbit_trace(verdict.state.seed, 1, verdict.state.box, verdict.state.trace)
 
 
 def test_box_monotone_success():
@@ -484,3 +522,119 @@ def test_residual_generation_violation_records_its_case():
     _, verdict = residual_check(small, res)
     assert verdict.status == NOT_FULL_BY_RANK
     assert (verdict.detail["bundles"], verdict.detail["expected"]) == (20, 27)
+
+
+def grid_generation(coll, margin):
+    """Status and missing sample of the grid closure of the flattened collection."""
+    _, missing = close_cube(flatten_bundles(coll), coll.n, coll.k, margin, drop_outside=True)
+    return (INCONCLUSIVE if missing else FULL), missing
+
+
+ORBIT_CASES = [(xk1(k), m) for k in range(4, 11) for m in range(3)] + [
+    (staircase_rectangular(k, n), m)
+    for k in range(4, 7)
+    for n in range(1, 4)
+    for m in range(n + 2)
+]
+
+
+@pytest.mark.parametrize(
+    "coll, margin", ORBIT_CASES, ids=[f"{c.k}-{c.n}-m{m}" for c, m in ORBIT_CASES]
+)
+def test_orbit_verdicts_agree_with_the_grid_on_collections(coll, margin):
+    verdict = verify_fullness(coll, margin=margin)
+    if verdict.status != NOT_FULL_BY_RANK:
+        assert isinstance(verdict.state, OrbitClosureState)
+        missing = verdict.detail.get("missing_sample", ())
+        assert (verdict.status, missing) == grid_generation(coll, margin)
+
+
+def orbit_elements(reps):
+    return {p for r in reps for p in orbit_of(r).elements}
+
+
+@st.composite
+def symmetric_seeds(draw):
+    """Orbits of a random share of the reps of the box, a quarter to nearly all of them."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3))
+    margin = draw(st.integers(0, 2 if k < 5 else 1))
+    box = range(n + margin, -margin - 1, -1)
+    reps = list(itertools.combinations_with_replacement(box, k))
+    share, rng = draw(st.floats(0.25, 0.95)), draw(st.randoms(use_true_random=False))
+    chosen = [r for r in reps if rng.random() < share]
+    return sorted(orbit_elements(chosen)), n, k, margin
+
+
+def every_line_close(seed, n, k, margin):
+    """close_orbits as specified: each pass visits every orbit line, ascending lex.
+
+    Returns the trace as (line, window_start, added) tuples.
+    """
+    lo, hi = -margin, n + margin
+    members = {canonical_rep(p) for p in seed if all(lo <= c <= hi for c in p)}
+    lines = sorted(itertools.combinations_with_replacement(range(hi, lo - 1, -1), k - 1))
+    cube = set(itertools.combinations_with_replacement(range(n, -1, -1), k))
+    trace, gained = [], True
+    while gained and not cube <= members:
+        gained = False
+        for line in lines:
+            points = [canonical_rep(line + (z,)) for z in range(lo, hi + 1)]
+            present = [p in members for p in points]
+            starts = [s for s in range(len(points) - n) if all(present[s : s + n + 1])]
+            if starts and not all(present):
+                added = tuple(p for p, here in zip(points, present) if not here)
+                members.update(added)
+                trace.append((line, lo + starts[0], added))
+                gained = True
+                if cube <= members:
+                    break
+    return trace
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric_seeds())
+def test_orbit_closure_agrees_with_the_grid(case):
+    seed, n, k, margin = case
+    state, missing = close_orbits(seed, n, k, margin)
+    # skipping the lines that gained nothing since their last visit changes no rule
+    assert [(r.line, r.window_start, r.added) for r in state.trace] == every_line_close(
+        seed, n, k, margin
+    )
+    grid_state, grid_missing = close_cube(seed, n, k, margin)
+    assert missing == grid_missing
+    if missing:  # both at their fixed point
+        assert state.members == {canonical_rep(p) for p in grid_state.members}
+    # the expanded trace replays on the elements to the orbits of the members
+    replayed = replay_trace(seed, n, state.box, expand_orbit_trace(state.trace))
+    assert replayed == orbit_elements(state.members)
+    assert replay_orbit_trace(seed, n, state.box, state.trace) == state.members
+
+
+@pytest.mark.parametrize("coll", [xk1(4), xk1(5), staircase_rectangular(4, 2)], ids=str)
+def test_expanded_orbit_trace_replays_to_the_cube(coll):
+    verdict = verify_fullness(coll)
+    state, seed = verdict.state, flatten_bundles(coll)
+    trace = expand_orbit_trace(state.trace)
+    assert len(trace) == sum(coll.k * orbit_of(r.line).size for r in state.trace)
+    members = replay_trace(seed, coll.n, state.box, trace)
+    assert set(Box(lo=0, hi=coll.n, k=coll.k).points()) <= members
+
+
+def test_orbit_replay_rejects_corrupt_traces():
+    state = verify_fullness(xk1(6)).state
+    first = state.trace[0]
+    replay_orbit_trace(state.seed, 1, state.box, state.trace)
+    window = canonical_rep(first.line + (first.window_start,))
+    with pytest.raises(ValueError, match="missing before rule"):
+        replay_orbit_trace(state.seed - {window}, 1, state.box, state.trace)
+    off_line = (state.box.hi,) * 6  # in the box, but holds no copy of the line
+    assert state.box.hi not in first.line
+    bad = OrbitRule(first.line, first.window_start, first.added + (off_line,))
+    with pytest.raises(ValueError, match="not on line"):
+        replay_orbit_trace(state.seed, 1, state.box, (bad,) + state.trace[1:])
+
+
+def test_orbit_closure_refuses_a_negative_margin():
+    with pytest.raises(ValueError, match="nonnegative"):
+        close_orbits([(0, 0, 0, 0)], 1, 4, -1)

@@ -135,18 +135,29 @@ def orthogonal_mask(n: int, A, B) -> np.ndarray:
     return out
 
 
-def nonorthogonal_below(n: int, points):
-    """Pairs p < q with Ext*(O(points[q]), O(points[p])) != 0, a block of rows at a time.
+def nonorthogonal_below(n: int, points, targets=None, before=None):
+    """Pairs p < before[q] with Ext*(O(points[q]), O(targets[p])) != 0, a block of rows at a time.
 
-    Yields (q, p) index arrays, row-major within the block and blocks in
-    ascending q, so concatenating them lists the pairs in (q, p) lex order.
-    Only the strict lower triangle is evaluated.  Equal points count as
-    non-orthogonal (their Ext^0 is one-dimensional).
+    targets defaults to points and before[q] to q: the strict lower triangle
+    of points against themselves.  A block of rows evaluates only the targets
+    below its largest bound.  Yields (q, p) index arrays for each block that
+    has a pair, row-major within the block and blocks in ascending q, so
+    concatenating them lists the pairs in (q, p) lex order.  Equal points
+    count as non-orthogonal (their Ext^0 is one-dimensional).
     """
     _check_n(n)
     pts = _points(points)
-    for start in range(1, len(pts), _CHUNK_ROWS):
+    tgt = pts if targets is None else _points(targets)
+    bound = np.arange(len(pts)) if before is None else np.asarray(before, dtype=np.int64)
+    if len(pts) and len(tgt) and pts.shape[1:] != tgt.shape[1:]:
+        raise ValueError(f"arity mismatch: {pts.shape[1:]} vs {tgt.shape[1:]}")
+    for start in range(0, len(pts), _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, len(pts))
-        bad = ~_mask_block(n, pts[start:stop], pts[:stop])
-        q, p = np.nonzero(np.tril(bad, k=start - 1))
-        yield q + start, p
+        rows = bound[start:stop, None]
+        width = min(int(rows.max()), len(tgt))
+        if width <= 0:
+            continue
+        bad = ~_mask_block(n, pts[start:stop], tgt[:width]) & (np.arange(width) < rows)
+        if bad.any():
+            q, p = np.nonzero(bad)
+            yield q + start, p

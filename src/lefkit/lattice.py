@@ -12,6 +12,7 @@ occur silently.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -78,11 +79,16 @@ def format_multidegree(a) -> str:
 class Orbit:
     """A single S_k-orbit of multidegrees, held by its weakly decreasing (lex-largest) rep.
 
-    elements are all distinct coordinate permutations in ascending lex order,
-    enumerated on first use and refused above MAX_ORBIT_BUNDLES.
+    Any other rep is refused.  elements are all distinct coordinate
+    permutations in ascending lex order, enumerated on first use and refused
+    above MAX_ORBIT_BUNDLES.
     """
 
     rep: Multidegree
+
+    def __post_init__(self):
+        if any(map(operator.lt, self.rep, self.rep[1:])):
+            raise ValueError(f"orbit rep {self.rep} is not weakly decreasing")
 
     @property
     def stabilizer_shape(self) -> tuple[int, ...]:
@@ -141,13 +147,22 @@ class OrbitSet:
 
     Orbits are pairwise disjoint and kept in ascending lex order of their
     canonical representatives, which makes equality, hashing and the
-    serialised form deterministic.
+    serialised form deterministic; orbits in any other order are refused.
     """
 
     k: int
     orbits: tuple[Orbit, ...]
 
+    def __post_init__(self):
+        reps = self.reps()
+        if not all(map(operator.lt, reps, reps[1:])):
+            raise ValueError("orbits must be distinct and in ascending order of their reps")
+
     def reps(self) -> tuple[Multidegree, ...]:
+        return self._reps
+
+    @cached_property
+    def _reps(self) -> tuple[Multidegree, ...]:
         return tuple(o.rep for o in self.orbits)
 
     def bundles(self) -> tuple[Multidegree, ...]:

@@ -9,6 +9,7 @@ certificates.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -174,8 +175,37 @@ def exceptional_violations(coll: LefschetzCollection, shown: int | None = None):
 
 
 def is_exceptional(coll: LefschetzCollection) -> bool:
-    """check_exceptional(coll) == [], stopping at the first block of rows with a violation."""
-    return not any(len(qs) for qs, _ in nonorthogonal_below(coll.n, flatten_bundles(coll)))
+    """check_exceptional(coll) == [], stopping at the first block of rows with a violation.
+
+    A nested collection (check_lefschetz(coll) is None) is decided on reps
+    against the first block B_0, and is never flattened.  Orthogonality is
+    unchanged when both sides are permuted at once, so a rep stands for its
+    orbit against any S_k-stable set, and the flattened pairs reduce to three
+    checks:
+    1. inside one orbit of B_0: the rep spans at most n (max - min).  Then
+       the first coordinate where a later element exceeds an earlier one
+       differs by at most n; a larger span fails on the pair that swaps the
+       largest and smallest coordinates.
+    2. across orbits of B_0: each rep against every bundle of the orbits
+       before it.  Pairs inside a later block B_t are pairs of B_0 in the
+       same order, since B_t is a subset of B_0 and both list their orbits
+       in ascending rep order.
+    3. across blocks: for t = 1..d, the reps of B_t twisted by t against
+       every bundle of B_0.  Block t against block s < t is a subset of
+       block t-s against block 0, as B_t is in B_{t-s} and B_s in B_0.
+    Other collections are flattened and fully scanned.
+    """
+    n, first = coll.n, coll.blocks[0]
+    if check_lefschetz(coll) is not None:
+        return not any(len(qs) for qs, _ in nonorthogonal_below(n, flatten_bundles(coll)))
+    reps = first.reps()
+    if any(rep[0] - rep[-1] > n for rep in reps):
+        return False
+    twisted = [twist(r, t) for t, block in enumerate(coll.blocks[1:], 1) for r in block.reps()]
+    offsets = list(itertools.accumulate((o.size for o in first.orbits), initial=0))
+    before = offsets[:-1] + offsets[-1:] * len(twisted)
+    scan = nonorthogonal_below(n, [*reps, *twisted], first.bundles(), before)
+    return not any(len(qs) for qs, _ in scan)
 
 
 def ext_violations(n: int, sources, targets):

@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from lefkit import explorer
+from lefkit import explorer, lefschetz
+from lefkit.cli import main
 from lefkit.ext import is_orthogonal_pair
 from lefkit.explorer import SearchResult, SearchSpec, search_minimal, search_rectangular
 from lefkit.lattice import orbit_of, orbit_set
@@ -450,6 +451,28 @@ class CountingItertools:
         for choice in itertools.combinations(pool, r):
             self.drawn += 1
             yield choice
+
+
+def test_search_candidates_are_decided_without_flattening(monkeypatch, capsys):
+    # nested candidates are decided on B_0's reps; flattening the 201 blocks of each
+    # unpruned (P^200)^2 candidate into 40,401 bundles is what once outlasted --budget
+    def refuse(coll):
+        raise AssertionError("a search candidate was flattened")
+
+    monkeypatch.setattr(lefschetz, "flatten_bundles", refuse)
+    argv = ["search", "--k", "2", "--n", "200", "--target", "rectangular", "--no-prune"]
+    assert main([*argv, "--budget", "3"]) == 3
+    assert "nodes: 3, exhausted: no" in capsys.readouterr().out
+    outcomes = []
+
+    def checked(coll):
+        outcomes.append(is_exceptional(coll))
+        return outcomes[-1]
+
+    monkeypatch.setattr(explorer, "is_exceptional", checked)
+    result = search_minimal(SearchSpec(k=3, n=2))
+    assert result.exhausted and len(outcomes) == result.nodes_visited
+    assert any(outcomes) and not all(outcomes)
 
 
 def test_budget_bounds_the_orbit_choices_drawn(monkeypatch):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lefkit import ext
-from lefkit.ext import ext_graded, is_orthogonal_pair, line_cohomology, orthogonal_mask
+from lefkit.ext import (
+    ext_graded,
+    is_orthogonal_pair,
+    line_cohomology,
+    nonorthogonal_below,
+    orthogonal_mask,
+)
 from lefkit.lattice import twist
 
 
@@ -108,6 +114,40 @@ def test_orthogonal_mask_matches_scalar_predicate(n, k, chunk, data):
         mask = orthogonal_mask(n, a, b)
     assert mask.dtype == bool and mask.shape == (len(a), len(b))
     assert mask.tolist() == [[is_orthogonal_pair(n, x, y) for y in b] for x in a]
+
+
+@given(
+    n=st.integers(1, 3),
+    k=st.integers(1, 3),
+    chunk=st.sampled_from([1, 2, ext._CHUNK_ROWS]),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_nonorthogonal_below_matches_scalar_predicate(n, k, chunk, data):
+    point = st.tuples(*[st.integers(-2 * n - 1, 2 * n + 1)] * k)
+    points = data.draw(st.lists(point, max_size=8))
+    targets = data.draw(st.lists(point, max_size=8))
+    # each row's bound anywhere from no target to every target
+    before = [data.draw(st.integers(0, len(targets))) for _ in points]
+
+    def pairs(*args):
+        with mock.patch.object(ext, "_CHUNK_ROWS", chunk):
+            blocks = list(nonorthogonal_below(n, *args))
+        return [(q, p) for qs, ps in blocks for q, p in zip(qs.tolist(), ps.tolist())]
+
+    assert pairs(points, targets, before) == [
+        (q, p)
+        for q, a in enumerate(points)
+        for p in range(before[q])
+        if not is_orthogonal_pair(n, a, targets[p])
+    ]
+    # the defaults are the strict lower triangle of points against themselves
+    assert pairs(points) == [
+        (q, p)
+        for q in range(len(points))
+        for p in range(q)
+        if not is_orthogonal_pair(n, points[q], points[p])
+    ]
 
 
 def test_predicate_matches_ext_vanishing_exhaustive_small():

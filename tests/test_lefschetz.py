@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lefkit import ext, lefschetz
 from lefkit.ext import ext_graded, is_orthogonal_pair
-from lefkit.lattice import canonical_rep, orbit_set, twist
+from lefkit.lattice import Orbit, OrbitSet, canonical_rep, orbit_set, twist
 from lefkit.lefschetz import (
     LefschetzCollection,
     Violation,
@@ -195,6 +195,24 @@ def test_check_exceptional_reports_duplicates():
     assert violations[0].witness == ((1, 1), (1, 1))
 
 
+def test_orbit_sets_out_of_rep_order_are_refused():
+    # is_exceptional reads the pairs inside a later block off B_0, which needs
+    # every block to list its orbits in B_0's order; this third block, listed
+    # ((2,2), (2,1)), puts (4,4) before (3,4) and so breaks exceptionality
+    low, high = Orbit((2, 1)), Orbit((2, 2))
+    with pytest.raises(ValueError, match="ascending order"):
+        OrbitSet(k=2, orbits=(high, low))
+    with pytest.raises(ValueError, match="ascending order"):
+        OrbitSet(k=2, orbits=(low, low))
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        Orbit((1, 2))
+    block = OrbitSet(k=2, orbits=(low, high))
+    assert block == orbit_set(2, [(2, 2), (1, 2)])
+    coll = LefschetzCollection(k=2, n=2, blocks=(block,) * 3)
+    assert is_rectangular(coll)
+    assert check_exceptional(coll) == [] and is_exceptional(coll)
+
+
 def _check_exceptional_reference(coll):
     """The scalar pair loop that check_exceptional replaces."""
     flat = flatten_bundles(coll)
@@ -215,6 +233,22 @@ def _check_exceptional_reference(coll):
     return out
 
 
+@st.composite
+def _nested_blocks(draw, rep):
+    """B_0, then each B_t a sub-list of B_{t-1}, possibly empty.
+
+    B_0 also holds some of its reps twisted by 1, so a later block twisted by
+    t can meet a bundle of B_0 exactly.
+    """
+    base = draw(st.lists(rep, min_size=1, max_size=2))
+    shifted = draw(st.lists(st.sampled_from(base), max_size=2))
+    blocks = [base + [twist(r, 1) for r in shifted]]
+    kept = st.integers(0, 3).map(bool)  # three in four, so long chains stay nonempty
+    for _ in range(draw(st.integers(1, 4))):
+        blocks.append([r for r in blocks[-1] if draw(kept)])
+    return blocks
+
+
 @given(
     k=st.integers(1, 3),
     n=st.integers(1, 3),
@@ -223,11 +257,11 @@ def _check_exceptional_reference(coll):
 )
 @settings(max_examples=150, deadline=None)
 def test_check_exceptional_matches_scalar_reference(k, n, chunk, data):
-    # overlapping blocks give duplicates after twisting; reps past n give ext violations
+    # overlapping blocks give duplicates after twisting; reps past n give ext violations;
+    # nested draws take is_exceptional's reduction to B_0, independent ones mostly do not
     rep = st.tuples(*[st.integers(-1, n + 2)] * k)
-    blocks = data.draw(
-        st.lists(st.lists(rep, min_size=1, max_size=4), min_size=1, max_size=3)
-    )
+    independent = st.lists(st.lists(rep, min_size=1, max_size=4), min_size=1, max_size=3)
+    blocks = data.draw(st.one_of(independent, _nested_blocks(rep)))
     coll = LefschetzCollection(k=k, n=n, blocks=tuple(orbit_set(k, b) for b in blocks))
     want = _check_exceptional_reference(coll)
     shown = data.draw(st.integers(0, 6))

@@ -19,7 +19,7 @@ from .lattice import (
     stabilizer_shape,
     twist,
 )
-from .ext import GradedDims, ext_graded, is_orthogonal_pair, line_cohomology, orthogonal_mask
+from .ext import GradedDims, ext_graded, is_orthogonal_pair, line_cohomology
 from .lefschetz import (
     LefschetzCollection,
     Violation,

@@ -7,8 +7,8 @@ cohomologies of O(b_i - a_i), so its dimension vector is a convolution.
 
 Dimensions are binomial coefficients computed exactly; no floating point
 is involved anywhere.  The vanishing predicate comes twice: a scalar
-is_orthogonal_pair, kept as the reference, and the numpy kernel
-orthogonal_mask that every pairwise check of a collection goes through.
+is_orthogonal_pair, kept as the reference, and the chunked numpy scan
+nonorthogonal_below that every pairwise check of a collection goes through.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _points(xs) -> np.ndarray:
 
 
 def _mask_block(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """orthogonal_mask for one block of rows, one coordinate at a time."""
+    """mask[i, j] iff some coordinate of a[i] - b[j] lies in (0, n], as in is_orthogonal_pair."""
     out = np.zeros((len(a), len(b)), dtype=bool)
     for c in range(a.shape[1]):
         d = a[:, c, None] - b[None, :, c]
@@ -114,43 +114,27 @@ def _mask_block(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def orthogonal_mask(n: int, A, B) -> np.ndarray:
-    """Boolean matrix: mask[i, j] iff Ext*(O(A[i]), O(B[j])) vanishes.
-
-    The same inequality as is_orthogonal_pair (some coordinate of
-    A[i] - B[j] lies in (0, n]), evaluated for all pairs at once in blocks
-    of rows so that memory stays bounded.
-    """
-    _check_n(n)
-    a, b = _points(A), _points(B)
-    if not len(a) or not len(b):
-        return np.zeros((len(a), len(b)), dtype=bool)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("expected two sequences of multidegrees")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"arity mismatch: {a.shape[1]} vs {b.shape[1]}")
-    out = np.empty((len(a), len(b)), dtype=bool)
-    for start in range(0, len(a), _CHUNK_ROWS):
-        out[start : start + _CHUNK_ROWS] = _mask_block(n, a[start : start + _CHUNK_ROWS], b)
-    return out
-
-
 def nonorthogonal_below(n: int, points, targets=None, before=None):
     """Pairs p < before[q] with Ext*(O(points[q]), O(targets[p])) != 0, a block of rows at a time.
 
-    targets defaults to points and before[q] to q: the strict lower triangle
-    of points against themselves.  A block of rows evaluates only the targets
-    below its largest bound.  Yields (q, p) index arrays for each block that
-    has a pair, row-major within the block and blocks in ascending q, so
-    concatenating them lists the pairs in (q, p) lex order.  Equal points
-    count as non-orthogonal (their Ext^0 is one-dimensional).
+    The one pairwise Ext scan: every check of a collection draws from it.
+    targets defaults to points and before[q] to q, the strict lower triangle
+    of points against themselves; before[q] = len(targets) gives the full
+    rectangle.  A block of rows evaluates only the targets below its largest
+    bound, and only when drawn.  Yields (q, p) index arrays for each block
+    that has a pair, row-major within the block and blocks in ascending q,
+    so the pairs come in (q, p) lex order.  Equal points count as
+    non-orthogonal (their Ext^0 is one-dimensional).
     """
     _check_n(n)
     pts = _points(points)
     tgt = pts if targets is None else _points(targets)
     bound = np.arange(len(pts)) if before is None else np.asarray(before, dtype=np.int64)
-    if len(pts) and len(tgt) and pts.shape[1:] != tgt.shape[1:]:
-        raise ValueError(f"arity mismatch: {pts.shape[1:]} vs {tgt.shape[1:]}")
+    if len(pts) and len(tgt):
+        if pts.ndim != 2 or tgt.ndim != 2:
+            raise ValueError("expected two sequences of multidegrees")
+        if pts.shape[1] != tgt.shape[1]:
+            raise ValueError(f"arity mismatch: {pts.shape[1]} vs {tgt.shape[1]}")
     for start in range(0, len(pts), _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, len(pts))
         rows = bound[start:stop, None]

@@ -13,9 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .ext import ext_graded, nonorthogonal_below, orthogonal_mask
+from .ext import ext_graded, nonorthogonal_below
 from .lattice import (
     Multidegree,
     OrbitSet,
@@ -122,6 +120,11 @@ def flatten_bundles(coll: LefschetzCollection) -> tuple[Multidegree, ...]:
     )
 
 
+def _twisted_reps(coll: LefschetzCollection) -> list[Multidegree]:
+    """The rep of every orbit of the collection, block i twisted by i."""
+    return [twist(o.rep, i) for i, block in enumerate(coll.blocks) for o in block.orbits]
+
+
 def ranks(coll: LefschetzCollection) -> tuple[int, ...]:
     """Bundle counts per block."""
     return tuple(b.bundle_count for b in coll.blocks)
@@ -193,30 +196,31 @@ def is_exceptional(coll: LefschetzCollection) -> bool:
     3. across blocks: for t = 1..d, the reps of B_t twisted by t against
        every bundle of B_0.  Block t against block s < t is a subset of
        block t-s against block 0, as B_t is in B_{t-s} and B_s in B_0.
-    Other collections are flattened and fully scanned.
+    Checks 2 and 3 are one nonorthogonal_below scan of _twisted_reps(coll)
+    against the bundles of B_0.  Other collections are flattened and scan
+    their strict lower triangle.
     """
     n, first = coll.n, coll.blocks[0]
     if check_lefschetz(coll) is not None:
-        return not any(len(qs) for qs, _ in nonorthogonal_below(n, flatten_bundles(coll)))
-    reps = first.reps()
-    if any(rep[0] - rep[-1] > n for rep in reps):
+        rows, targets, before = flatten_bundles(coll), None, None
+    elif any(rep[0] - rep[-1] > n for rep in first.reps()):
         return False
-    twisted = [twist(r, t) for t, block in enumerate(coll.blocks[1:], 1) for r in block.reps()]
-    offsets = list(itertools.accumulate((o.size for o in first.orbits), initial=0))
-    before = offsets[:-1] + offsets[-1:] * len(twisted)
-    scan = nonorthogonal_below(n, [*reps, *twisted], first.bundles(), before)
-    return not any(len(qs) for qs, _ in scan)
+    else:
+        rows, targets = _twisted_reps(coll), first.bundles()
+        offsets = list(itertools.accumulate((o.size for o in first.orbits), initial=0))
+        before = offsets[:-1] + offsets[-1:] * (len(rows) - len(first.orbits))
+    return next(nonorthogonal_below(n, rows, targets, before), None) is None
 
 
 def ext_violations(n: int, sources, targets):
     """Yield an "ext" Violation for each (a, b) in sources x targets with Ext*(O(a), O(b)) != 0.
 
-    Pairs come source-major, targets in their given order.  One mask covers
-    all pairs; graded dimensions are computed only for the pairs drawn.
+    Pairs come source-major, targets in their given order, drawn lazily from
+    the full-rectangle nonorthogonal_below scan; graded dimensions are
+    computed only for the pairs drawn.
     """
-    bad = ~orthogonal_mask(n, sources, targets)
-    for i in np.flatnonzero(bad.any(axis=1)).tolist():
-        for j in np.flatnonzero(bad[i]).tolist():
+    for qs, ps in nonorthogonal_below(n, sources, targets, [len(targets)] * len(sources)):
+        for i, j in zip(qs.tolist(), ps.tolist()):
             a, b = sources[i], targets[j]
             yield Violation(kind="ext", witness=(a, b), detail=ext_graded(n, a, b))
 

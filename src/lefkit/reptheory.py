@@ -130,9 +130,7 @@ def dim_schur(lam, h: int) -> int:
 def dim_irrep(mu) -> int:
     """Dimension of the irreducible S_k representation of shape mu (hook lengths)."""
     mu = _check_partition(mu)
-    k = sum(mu)
-    denom = prod(x for row in hook_lengths(mu) for x in row)
-    return factorial(k) // denom
+    return _schur_and_irrep(mu, len(mu))[1]
 
 
 def _horizontal_extensions(shape, m, mu):

@@ -41,9 +41,15 @@ from .lattice import (
     _refuse_above_limit,
     canonical_rep,
     format_multidegree,
-    twist,
 )
-from .lefschetz import LefschetzCollection, Violation, ext_violations, flatten_bundles, ranks
+from .lefschetz import (
+    LefschetzCollection,
+    Violation,
+    _twisted_reps,
+    ext_violations,
+    flatten_bundles,
+    ranks,
+)
 
 FULL = "FULL"
 NOT_FULL_BY_RANK = "NOT_FULL_BY_RANK"
@@ -307,6 +313,15 @@ def _axis_pass(grid, axis, h):
     return _Pass(axis=axis, lines=lines, starts=starts, added=added)
 
 
+def _seed_points(seed, k: int) -> frozenset:
+    """The seed as integer tuples; a point of another arity than k raises ValueError."""
+    points = frozenset(tuple(int(c) for c in p) for p in seed)
+    for p in points:
+        if len(p) != k:
+            raise ValueError(f"seed point {format_multidegree(p)} has arity {len(p)}, not k={k}")
+    return points
+
+
 def close(seed, n: int, box: Box, target: Box | None = None) -> ClosureState:
     """Least fixed point of the window rule over `box`, starting from `seed`.
 
@@ -323,7 +338,7 @@ def close(seed, n: int, box: Box, target: Box | None = None) -> ClosureState:
             f"box [{box.lo}, {box.hi}]^{box.k} has {box.size} cells, more than the "
             f"limit of {MAX_BOX_CELLS}; use a smaller margin"
         )
-    seed = frozenset(tuple(int(c) for c in p) for p in seed)
+    seed = _seed_points(seed, box.k)
     for p in seed:
         if p not in box:
             raise ValueError(
@@ -361,12 +376,14 @@ def close_cube(seed, n: int, k: int, margin: int | None = None, drop_outside: bo
     ascending lex; an empty sample certifies that the cube, and so
     everything, is generated.  With drop_outside, seed points outside the
     box are dropped instead of refused (generating the cube from fewer
-    seeds is still a sound certificate).
+    seeds is still a sound certificate); a point of another arity than k
+    is refused either way.
     """
     margin = _margin(n, margin)
     box = Box(lo=-margin, hi=n + margin, k=k)
     if drop_outside:
-        seed = [p for p in seed if p in box]
+        # points of another arity stay, for close to refuse
+        seed = [p for p in seed if len(p) != k or p in box]
     cube = Box(lo=0, hi=n, k=k)
     state = close(seed, n, box, target=cube)
     return state, tuple(state.missing_points(cube, limit=MISSING_SAMPLE))
@@ -443,12 +460,13 @@ def close_orbits(seed, n: int, k: int, margin: int | None = None):
     """close_cube for an S_k-stable seed, given by any points of its orbits.
 
     Members are the weakly decreasing reps in [-margin, n+margin]^k; seeds
-    outside are dropped.  A pass visits the orbit lines in ascending lex
-    order and floods each line holding n+1 consecutive member points at
-    once; lines that gained no member since their last visit are skipped,
-    as they would flood nothing.  The closure stops when all C(n+k, k) reps
-    of [0, n]^k are members or after a pass that adds nothing.  The line
-    count is refused above MAX_ORBIT_LINES before any line is built.
+    outside are dropped, seeds of another arity than k refused.  A pass
+    visits the orbit lines in ascending lex order and floods each line
+    holding n+1 consecutive member points at once; lines that gained no
+    member since their last visit are skipped, as they would flood nothing.
+    The closure stops when all C(n+k, k) reps of [0, n]^k are members or
+    after a pass that adds nothing.  The line count is refused above
+    MAX_ORBIT_LINES before any line is built.
     Returns the state and the first MISSING_SAMPLE unreached points of the
     cube, ascending lex, as close_cube does.
     """
@@ -460,7 +478,7 @@ def close_orbits(seed, n: int, k: int, margin: int | None = None):
             f"box [{box.lo}, {box.hi}]^{k} has {lines} orbit lines, more than the "
             f"limit of {MAX_ORBIT_LINES}; use a smaller margin"
         )
-    seed = frozenset(canonical_rep(p) for p in seed if p in box)
+    seed = frozenset(canonical_rep(p) for p in _seed_points(seed, k) if p in box)
     members, trace, h = set(seed), [], n + 1
 
     def in_cube(p):
@@ -580,11 +598,6 @@ def _generation_verdict(reps, n: int, k: int, margin: int | None) -> Verdict:
         return Verdict(status=FULL, state=state, detail={"margin": -state.box.lo})
     detail = {"margin": -state.box.lo, "missing_sample": missing}
     return Verdict(status=INCONCLUSIVE, state=state, detail=detail)
-
-
-def _twisted_reps(coll: LefschetzCollection) -> list[Multidegree]:
-    """The rep of every orbit of the collection, block i twisted by i."""
-    return [twist(o.rep, i) for i, block in enumerate(coll.blocks) for o in block.orbits]
 
 
 def verify_fullness(coll: LefschetzCollection, margin: int | None = None) -> Verdict:

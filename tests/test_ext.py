@@ -11,7 +11,6 @@ from lefkit.ext import (
     is_orthogonal_pair,
     line_cohomology,
     nonorthogonal_below,
-    orthogonal_mask,
 )
 from lefkit.lattice import twist
 
@@ -68,13 +67,22 @@ def test_ext_graded_rejects_arity_mismatch():
         ext_graded(2, (0, 0), (0, 0, 0))
     with pytest.raises(ValueError):
         is_orthogonal_pair(2, (0, 0), (0, 0, 0))
-    with pytest.raises(ValueError):
-        orthogonal_mask(2, [(0, 0)], [(0, 0, 0)])
+    with pytest.raises(ValueError, match="arity mismatch: 2 vs 3"):
+        list(nonorthogonal_below(2, [(0, 0)], [(0, 0, 0)]))
     # int64 coordinates whose differences could wrap are refused, not mis-tested
     with pytest.raises(ValueError):
-        orthogonal_mask(2, [(2 ** 63,)], [(0,)])
+        list(nonorthogonal_below(2, [(2 ** 63,)], [(0,)]))
     with pytest.raises(ValueError):
-        orthogonal_mask(2, [(2 ** 62,)], [(-1,)])
+        list(nonorthogonal_below(2, [(2 ** 62,)], [(-1,)]))
+
+
+def test_nonorthogonal_below_refuses_points_that_are_not_multidegrees():
+    for args in ([1, 2], [1, 2]), ([1, 2], None), ([(1,)], [1]), ([[(1,)]], [[(1,)]]):
+        with pytest.raises(ValueError, match="expected two sequences of multidegrees"):
+            list(nonorthogonal_below(1, *args))
+    # an empty side has no pair to test, whatever the other holds
+    assert list(nonorthogonal_below(1, [1, 2], [])) == []
+    assert list(nonorthogonal_below(1, [], [1, 2])) == []
 
 
 def test_is_orthogonal_pair_known_values():
@@ -106,23 +114,6 @@ def test_predicate_matches_ext_vanishing(n, k, data):
     data=st.data(),
 )
 @settings(max_examples=300, deadline=None)
-def test_orthogonal_mask_matches_scalar_predicate(n, k, chunk, data):
-    point = st.tuples(*[st.integers(-2 * n - 1, 2 * n + 1)] * k)
-    a = data.draw(st.lists(point, max_size=8))
-    b = data.draw(st.lists(point, max_size=8))
-    with mock.patch.object(ext, "_CHUNK_ROWS", chunk):
-        mask = orthogonal_mask(n, a, b)
-    assert mask.dtype == bool and mask.shape == (len(a), len(b))
-    assert mask.tolist() == [[is_orthogonal_pair(n, x, y) for y in b] for x in a]
-
-
-@given(
-    n=st.integers(1, 3),
-    k=st.integers(1, 3),
-    chunk=st.sampled_from([1, 2, ext._CHUNK_ROWS]),
-    data=st.data(),
-)
-@settings(max_examples=300, deadline=None)
 def test_nonorthogonal_below_matches_scalar_predicate(n, k, chunk, data):
     point = st.tuples(*[st.integers(-2 * n - 1, 2 * n + 1)] * k)
     points = data.draw(st.lists(point, max_size=8))
@@ -140,6 +131,13 @@ def test_nonorthogonal_below_matches_scalar_predicate(n, k, chunk, data):
         for q, a in enumerate(points)
         for p in range(before[q])
         if not is_orthogonal_pair(n, a, targets[p])
+    ]
+    # the full rectangle, source-major, as ext_violations draws it
+    assert pairs(points, targets, [len(targets)] * len(points)) == [
+        (q, p)
+        for q, a in enumerate(points)
+        for p, b in enumerate(targets)
+        if not is_orthogonal_pair(n, a, b)
     ]
     # the defaults are the strict lower triangle of points against themselves
     assert pairs(points) == [
@@ -194,4 +192,4 @@ def test_dense_vectors_sized_before_allocation():
         ext_graded(limit // 2, (0, 0), (0, 0))
     # the vanishing predicates build no vector
     assert is_orthogonal_pair(10 ** 12, (1,), (0,))
-    assert orthogonal_mask(10 ** 12, [(1,)], [(0,)]).tolist() == [[True]]
+    assert list(nonorthogonal_below(10 ** 12, [(1,)], [(0,)], [1])) == []

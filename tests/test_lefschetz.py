@@ -32,6 +32,7 @@ from lefkit.lefschetz import (
     x3n_rectangular,
     xk1,
 )
+from lefkit.saturation import residual_check
 
 
 def test_build_E_known_values():
@@ -290,6 +291,25 @@ def test_ext_violations_match_scalar_reference(k, n, chunk, data):
     ]
     with mock.patch.object(ext, "_CHUNK_ROWS", chunk):
         assert list(ext_violations(n, sources, targets)) == want
+
+
+def test_every_collection_check_goes_through_the_one_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("pairwise scan")
+
+    monkeypatch.setattr(lefschetz, "nonorthogonal_below", refuse)
+    not_nested = LefschetzCollection(k=3, n=2, blocks=(build_E(3, 2), build_Ehat(3, 2)))
+    assert check_lefschetz(not_nested) is not None
+    checks = [
+        lambda: check_theorem_semiorthogonality(2, 1),
+        lambda: residual_check(x32_rectangular_part(), x32_residual()),
+        lambda: check_exceptional(xk1(3)),
+        lambda: is_exceptional(xk1(3)),
+        lambda: is_exceptional(not_nested),
+    ]
+    for check in checks:
+        with pytest.raises(RuntimeError, match="pairwise scan"):
+            check()
 
 
 def test_x32_minimal_is_exceptional():

@@ -452,6 +452,19 @@ def test_close_cube_drops_or_refuses_seeds_outside_the_box():
     assert missing == ((0, 1), (1, 0), (1, 1))
 
 
+def test_seed_points_of_another_arity_are_refused_not_dropped():
+    # a wrong-arity point is no point of the box; dropping it would answer
+    # as for an empty seed, and refusing it as "outside" would misname it
+    for close_seed in (
+        lambda seed: close_cube(seed, 1, 4),
+        lambda seed: close_cube(seed, 1, 4, drop_outside=True),
+        lambda seed: close_orbits(seed, 1, 4),
+        lambda seed: close(seed, 1, Box(lo=0, hi=1, k=4)),
+    ):
+        with pytest.raises(ValueError, match=r"seed point \(0,0,0\) has arity 3, not k=4"):
+            close_seed([(0, 0, 0, 0), (0, 0, 0)])
+
+
 def test_missing_points_refuses_target_outside_box():
     state = close([(0, 0)], 1, Box(lo=0, hi=2, k=2))
     with pytest.raises(ValueError, match="not inside box"):

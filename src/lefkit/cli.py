@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .ext import ext_graded, is_orthogonal_pair
-from .lattice import format_multidegree, orbit_set, parse_multidegree
+from .lattice import _refuse_above_limit, format_multidegree, orbit_set, parse_multidegree
 from .lefschetz import (
     JSON_SCHEMA,
     check_exceptional,
@@ -28,6 +28,7 @@ from .lefschetz import (
     collection_to_json,
     exceptional_violations,
     flatten_bundles,
+    is_exceptional,
     is_rectangular,
     ranks,
     x32_minimal,
@@ -179,7 +180,12 @@ def cmd_verify(args) -> int:
         dump = collection_to_json(coll).splitlines()
         return _render(args, EXIT_OK, text=dump, json=dump)
 
-    violation_count, violations = exceptional_violations(coll, shown=20)
+    # sized as flattened, so a refusal does not depend on the verdict
+    _refuse_above_limit(sum(ranks(coll)))
+    if is_exceptional(coll):
+        violation_count, violations = 0, []
+    else:
+        violation_count, violations = exceptional_violations(coll, shown=20)
     nest = check_lefschetz(coll)
     doc = {
         "schema": JSON_SCHEMA,

@@ -1,22 +1,29 @@
 """Enumerative search for S_k-stable Lefschetz collections, certified by closure.
 
-Candidates are assembled from whole orbits (reps normalised to last
-coordinate zero), filtered by exact K-theoretic necessities, and drawn
-lazily from one depth-first walk that picks orbits slot by slot.  Each is
-checked as it is generated (exceptionality, then fullness by window
-closure) and no candidate list is kept.  Hits are certified collections;
-candidates whose closure is inconclusive at the working margin are
-reported separately rather than dropped (the CLI then exits 3).
+Candidates are assembled from whole orbits of one pool (reps normalised to
+last coordinate zero), filtered by exact K-theoretic necessities, and drawn
+lazily from one depth-first walk that picks pool orbit indices slot by slot.
+A nested candidate is its first block B_0 with the last block of each of its
+orbits.  It is decided as it is generated, on those indices alone, against
+one orbit-pair Ext table built per search (_ExtTable); only the exceptional
+survivors become OrbitSet blocks and a LefschetzCollection, whose fullness is
+then decided by window closure.  No candidate list is kept.  Hits are
+certified collections; candidates whose closure is inconclusive at the
+working margin are reported separately rather than dropped (the CLI then
+exits 3).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import prod
+from math import comb, prod
 
-from .lattice import OrbitSet, _refuse_above_limit, normalised_reps, orbit_set
-from .lefschetz import LefschetzCollection, is_exceptional
+import numpy as np
+
+from .ext import _refuse_twist_table, first_nonorthogonal_twist, nonorthogonal_below
+from .lattice import Orbit, OrbitSet, _refuse_above_limit, normalised_reps, orbit_set
+from .lefschetz import LefschetzCollection
 from .reptheory import (
     content_orbit_count,
     count_partitions,
@@ -79,16 +86,19 @@ class SearchResult:
     inconclusive: list[LefschetzCollection] = field(default_factory=list)
 
 
-def _pool_by_shape(spec: SearchSpec):
-    """Candidate orbits (rep sorted decreasing, last coordinate 0), by stabilizer shape."""
+def _pool(spec: SearchSpec) -> tuple[Orbit, ...]:
+    """Candidate orbits (rep sorted decreasing, last coordinate 0), in ascending rep order.
+
+    Their positions are the pool indices that candidates are made of.  The
+    pool is counted before any rep is drawn: its orbits partition the points
+    of [0, hi]^k with a zero coordinate, one per weakly decreasing (k-1)-tuple
+    of [0, hi], and too many bundles or too large a twist table are refused.
+    """
     hi = spec.n + 1 if spec.pool_hi is None else spec.pool_hi
-    # the pool's orbits partition the points of [0, hi]^k with a zero coordinate;
-    # they are counted and refused before any rep is drawn
     _refuse_above_limit((hi + 1) ** spec.k - hi ** spec.k)
-    by_shape = {}
-    for o in orbit_set(spec.k, normalised_reps(spec.k, hi)).orbits:
-        by_shape.setdefault(o.stabilizer_shape, []).append(o)
-    return by_shape
+    m = comb(hi + spec.k - 1, spec.k - 1)
+    _refuse_twist_table(m, m)
+    return orbit_set(spec.k, normalised_reps(spec.k, hi)).orbits
 
 
 def _block(k: int, orbits) -> OrbitSet:
@@ -96,24 +106,92 @@ def _block(k: int, orbits) -> OrbitSet:
     return OrbitSet(k=k, orbits=tuple(sorted(orbits, key=lambda o: o.rep)))
 
 
-def _run(spec: SearchSpec, block_tuples) -> SearchResult:
+class _ExtTable:
+    """Exceptionality of nested candidates over one pool, decided on pool indices.
+
+    A candidate is a dict last: P -> t over the orbits P of its first block
+    B_0, t being the last block that holds P (nesting makes the blocks
+    holding P exactly 0..t).  Built once per search, over the m pool orbits:
+    - span_ok[P]: rep P spans at most n;
+    - zero[P, Q]: some bundle of Q is not orthogonal to rep P, for Q < P
+      (the nonorthogonal_below scan at twist 0);
+    - first_bad[P, Q]: the least twist t >= 1 at which rep P + t*1 is not
+      orthogonal to some bundle of Q (first_nonorthogonal_twist).
+    These are is_exceptional's three checks on a nested collection: a
+    candidate is exceptional iff every P of B_0 is span_ok, no Q of B_0
+    before P has zero[P, Q], and every Q of B_0 has first_bad[P, Q] >
+    last[P].  They fold into one clash bitmask over pool indices per (P, t),
+    memoised, which a candidate ANDs with the bitmask of B_0: no numpy call
+    and no object per candidate.
+    """
+
+    def __init__(self, spec: SearchSpec):
+        self.k, self.n, self.orbits = spec.k, spec.n, _pool(spec)
+        n, m = spec.n, len(self.orbits)
+        reps = [o.rep for o in self.orbits]
+        sizes = [o.size for o in self.orbits]
+        offsets = list(itertools.accumulate(sizes, initial=0))
+        bundles = [el for o in self.orbits for el in o.elements]
+        self.span_ok = [rep[0] - rep[-1] <= n for rep in reps]
+        owner = np.repeat(np.arange(m), sizes)
+        self.zero = np.zeros((m, m), dtype=bool)
+        for qs, ps in nonorthogonal_below(n, reps, bundles, offsets[:-1]):
+            self.zero[qs, owner[ps]] = True
+        self.first_bad = first_nonorthogonal_twist(n, reps, bundles, offsets)
+        self._clash = {}
+
+    def _clash_mask(self, p: int, t: int) -> int:
+        """Pool orbits that B_0 must avoid when it holds p up to block t, as bits of an int.
+
+        A rep spanning more than n clashes with its own orbit.
+        """
+        if not self.span_ok[p]:
+            return 1 << p
+        row = self.zero[p] | (self.first_bad[p] <= t)
+        return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+    def exceptional(self, last: dict[int, int]) -> bool:
+        """is_exceptional of the candidate, from the table alone."""
+        first = 0
+        for p in last:
+            first |= 1 << p
+        clash = self._clash
+        for key in last.items():
+            mask = clash.get(key)
+            if mask is None:
+                mask = clash[key] = self._clash_mask(*key)
+            if mask & first:
+                return False
+        return True
+
+    def collection(self, last: dict[int, int]) -> LefschetzCollection:
+        """The candidate's collection: block t holds the orbits whose last block is t or later."""
+        blocks = tuple(
+            _block(self.k, [self.orbits[p] for p, top in last.items() if top >= t])
+            for t in range(self.n + 1)
+        )
+        return LefschetzCollection(k=self.k, n=self.n, blocks=blocks)
+
+
+def _run(spec: SearchSpec, table: _ExtTable, candidates) -> SearchResult:
     """Check up to spec.budget candidates from a generator as they are produced.
 
-    Exceptionality first, closure only on survivors.  The search is
-    exhausted unless one more candidate exists past the budget.
+    Exceptionality first, on the table; blocks, a collection and a closure
+    only for survivors.  The search is exhausted unless one more candidate
+    exists past the budget.
     """
     found, inconclusive, nodes = [], [], 0
-    for blocks in itertools.islice(block_tuples, spec.budget):
+    for last in itertools.islice(candidates, spec.budget):
         nodes += 1
-        coll = LefschetzCollection(k=spec.k, n=spec.n, blocks=blocks)
-        if not is_exceptional(coll):
+        if not table.exceptional(last):
             continue
+        coll = table.collection(last)
         status = verify_fullness(coll, margin=spec.margin).status
         if status == FULL:
             found.append(coll)
         elif status == INCONCLUSIVE:
             inconclusive.append(coll)
-    exhausted = next(block_tuples, None) is None
+    exhausted = next(candidates, None) is None
     return SearchResult(found, exhausted, nodes, inconclusive)
 
 
@@ -155,8 +233,8 @@ def _depth_first(extend):
             del path[-1:]  # the step into the finished depth; the root has none
 
 
-def _chain_blocks(spec: SearchSpec, head_cap):
-    """Block tuples whose per-shape orbit counts follow decreasing chains.
+def _chain_candidates(spec: SearchSpec, orbits, head_cap):
+    """Candidates whose per-shape orbit counts follow decreasing chains.
 
     Each stabilizer shape's chains are the tuples of h orbit counts, one per block,
     weakly decreasing so that the blocks nest and summing to t, the shape's orbit
@@ -164,12 +242,15 @@ def _chain_blocks(spec: SearchSpec, head_cap):
     avail is the shape's orbit count in the pool.  A shape with no chain admits no
     candidate.  Chain combinations are counted (more than MAX_CHAIN_COMBINATIONS are
     refused), then taken by ascending block-size signature (r_0, r_1, ...).  Each is
-    walked over (shape, level) slots, shape-major: a slot picks its count of orbits,
-    in lex order, from the shape's pool at level 0, else from the slot before.
-    Block i is the union of the picks in path[i::h].
+    walked over (shape, level) slots, shape-major: a slot picks its count of pool
+    indices, in lex order, from the shape's pool at level 0, else from the slot
+    before.  Block i is the union of the picks in path[i::h], so an orbit's last
+    block is the level of the last slot that picks it.
     """
     h = spec.n + 1
-    by_shape = _pool_by_shape(spec)
+    by_shape = {}
+    for i, o in enumerate(orbits):
+        by_shape.setdefault(o.stabilizer_shape, []).append(i)
     shapes = partitions_of(spec.k)
     pools = [by_shape.get(lam, []) for lam in shapes]
     totals = [content_orbit_count(h, lam) for lam in shapes]
@@ -197,10 +278,7 @@ def _chain_blocks(spec: SearchSpec, head_cap):
                 return itertools.combinations(path[-1] if i % h else pools[i // h], counts[i])
 
         for path in _depth_first(extend):
-            yield tuple(
-                _block(spec.k, [o for picked in path[level::h] for o in picked])
-                for level in range(h)
-            )
+            yield {p: i % h for i, picked in enumerate(path) for p in picked}
 
 
 def search_rectangular(spec: SearchSpec, prune: bool = True) -> SearchResult:
@@ -212,14 +290,14 @@ def search_rectangular(spec: SearchSpec, prune: bool = True) -> SearchResult:
     head is at most its mean t // h.  When h does not divide t there is
     none, and no rectangular collection exists over any pool (sound pruning,
     not heuristic).  With prune=False, every S_k-stable subset with
-    (n+1)^(k-1) bundles is tried, taking rising pool orbit indices that fit;
-    the switch lets tests compare pruned and unpruned runs.
+    (n+1)^(k-1) bundles is tried, taking rising pool indices that fit; the
+    switch lets tests compare pruned and unpruned runs.
     """
     h = spec.n + 1
+    table = _ExtTable(spec)
+    orbits = table.orbits
     if prune:
-        return _run(spec, _chain_blocks(spec, lambda t, avail: t // h))
-
-    orbits = sorted(itertools.chain(*_pool_by_shape(spec).values()), key=lambda o: o.rep)
+        return _run(spec, table, _chain_candidates(spec, orbits, lambda t, avail: t // h))
 
     def extend(path):
         left = h ** (spec.k - 1) - sum(orbits[j].size for j in path)
@@ -227,8 +305,7 @@ def search_rectangular(spec: SearchSpec, prune: bool = True) -> SearchResult:
             start = path[-1] + 1 if path else 0
             return (j for j in range(start, len(orbits)) if orbits[j].size <= left)
 
-    blocks = ((_block(spec.k, [orbits[j] for j in path]),) * h for path in _depth_first(extend))
-    return _run(spec, blocks)
+    return _run(spec, table, (dict.fromkeys(path, spec.n) for path in _depth_first(extend)))
 
 
 def search_minimal(spec: SearchSpec) -> SearchResult:
@@ -240,4 +317,5 @@ def search_minimal(spec: SearchSpec) -> SearchResult:
     ascending block-size signature, so the first hits have minimal first
     block.  Rectangular chains, when arithmetically feasible, are included.
     """
-    return _run(spec, _chain_blocks(spec, lambda t, avail: avail))
+    table = _ExtTable(spec)
+    return _run(spec, table, _chain_candidates(spec, table.orbits, lambda t, avail: avail))

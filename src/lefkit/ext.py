@@ -6,9 +6,15 @@ On a product, Ext*(O(a), O(b)) is the graded tensor product of the factor
 cohomologies of O(b_i - a_i), so its dimension vector is a convolution.
 
 Dimensions are binomial coefficients computed exactly; no floating point
-is involved anywhere.  The vanishing predicate comes twice: a scalar
-is_orthogonal_pair, kept as the reference, and the chunked numpy scan
-nonorthogonal_below that every pairwise check of a collection goes through.
+is involved anywhere.  The vanishing predicate comes in three forms:
+- is_orthogonal_pair, the scalar test, kept as the reference: some
+  coordinate has 0 < a_i - b_i <= n;
+- nonorthogonal_below, the chunked numpy scan that every pairwise check of
+  a collection goes through;
+- first_nonorthogonal_twist, the same inequality solved for a uniform
+  twist: O(a + t*1) is orthogonal to O(b) exactly when t lies in
+  (b_i - a_i, b_i - a_i + n] for some i, so one (a, b) pair gives the least
+  twist t >= 1 at which the pair fails, for every t at once.
 """
 
 from __future__ import annotations
@@ -25,6 +31,18 @@ _CHUNK_ROWS = 128
 
 # Coordinates are held as int64; inside this bound differences cannot wrap.
 _COORD_LIMIT = 2 ** 62
+
+# The twist kernel adds n to differences of coordinates; with both below this
+# bound no sum wraps either.
+_TWIST_LIMIT = 2 ** 60
+
+# Offsets per twist-kernel block: the (rows, len(targets), k) int64 array of
+# b - a stays near 3 MB.
+_TWIST_CHUNK_CELLS = 3 * 2 ** 17
+
+# Most cells of a twist table, one int64 per (rep, target group): 32 MB.  A
+# search over k = 2 reaches it at 2,048 pool orbits, pool_hi = 2,047.
+MAX_TWIST_TABLE = 2 ** 22
 
 # Longest graded dimension vector built, in degrees: n+1 for one factor,
 # k*n+1 for a product; longer ones are refused before they are allocated.
@@ -124,12 +142,15 @@ def nonorthogonal_below(n: int, points, targets=None, before=None):
     bound, and only when drawn.  Yields (q, p) index arrays for each block
     that has a pair, row-major within the block and blocks in ascending q,
     so the pairs come in (q, p) lex order.  Equal points count as
-    non-orthogonal (their Ext^0 is one-dimensional).
+    non-orthogonal (their Ext^0 is one-dimensional).  A before of another
+    length than points is refused.
     """
     _check_n(n)
     pts = _points(points)
     tgt = pts if targets is None else _points(targets)
     bound = np.arange(len(pts)) if before is None else np.asarray(before, dtype=np.int64)
+    if bound.shape != (len(pts),):
+        raise ValueError(f"before must hold one bound per point, {len(pts)} of them")
     if len(pts) and len(tgt):
         if pts.ndim != 2 or tgt.ndim != 2:
             raise ValueError("expected two sequences of multidegrees")
@@ -145,3 +166,52 @@ def nonorthogonal_below(n: int, points, targets=None, before=None):
         if bad.any():
             q, p = np.nonzero(bad)
             yield q + start, p
+
+
+def _refuse_twist_table(rows: int, groups: int):
+    """Refuse a first_nonorthogonal_twist table of more than MAX_TWIST_TABLE cells."""
+    if rows * groups > MAX_TWIST_TABLE:
+        raise ValueError(
+            f"twist table of {rows} x {groups} cells is more than the limit of {MAX_TWIST_TABLE}"
+        )
+
+
+def first_nonorthogonal_twist(n: int, reps, targets, offsets) -> np.ndarray:
+    """Least t >= 1 with Ext*(O(reps[p] + t*1), O(b)) != 0 for some b of group q, as table[p, q].
+
+    Group q is targets[offsets[q]:offsets[q+1]]; offsets rise strictly from 0
+    to len(targets).  O(a + t*1) is orthogonal to O(b) exactly when t lies in
+    one of the k intervals (d_i, d_i + n], d = b - a.  Scanning the d_i in
+    ascending order from t = 1, an interval holding t moves t past its end
+    d_i + n; the first that does not leaves t uncovered, and so do all later
+    ones.  The answer is 1 or some d_i + n + 1, at most k*n + 1.  Rows are
+    taken a block at a time and reduced onto the groups at once.  The table
+    is sized first and refused above MAX_TWIST_TABLE.
+    """
+    _check_n(n)
+    groups = len(offsets) - 1
+    _refuse_twist_table(len(reps), groups)
+    if groups < 0 or offsets[0] != 0 or offsets[-1] != len(targets) or any(
+        lo >= hi for lo, hi in zip(offsets, offsets[1:])
+    ):
+        raise ValueError("offsets must rise strictly from 0 to the number of targets")
+    pts, tgt = _points(reps), _points(targets)
+    out = np.empty((len(pts), groups), dtype=np.int64)
+    if not (len(pts) and groups):
+        return out
+    if pts.ndim != 2 or tgt.ndim != 2:
+        raise ValueError("expected two sequences of multidegrees")
+    if pts.shape[1] != tgt.shape[1]:
+        raise ValueError(f"arity mismatch: {pts.shape[1]} vs {tgt.shape[1]}")
+    if n >= _TWIST_LIMIT or max(-pts.min(), pts.max(), -tgt.min(), tgt.max()) >= _TWIST_LIMIT:
+        raise ValueError("coordinates and n must lie strictly between -2^60 and 2^60")
+    step = max(1, _TWIST_CHUNK_CELLS // tgt.size)
+    for start in range(0, len(pts), step):
+        d = tgt[None, :, :] - pts[start : start + step, None, :]
+        d.sort(axis=2)
+        t = np.ones(d.shape[:2], dtype=np.int64)
+        for i in range(d.shape[2]):
+            di = d[:, :, i]
+            np.copyto(t, di + (n + 1), where=(di < t) & (t <= di + n))
+        out[start : start + step] = np.minimum.reduceat(t, offsets[:-1], axis=1)
+    return out

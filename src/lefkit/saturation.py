@@ -41,6 +41,7 @@ from .lattice import (
     _refuse_above_limit,
     canonical_rep,
     format_multidegree,
+    twist,
 )
 from .lefschetz import (
     LefschetzCollection,
@@ -579,7 +580,9 @@ def _generation_verdict(reps, n: int, k: int, margin: int | None) -> Verdict:
     """
     _margin(n, margin)
     expected = (n + 1) ** k
-    size = {r: Orbit(r).size for r in reps}
+    # a twist keeps an orbit's size: one Orbit per distinct untwisted rep
+    untwisted_size = functools.cache(lambda rep: Orbit(rep).size)
+    size = {r: untwisted_size(twist(r, -r[-1])) for r in dict.fromkeys(reps)}
     count = sum(size.values())
     if count != expected or sum(map(size.get, reps)) != expected:
         detail = {"bundles": count, "expected": expected}

@@ -4,6 +4,7 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lefkit import explorer, lefschetz
 from lefkit.cli import main
@@ -31,6 +32,33 @@ from lefkit.saturation import FULL, INCONCLUSIVE, verify_fullness
 
 def sig(coll):
     return tuple(b.reps() for b in coll.blocks)
+
+
+def spy_on_verdicts(monkeypatch, reference):
+    """Check the table's verdict on every search candidate against reference(coll).
+
+    Each candidate's collection is built from its pool indices; the verdicts
+    are returned in candidate order.
+    """
+    verdict, outcomes = explorer._ExtTable.exceptional, []
+
+    def compared(table, last):
+        fast = verdict(table, last)
+        coll = table.collection(last)
+        assert fast == reference(coll), sig(coll)
+        outcomes.append(fast)
+        return fast
+
+    monkeypatch.setattr(explorer._ExtTable, "exceptional", compared)
+    return outcomes
+
+
+def pool_by_shape(spec):
+    """The search pool's orbits grouped by stabilizer shape, each group in pool order."""
+    by_shape = {}
+    for o in explorer._pool(spec):
+        by_shape.setdefault(o.stabilizer_shape, []).append(o)
+    return by_shape
 
 
 def test_spec_validation():
@@ -123,15 +151,12 @@ def test_budget_truncates_and_reports():
 
 
 def test_is_exceptional_agrees_with_check_exceptional_on_search_candidates(monkeypatch):
-    outcomes = []
+    def reference(coll):
+        oracle = is_exceptional(coll)
+        assert oracle == (check_exceptional(coll) == []), sig(coll)
+        return oracle
 
-    def checked(coll):
-        fast = is_exceptional(coll)
-        assert fast == (check_exceptional(coll) == []), [b.reps() for b in coll.blocks]
-        outcomes.append(fast)
-        return fast
-
-    monkeypatch.setattr(explorer, "is_exceptional", checked)
+    outcomes = spy_on_verdicts(monkeypatch, reference)
     visited = 0
     for k, n, hi in [(3, 1, 3), (2, 4, 5), (3, 2, 4)]:
         visited += search_rectangular(SearchSpec(k=k, n=n, pool_hi=hi), prune=False).nodes_visited
@@ -148,13 +173,14 @@ search_unpruned = functools.partial(search_rectangular, prune=False)
     [
         (search_minimal, SearchSpec(k=3, n=2)),
         (search_minimal, SearchSpec(k=2, n=3)),
-        (search_unpruned, SearchSpec(k=3, n=2)),
+        (search_unpruned, SearchSpec(k=3, n=1)),
     ],
-    ids=["minimal-3-2", "minimal-2-3", "rectangular-3-2-unpruned"],
+    ids=["minimal-3-2", "minimal-2-3", "rectangular-3-1-unpruned"],
 )
 def test_blocks_from_pool_orbits_match_rebuilt_blocks(monkeypatch, search, spec):
     # blocks built from the pool's Orbit objects equal blocks rebuilt from
-    # their reps with orbit_set, so hits, node counts and hit order agree
+    # their reps with orbit_set, so hits, node counts and hit order agree;
+    # blocks are built for the exceptional candidates only
     reused = search(spec)
     from_pool = explorer._block
     built = []
@@ -176,7 +202,7 @@ def test_blocks_from_pool_orbits_match_rebuilt_blocks(monkeypatch, search, spec)
 
 
 def filtered_product_pool(spec, lo=0):
-    """The search pool as a filtered product of [lo, hi]^k: the reference for _pool_by_shape.
+    """The search pool as a filtered product of [lo, hi]^k: the reference for explorer._pool.
 
     Any lo <= 0 gives the same pool: reps outside [0, hi]^k are filtered out.
     """
@@ -257,7 +283,10 @@ def test_rectangular_chain_matches_quota_reference(k, n, pool_hi, budget):
 @pytest.mark.parametrize("lo,hi", [(-2, 0), (-2, 3), (0, 0), (0, 2), (0, 5)])
 def test_pool_matches_filtered_product(k, lo, hi):
     spec = SearchSpec(k=k, n=1, pool_hi=hi)
-    assert explorer._pool_by_shape(spec) == filtered_product_pool(spec, lo)
+    assert pool_by_shape(spec) == filtered_product_pool(spec, lo)
+    # pool indices follow ascending reps
+    pool = explorer._pool(spec)
+    assert list(pool) == sorted(pool, key=lambda o: o.rep)
 
 
 @pytest.mark.parametrize(
@@ -270,25 +299,34 @@ def test_pool_matches_filtered_product(k, lo, hi):
     ids=["minimal-3-2", "rectangular-3-3", "rectangular-3-2-unpruned"],
 )
 def test_each_candidate_is_checked_before_the_next_is_built(monkeypatch, search, spec):
+    # g: a candidate drawn from the walk, c / C: the table rejects / passes it,
+    # b: a block built (for passed candidates only)
     events = []
-    build, check = explorer._block, explorer.is_exceptional
+    walk, verdict, build = explorer._depth_first, explorer._ExtTable.exceptional, explorer._block
+
+    def logged_walk(extend):
+        for path in walk(extend):
+            events.append("g")
+            yield path
+
+    def logged_verdict(table, last):
+        passed = verdict(table, last)
+        events.append("C" if passed else "c")
+        return passed
 
     def logged_block(k, orbits):
         events.append("b")
         return build(k, orbits)
 
-    def logged_check(coll):
-        events.append("c")
-        return check(coll)
-
+    monkeypatch.setattr(explorer, "_depth_first", logged_walk)
+    monkeypatch.setattr(explorer._ExtTable, "exceptional", logged_verdict)
     monkeypatch.setattr(explorer, "_block", logged_block)
-    monkeypatch.setattr(explorer, "is_exceptional", logged_check)
     result = search(spec)
     log = "".join(events)
-    assert log.count("c") == result.nodes_visited > 0
-    # blocks of one candidate, its check, then the next candidate's blocks;
-    # only a truncated search builds one candidate past the last check
-    assert re.fullmatch(r"(b+c)+" + ("" if result.exhausted else "b+"), log), log[:80]
+    assert log.count("c") + log.count("C") == result.nodes_visited > 0
+    # each candidate is decided before the next is drawn, and only a passed one
+    # has blocks; a truncated search draws one candidate past the last verdict
+    assert re.fullmatch(r"(gc|gCb+)+" + ("" if result.exhausted else "g"), log), log[:80]
 
 
 def order_free_exceptional(coll):
@@ -312,15 +350,7 @@ def order_free_exceptional(coll):
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_exceptionality_verdict_does_not_depend_on_flatten_order(monkeypatch, k, n):
     # so an exhausted search over these pools rests on no ordering lemma
-    checked = []
-
-    def compared(coll):
-        verdict = is_exceptional(coll)
-        assert verdict == order_free_exceptional(coll), sig(coll)
-        checked.append(verdict)
-        return verdict
-
-    monkeypatch.setattr(explorer, "is_exceptional", compared)
+    checked = spy_on_verdicts(monkeypatch, order_free_exceptional)
     visited = search_minimal(SearchSpec(k=k, n=n)).nodes_visited
     for prune in (True, False):
         visited += search_rectangular(SearchSpec(k=k, n=n), prune=prune).nodes_visited
@@ -344,7 +374,7 @@ def nested_product_blocks(spec, head_cap):
     nested orbit choices are built in full, then combined shape by shape.
     """
     h = spec.n + 1
-    by_shape = explorer._pool_by_shape(spec)
+    by_shape = pool_by_shape(spec)
     shapes = partitions_of(spec.k)
     totals = [content_orbit_count(h, lam) for lam in shapes]
     caps = [head_cap(t, len(by_shape.get(lam, []))) for lam, t in zip(shapes, totals)]
@@ -384,8 +414,7 @@ def nested_product_blocks(spec, head_cap):
 def recursive_subset_blocks(spec):
     """Unpruned rectangular blocks from include-first recursion over the sorted pool."""
     orbits = sorted(
-        (o for group in explorer._pool_by_shape(spec).values() for o in group),
-        key=lambda o: o.rep,
+        (o for group in pool_by_shape(spec).values() for o in group), key=lambda o: o.rep
     )
 
     def subsets(i, remaining):
@@ -424,17 +453,18 @@ def search_case(target, spec, prune=True):
 )
 def test_depth_first_candidates_match_reference_generators(monkeypatch, target, spec, prune):
     # every candidate in the same order, not only the hits
-    monkeypatch.setattr(explorer, "_run", lambda spec, block_tuples: list(block_tuples))
+    walked = []
+    spy_on_verdicts(monkeypatch, lambda coll: walked.append(coll.blocks) or is_exceptional(coll))
     if target == "minimal":
-        walked = search_minimal(spec)
+        result = search_minimal(spec)
         reference = nested_product_blocks(spec, lambda t, avail: avail)
     elif prune:
-        walked = search_rectangular(spec)
+        result = search_rectangular(spec)
         reference = nested_product_blocks(spec, lambda t, avail: t // (spec.n + 1))
     else:
-        walked = search_rectangular(spec, prune=False)
+        result = search_rectangular(spec, prune=False)
         reference = recursive_subset_blocks(spec)
-    assert walked
+    assert len(walked) == result.nodes_visited > 0
     assert walked == list(reference)
 
 
@@ -463,13 +493,7 @@ def test_search_candidates_are_decided_without_flattening(monkeypatch, capsys):
     argv = ["search", "--k", "2", "--n", "200", "--target", "rectangular", "--no-prune"]
     assert main([*argv, "--budget", "3"]) == 3
     assert "nodes: 3, exhausted: no" in capsys.readouterr().out
-    outcomes = []
-
-    def checked(coll):
-        outcomes.append(is_exceptional(coll))
-        return outcomes[-1]
-
-    monkeypatch.setattr(explorer, "is_exceptional", checked)
+    outcomes = spy_on_verdicts(monkeypatch, is_exceptional)
     result = search_minimal(SearchSpec(k=3, n=2))
     assert result.exhausted and len(outcomes) == result.nodes_visited
     assert any(outcomes) and not all(outcomes)
@@ -483,3 +507,29 @@ def test_budget_bounds_the_orbit_choices_drawn(monkeypatch):
     result = search_rectangular(SearchSpec(k=2, n=16, budget=1))
     assert (result.nodes_visited, result.exhausted, len(result.found)) == (1, False, 1)
     assert counting.drawn <= 51
+
+
+@given(k=st.integers(1, 3), n=st.integers(1, 3), hi=st.integers(0, 4), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_table_verdict_matches_is_exceptional_on_random_nested_candidates(k, n, hi, data):
+    # first blocks of any orbits of the pool, not only those the searches draw
+    table = explorer._ExtTable(SearchSpec(k=k, n=n, pool_hi=hi))
+    index = st.integers(0, len(table.orbits) - 1)
+    first = data.draw(st.lists(index, min_size=1, max_size=8, unique=True))
+    last = {p: data.draw(st.integers(0, n)) for p in first}
+    coll = table.collection(last)
+    assert table.exceptional(last) == is_exceptional(coll) == (check_exceptional(coll) == [])
+
+
+def test_oversized_twist_tables_refused_before_drawing_reps(monkeypatch, capsys):
+    # 2,049 orbits of k = 2 would need a table of 2049^2 cells
+    def boom(k, hi):
+        raise AssertionError("pool reps drawn before the size check")
+
+    monkeypatch.setattr(explorer, "normalised_reps", boom)
+    argv = ["search", "--k", "2", "--n", "2047", "--target", "rectangular", "--no-prune"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: twist table of 2049 x 2049 cells is more than the limit of 4194304\n"
+    )

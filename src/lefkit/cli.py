@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .ext import ext_graded, is_orthogonal_pair
-from .lattice import _refuse_above_limit, format_multidegree, orbit_set, parse_multidegree
+from .lattice import Box, _refuse_above_limit, format_multidegree, orbit_set, parse_multidegree
 from .lefschetz import (
     JSON_SCHEMA,
     check_exceptional,
@@ -315,6 +315,8 @@ def cmd_closure(args) -> int:
         raise ValueError(f"--n {args.n} conflicts with seed file n={file_n}")
     state, missing = close_cube(seed, n, k, args.margin)
     status = FULL if not missing else INCONCLUSIVE
+    if status == FULL:
+        state = state.certificate(Box(lo=0, hi=n, k=k))
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
             fh.writelines(json.dumps(doc) + "\n" for doc in _trace_docs(state))

@@ -12,7 +12,10 @@ recorded as arrays (the flooded lines, their first windows and the points
 they gained); the member set and the trace of rule applications are built
 from the grid and those records only when asked for.  Every rule
 application can be replayed by an independent pure-set routine, which is
-how FULL verdicts stay auditable.
+how FULL verdicts stay auditable.  ClosureState.certificate slices a
+state that covers a target down to the rules the target depends on, each
+listing only the points needed, so an application's added points may be a
+subset of what its line gained.
 
 The rule commutes with permuting coordinates, so the closure of an
 S_k-stable seed is S_k-stable and is decided on weakly decreasing reps
@@ -74,7 +77,9 @@ class RuleApplication:
 
     line lists the k-1 coordinates of the other axes in index order; the
     window [window_start, window_start + n] along `axis` was fully in the
-    member set before this application.
+    member set before this application.  added lists the line's points the
+    application adds; in a certificate that may be a subset of what the
+    flood gained.
     """
 
     axis: int
@@ -163,6 +168,45 @@ class ClosureState:
                 )
                 begin = end
         return tuple(out)
+
+    def certificate(self, target: Box) -> ClosureState:
+        """The rules `target`'s points depend on, as a state with this box, n and seed.
+
+        target is a box inside the working box whose points are all members.
+        Walking the passes backwards, a line is kept when it gained a needed
+        point, and it lists only those; its window then becomes needed.
+        Windows read the snapshot before their pass, so each window point is
+        a seed point or was gained, exactly once, in an earlier pass, whose
+        rule is then kept.  The result replays to the seed plus the listed
+        points, and no entry or listed point can be dropped without breaking
+        the replay or leaving a target point uncovered.  ValueError unless
+        the target is covered.
+        """
+        window = _sub_box(self.box, target)
+        if not self.grid[window].all():
+            raise ValueError(
+                f"target [{target.lo}, {target.hi}]^{target.k} is not covered by the closure"
+            )
+        seed = _grid_of(self.seed, self.box)
+        need = np.zeros_like(self.grid)
+        need[window] = True
+        need &= ~seed
+        kept, h = [], self.n + 1
+        for p in reversed(self.passes):
+            shape = self.grid.shape[: p.axis] + (1,) + self.grid.shape[p.axis + 1 :]
+            rows = p.added & need[_line_cells(shape, p.lines, p.axis, self.grid.shape[p.axis])]
+            keep = rows.any(axis=1)
+            if not keep.any():
+                continue
+            lines, starts = p.lines[keep], p.starts[keep]
+            kept.append(_Pass(axis=p.axis, lines=lines, starts=starts, added=rows[keep]))
+            need[_line_cells(shape, lines, p.axis, h, first=starts)] = True
+        # every needed point that is not a seed point is listed by the rule gaining it
+        need |= seed
+        need.flags.writeable = False
+        return ClosureState(
+            box=self.box, n=self.n, seed=self.seed, grid=need, passes=tuple(reversed(kept))
+        )
 
     def missing_points(self, target: Box, limit: int | None = None) -> list[Multidegree]:
         """Points of `target`, a box inside the working box, that are not members.
@@ -282,13 +326,14 @@ def _fold(ufunc, a, axis):
     return out
 
 
-def _line_cells(shape, lines, axis, length):
-    """Index selecting the first `length` cells along `axis` of each flat line index.
+def _line_cells(shape, lines, axis, length, first=0):
+    """Index selecting `length` cells along `axis` of each flat line index.
 
-    The result of indexing with it has one row per line.
+    They start at `first`, a number or one start per line.  The result of
+    indexing with it has one row per line.
     """
     index = [c[:, None] for c in np.unravel_index(lines, shape)]
-    index[axis] = np.arange(length)[None, :]
+    index[axis] = np.reshape(first, (-1, 1)) + np.arange(length)
     return tuple(index)
 
 
@@ -323,6 +368,14 @@ def _seed_points(seed, k: int) -> frozenset:
     return points
 
 
+def _grid_of(points, box: Box) -> np.ndarray:
+    """A writable boolean grid over `box`, True at `points` (a set of points inside it)."""
+    grid = np.zeros((box.width,) * box.k, dtype=bool)
+    if points:
+        grid[tuple((np.array(list(points)) - box.lo).T)] = True
+    return grid
+
+
 def close(seed, n: int, box: Box, target: Box | None = None) -> ClosureState:
     """Least fixed point of the window rule over `box`, starting from `seed`.
 
@@ -346,9 +399,7 @@ def close(seed, n: int, box: Box, target: Box | None = None) -> ClosureState:
                 f"seed point {format_multidegree(p)} outside box [{box.lo}, {box.hi}]^{box.k}"
             )
     h = n + 1
-    grid = np.zeros((box.width,) * box.k, dtype=bool)
-    if seed:
-        grid[tuple((np.array(list(seed)) - box.lo).T)] = True
+    grid = _grid_of(seed, box)
 
     window = None if target is None else _sub_box(box, target)
 
@@ -393,13 +444,16 @@ def close_cube(seed, n: int, k: int, margin: int | None = None, drop_outside: bo
 def replay_trace(seed, n: int, box: Box, trace) -> frozenset:
     """Re-run a trace with plain set operations, verifying each precondition.
 
-    Raises ValueError if any window was not fully present when its rule
-    fired, if an added point leaves the box, or if it is off the rule's
-    line.  Returns the final member set.
+    Raises ValueError if a rule's axis or line does not fit the box's k, if
+    any window was not fully present when its rule fired, if an added point
+    leaves the box, or if it is off the rule's line.  Returns the final
+    member set.
     """
     members = set(tuple(int(c) for c in p) for p in seed)
-    h = n + 1
+    h, k, lo, hi = n + 1, box.k, box.lo, box.hi
     for app in trace:
+        if not 0 <= app.axis < k or len(app.line) != k - 1:
+            raise ValueError(f"rule on axis {app.axis}, line {app.line} does not fit k={k}")
         for z in range(app.window_start, app.window_start + h):
             pt = _insert_coord(app.line, app.axis, z)
             if pt not in members:
@@ -408,7 +462,7 @@ def replay_trace(seed, n: int, box: Box, trace) -> frozenset:
                     f"axis {app.axis}, line {app.line}"
                 )
         for p in app.added:
-            if p not in box:
+            if len(p) != k or min(p) < lo or max(p) > hi:
                 raise ValueError(f"added point {format_multidegree(p)} outside box")
             if p[: app.axis] + p[app.axis + 1 :] != app.line:
                 raise ValueError(

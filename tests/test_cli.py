@@ -271,6 +271,57 @@ def test_closure_from_dumped_collection(capsys, tmp_path):
     assert set(first) == {"axis", "line", "window_start", "added"}
 
 
+def read_trace(path, k):
+    """The RuleApplications of a `--trace-out` file, parsed as an outside reader would."""
+    return tuple(
+        saturation.RuleApplication(
+            axis=doc["axis"],
+            line=tuple(doc["line"]),
+            window_start=doc["window_start"],
+            added=tuple(lattice.parse_multidegree(p, k) for p in doc["added"]),
+        )
+        for doc in map(json.loads, path.read_text().splitlines())
+    )
+
+
+@pytest.mark.parametrize(
+    "coll, margin",
+    [(x32_minimal(), 2), (lefschetz.xk1(4), None), (lefschetz.xk1(6), None)],
+    ids=["x32-minimal", "xk1-4", "xk1-6"],
+)
+def test_full_closure_certificate_replays_to_what_it_prints(capsys, tmp_path, coll, margin):
+    seed_path, trace_path = tmp_path / "seed.json", tmp_path / "trace.jsonl"
+    seed_path.write_text(collection_to_json(coll))
+    argv = ["closure", "--seed-file", str(seed_path), "--trace-out", str(trace_path)]
+    rc, out, _ = run(capsys, *argv, *(["--margin", str(margin)] if margin else []))
+    assert rc == 0
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    assert fields["status"] == "FULL"
+    members, _, box_size = fields["members"].partition(" of ")
+    m = margin if margin else coll.n + 1
+    box = lattice.Box(lo=-m, hi=coll.n + m, k=coll.k)
+    assert box_size == str(box.size)
+    trace = read_trace(trace_path, coll.k)
+    assert fields["trace entries"] == str(len(trace))
+    replayed = saturation.replay_trace(lefschetz.flatten_bundles(coll), coll.n, box, trace)
+    assert members == str(len(replayed))
+    assert set(lattice.Box(lo=0, hi=coll.n, k=coll.k).points()) <= replayed
+
+
+def test_inconclusive_closure_writes_the_engine_trace(capsys, tmp_path):
+    seed_path, trace_path = tmp_path / "seed.json", tmp_path / "trace.jsonl"
+    seed = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    seed_path.write_text(json.dumps({"k": 3, "points": [format_multidegree(p) for p in seed]}))
+    rc, out, _ = run(
+        capsys, "closure", "--seed-file", str(seed_path), "--n", "1", "--trace-out", str(trace_path)
+    )
+    assert rc == 3
+    state, missing = saturation.close_cube(seed, 1, 3)
+    assert missing and state.trace
+    assert read_trace(trace_path, 3) == state.trace
+    assert f"members: {state.member_count} of {state.box.size}" in out
+
+
 def test_trace_docs_match_the_rule_applications():
     # wide margins give negative and two-digit coordinates
     for seed, n, margin in (

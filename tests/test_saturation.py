@@ -1,10 +1,11 @@
 import itertools
 import random
+from dataclasses import replace
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from lefkit import lattice, saturation
@@ -196,6 +197,35 @@ def test_replay_rejects_corrupt_trace():
     bad = type(app)(axis=app.axis, line=app.line, window_start=2, added=app.added)
     with pytest.raises(ValueError):
         replay_trace(state.seed, 1, box, (bad,))
+
+
+def test_replay_refuses_rules_that_do_not_fit_k():
+    box = Box(lo=0, hi=3, k=2)
+    seed = [(0, 0), (1, 0)]
+    for axis, line in ((7, (0,)), (2, (0,)), (-1, (0,)), (0, ()), (1, (0, 0))):
+        bad = RuleApplication(axis=axis, line=line, window_start=0, added=())
+        with pytest.raises(ValueError, match="does not fit k=2"):
+            replay_trace(seed, 1, box, (bad,))
+
+
+def test_replay_refuses_added_points_outside_the_box():
+    box = Box(lo=0, hi=3, k=2)
+    seed = [(0, 0), (1, 0)]
+    for point in ((4, 0), (-1, 0), (2,), (2, 0, 0)):
+        bad = RuleApplication(axis=0, line=(0,), window_start=0, added=(point,))
+        with pytest.raises(ValueError, match="outside box"):
+            replay_trace(seed, 1, box, (bad,))
+
+
+def test_certificate_refuses_an_uncovered_target():
+    box = Box(lo=0, hi=3, k=2)
+    state = close([(0, 0), (1, 0)], 1, box)
+    with pytest.raises(ValueError, match="not covered"):
+        state.certificate(Box(lo=0, hi=1, k=2))
+    with pytest.raises(ValueError, match="not inside box"):
+        state.certificate(Box(lo=0, hi=4, k=2))
+    covered = state.certificate(Box(lo=0, hi=0, k=2))
+    assert (covered.trace, covered.members) == ((), state.seed)
 
 
 def test_x32_closure_derivations():
@@ -651,3 +681,56 @@ def test_orbit_replay_rejects_corrupt_traces():
 def test_orbit_closure_refuses_a_negative_margin():
     with pytest.raises(ValueError, match="nonnegative"):
         close_orbits([(0, 0, 0, 0)], 1, 4, -1)
+
+
+@st.composite
+def full_closures(draw):
+    """close_cube of random seeds, k <= 3, n <= 2, margins 0..n+1, where it is FULL."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    margin = draw(st.integers(0, n + 1))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.2, 0.4, 0.6]))
+    box = Box(lo=-margin, hi=n + margin, k=k)
+    seed = [p for p in box.points() if rng.random() < density]
+    state, missing = close_cube(seed, n, k, margin)
+    assume(not missing)
+    return state
+
+
+def covers(members, cube):
+    return all(p in members for p in cube.points())
+
+
+@settings(max_examples=120, deadline=None)
+@given(full_closures())
+def test_certificate_is_a_sound_irredundant_slice_of_the_trace(state):
+    n, k = state.n, state.box.k
+    cube = Box(lo=0, hi=n, k=k)
+    cert = state.certificate(cube)
+    assert (cert.box, cert.n, cert.seed) == (state.box, state.n, state.seed)
+    assert not cert.grid.flags.writeable
+    assert cert.trace_length == len(cert.trace)
+    assert cert.member_count == len(cert.members)
+    replayed = replay_trace(cert.seed, n, cert.box, cert.trace)
+    assert replayed == cert.members
+    assert covers(replayed, cube)
+    # the entries are engine rules, in engine order, each adding a subset
+    engine = iter(state.trace)
+    for app in cert.trace:
+        rule = next((r for r in engine if (r.axis, r.line) == (app.axis, app.line)), None)
+        assert rule is not None
+        assert rule.window_start == app.window_start
+        assert app.added and set(app.added) <= set(rule.added)
+
+    def breaks(trace):
+        try:
+            return not covers(replay_trace(cert.seed, n, cert.box, trace), cube)
+        except ValueError:
+            return True
+
+    trace = cert.trace
+    for i, app in enumerate(trace):
+        assert breaks(trace[:i] + trace[i + 1 :])
+        for j in range(len(app.added)):
+            fewer = replace(app, added=app.added[:j] + app.added[j + 1 :])
+            assert breaks(trace[:i] + (fewer,) + trace[i + 1 :])

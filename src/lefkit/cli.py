@@ -48,7 +48,8 @@ from .saturation import (
     FULL,
     INCONCLUSIVE,
     NOT_FULL_BY_RANK,
-    close_cube,
+    OrbitClosureState,
+    close_seed,
     residual_check,
     verify_fullness,
 )
@@ -113,10 +114,16 @@ def _multidegree_texts(points) -> list[str]:
 
 
 def _trace_docs(state):
-    """The closure trace as one JSON-ready dict per rule application, in engine order.
+    """The closure trace as one JSON-ready dict per rule, in engine order.
 
-    Read from the state's pass arrays, with no RuleApplication built.
+    An orbit state gives its OrbitRules, with no "axis".  A grid state is
+    read from its pass arrays, with no RuleApplication built.
     """
+    if isinstance(state, OrbitClosureState):
+        for rule in state.trace:
+            added = [format_multidegree(p) for p in rule.added]
+            yield {"line": list(rule.line), "window_start": rule.window_start, "added": added}
+        return
     for axis, lines, starts, points, ends in state.pass_rows():
         added, begin = _multidegree_texts(points), 0
         for line, start, end in zip(lines, starts, ends):
@@ -313,7 +320,7 @@ def cmd_closure(args) -> int:
         raise ValueError("--n is required when the seed file carries no n")
     if file_n is not None and args.n is not None and args.n != file_n:
         raise ValueError(f"--n {args.n} conflicts with seed file n={file_n}")
-    state, missing = close_cube(seed, n, k, args.margin)
+    state, missing = close_seed(seed, n, k, args.margin)
     status = FULL if not missing else INCONCLUSIVE
     if status == FULL:
         state = state.certificate(Box(lo=0, hi=n, k=k))

@@ -20,10 +20,12 @@ subset of what its line gained.
 The rule commutes with permuting coordinates, so the closure of an
 S_k-stable seed is S_k-stable and is decided on weakly decreasing reps
 alone: close_orbits floods orbit lines, the points sort(M + (z,)) of a
-weakly decreasing (k-1)-tuple M.  Fullness verdicts use it from k = 4 on,
-where it visits C(W+k-2, k-1) lines of W points instead of the grid's W^k
-cells; replay_orbit_trace checks its rules, and expand_orbit_trace turns
-them into the RuleApplications replay_trace reads.
+weakly decreasing (k-1)-tuple M.  From k = ORBIT_MIN_K on, where it visits
+C(W+k-2, k-1) lines of W points instead of the grid's W^k cells, fullness
+verdicts use it, and close_seed uses it for every S_k-stable seed: its
+INCONCLUSIVE answers stand, and a FULL one is redone on the grid, whose
+state certificate slices.  replay_orbit_trace checks its rules, and
+expand_orbit_trace turns them into the RuleApplications replay_trace reads.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ MAX_ORBIT_LINES = 2 ** 20
 
 # Unreached cube points reported with an INCONCLUSIVE closure.
 MISSING_SAMPLE = 20
+
+# Smallest k at which S_k-stable seeds are closed on orbit reps; below it the
+# grid is as fast or faster.
+ORBIT_MIN_K = 4
 
 
 @dataclass(frozen=True)
@@ -239,7 +245,8 @@ class OrbitClosureState:
     """The closure of an S_k-stable seed over `box`, held by weakly decreasing reps.
 
     seed and members are frozensets of reps; trace holds the OrbitRules in
-    engine order.
+    engine order.  member_count counts the points of the member orbits, as
+    ClosureState.member_count counts grid cells.
     """
 
     box: Box
@@ -247,6 +254,10 @@ class OrbitClosureState:
     seed: frozenset
     members: frozenset = field(repr=False)
     trace: tuple[OrbitRule, ...] = field(repr=False)
+
+    @functools.cached_property
+    def member_count(self) -> int:
+        return sum(Orbit(r).size for r in self.members)
 
     @property
     def trace_length(self) -> int:
@@ -258,7 +269,7 @@ class Verdict:
     """Outcome of a fullness check; certificate data depends on status.
 
     FULL carries the closure state (a ClosureState, or an OrbitClosureState
-    from k = 4 on) whose trace replays to cover [0, n]^k.
+    from k = ORBIT_MIN_K on) whose trace replays to cover [0, n]^k.
     NOT_FULL_BY_RANK carries the offending counts.  INCONCLUSIVE carries a
     sample of unreached points (enlarging the box may still succeed).
     """
@@ -277,6 +288,11 @@ def _sub_box(box: Box, target: Box) -> tuple[slice, ...]:
         )
     offset = target.lo - box.lo
     return (slice(offset, offset + target.width),) * target.k
+
+
+def _refuse_small_n(n: int):
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
 
 
 def _margin(n: int, margin: int | None) -> int:
@@ -368,6 +384,15 @@ def _seed_points(seed, k: int) -> frozenset:
     return points
 
 
+def _refuse_outside(points, box: Box):
+    """ValueError naming the first of `points` outside `box`, if any."""
+    for p in points:
+        if p not in box:
+            raise ValueError(
+                f"seed point {format_multidegree(p)} outside box [{box.lo}, {box.hi}]^{box.k}"
+            )
+
+
 def _grid_of(points, box: Box) -> np.ndarray:
     """A writable boolean grid over `box`, True at `points` (a set of points inside it)."""
     grid = np.zeros((box.width,) * box.k, dtype=bool)
@@ -385,19 +410,14 @@ def close(seed, n: int, box: Box, target: Box | None = None) -> ClosureState:
     it never changes whether it is reached, only how much of the rest of the
     box gets filled.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _refuse_small_n(n)
     if box.size > MAX_BOX_CELLS:
         raise ValueError(
             f"box [{box.lo}, {box.hi}]^{box.k} has {box.size} cells, more than the "
             f"limit of {MAX_BOX_CELLS}; use a smaller margin"
         )
     seed = _seed_points(seed, box.k)
-    for p in seed:
-        if p not in box:
-            raise ValueError(
-                f"seed point {format_multidegree(p)} outside box [{box.lo}, {box.hi}]^{box.k}"
-            )
+    _refuse_outside(seed, box)
     h = n + 1
     grid = _grid_of(seed, box)
 
@@ -432,6 +452,7 @@ def close_cube(seed, n: int, k: int, margin: int | None = None, drop_outside: bo
     is refused either way.
     """
     margin = _margin(n, margin)
+    _refuse_small_n(n)
     box = Box(lo=-margin, hi=n + margin, k=k)
     if drop_outside:
         # points of another arity stay, for close to refuse
@@ -511,12 +532,14 @@ def _lex_points(reps, limit: int) -> list[Multidegree]:
     return out
 
 
-def close_orbits(seed, n: int, k: int, margin: int | None = None):
+def close_orbits(seed, n: int, k: int, margin: int | None = None, drop_outside: bool = False):
     """close_cube for an S_k-stable seed, given by any points of its orbits.
 
-    Members are the weakly decreasing reps in [-margin, n+margin]^k; seeds
-    outside are dropped, seeds of another arity than k refused.  A pass
-    visits the orbit lines in ascending lex order and floods each line
+    Members are the weakly decreasing reps in [-margin, n+margin]^k.  n
+    below 1, seed points outside the box and seed points of another arity
+    than k are refused as close_cube refuses them; with drop_outside,
+    points outside the box are dropped instead.
+    A pass visits the orbit lines in ascending lex order and floods each line
     holding n+1 consecutive member points at once; lines that gained no
     member since their last visit are skipped, as they would flood nothing.
     The closure stops when all C(n+k, k) reps of [0, n]^k are members or
@@ -526,6 +549,7 @@ def close_orbits(seed, n: int, k: int, margin: int | None = None):
     cube, ascending lex, as close_cube does.
     """
     margin = _margin(n, margin)
+    _refuse_small_n(n)
     box = Box(lo=-margin, hi=n + margin, k=k)
     lines = comb(box.width + k - 2, k - 1)
     if lines > MAX_ORBIT_LINES:
@@ -533,7 +557,10 @@ def close_orbits(seed, n: int, k: int, margin: int | None = None):
             f"box [{box.lo}, {box.hi}]^{k} has {lines} orbit lines, more than the "
             f"limit of {MAX_ORBIT_LINES}; use a smaller margin"
         )
-    seed = frozenset(canonical_rep(p) for p in _seed_points(seed, k) if p in box)
+    points = _seed_points(seed, k)
+    if not drop_outside:
+        _refuse_outside(points, box)
+    seed = frozenset(canonical_rep(p) for p in points if p in box)
     members, trace, h = set(seed), [], n + 1
 
     def in_cube(p):
@@ -575,15 +602,43 @@ def close_orbits(seed, n: int, k: int, margin: int | None = None):
     return state, tuple(_lex_points(missing, MISSING_SAMPLE) if missing else ())
 
 
+def _is_symmetric(seed) -> bool:
+    """Whether the distinct points of `seed` are whole S_k-orbits."""
+    points = {tuple(int(c) for c in p) for p in seed}
+    return len(points) == sum(Orbit(r).size for r in {canonical_rep(p) for p in points})
+
+
+def close_seed(seed, n: int, k: int, margin: int | None = None):
+    """close_cube's answer, decided on orbit reps where the seed allows it.
+
+    From k = ORBIT_MIN_K on, an S_k-stable seed goes to close_orbits first.
+    Both engines reach the same least fixed point, so when the cube is not
+    covered the OrbitClosureState stands, with close_cube's member count and
+    missing sample.  When it is covered, close_cube runs as well, for the
+    grid state that ClosureState.certificate slices.  Other seeds, and all
+    of k < ORBIT_MIN_K, go to close_cube alone.  Refusals are close_cube's,
+    except that an orbit box is sized by MAX_ORBIT_LINES.
+    """
+    seed = list(seed)
+    if k >= ORBIT_MIN_K and _is_symmetric(seed):
+        state, missing = close_orbits(seed, n, k, margin)
+        if missing:
+            return state, missing
+    return close_cube(seed, n, k, margin)
+
+
 def replay_orbit_trace(seed, n: int, box: Box, trace) -> frozenset:
     """Re-run an orbit trace on plain sets of sorted reps, verifying each precondition.
 
-    Raises ValueError if the rep of a window point was not a member when its
-    rule fired, or if an added rep leaves the box or is off the rule's line.
-    Returns the final set of reps.
+    Raises ValueError if a rule's line or an added rep does not fit the box's
+    k, if the rep of a window point was not a member when its rule fired, or
+    if an added rep leaves the box or is off the rule's line.  Returns the
+    final set of reps.
     """
-    members = {canonical_rep(p) for p in seed}
+    members, k = {canonical_rep(p) for p in seed}, box.k
     for rule in trace:
+        if len(rule.line) != k - 1 or any(len(p) != k for p in rule.added):
+            raise ValueError(f"rule on line {rule.line} does not fit k={k}")
         line = canonical_rep(rule.line)
         for z in range(rule.window_start, rule.window_start + n + 1):
             if canonical_rep(line + (z,)) not in members:
@@ -626,7 +681,7 @@ def _generation_verdict(reps, n: int, k: int, margin: int | None) -> Verdict:
     any other count, taken from the orbit sizes, is NOT_FULL_BY_RANK before
     any closure runs.  With the count right, the orbits seed a closure over
     [-margin, n+margin]^k (close_cube's margin rule): close_orbits from
-    k = 4 on, where it is the faster, and the grid below that.  Covering the
+    k = ORBIT_MIN_K on, and the grid below that.  Covering the
     cube [0, n]^k certifies FULL (the cube generates everything), and an
     orbit certificate is replayed by replay_orbit_trace first; otherwise the
     verdict is INCONCLUSIVE for this margin.  A negative margin is refused
@@ -641,8 +696,8 @@ def _generation_verdict(reps, n: int, k: int, margin: int | None) -> Verdict:
     if count != expected or sum(map(size.get, reps)) != expected:
         detail = {"bundles": count, "expected": expected}
         return Verdict(status=NOT_FULL_BY_RANK, state=None, detail=detail)
-    if k >= 4:
-        state, missing = close_orbits(size, n, k, margin)
+    if k >= ORBIT_MIN_K:
+        state, missing = close_orbits(size, n, k, margin, drop_outside=True)
         if not missing:
             replayed = replay_orbit_trace(state.seed, n, state.box, state.trace)
             if not replayed.issuperset(_cube_reps(n, k)):

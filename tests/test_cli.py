@@ -2,16 +2,20 @@ import contextlib
 import doctest
 import hashlib
 import io
+import itertools
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lefkit
 from lefkit import cli, explorer, lattice, lefschetz, reptheory, saturation
@@ -335,6 +339,136 @@ def test_trace_docs_match_the_rule_applications():
              "added": [format_multidegree(p) for p in app.added]}
             for app in state.trace
         ]
+
+
+def orbit_points(reps):
+    return sorted({p for r in reps for p in lattice.orbit_of(r).elements})
+
+
+def points_doc(k, points):
+    return json.dumps({"k": k, "points": [format_multidegree(p) for p in points]})
+
+
+def run_closure(seed_text, *argv, grid=False):
+    """`closure` on a seed file holding seed_text: (rc, stdout, stderr).
+
+    With grid, the closure runs on close_cube alone, as it did before orbit
+    reps were used.
+    """
+    engine = saturation.close_cube if grid else saturation.close_seed
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory, mock.patch.object(cli, "close_seed", engine):
+        path = Path(directory, "seed.json")
+        path.write_text(seed_text, encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["closure", "--seed-file", str(path), *argv])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def xk1_without_weight(k, weight):
+    """The seed of xk1(k) with the weight-`weight` orbit dropped from its first block."""
+    first, second = lefschetz.xk1(k).blocks
+    points = [p for p in first.bundles() if sum(p) != weight]
+    return points + [lattice.twist(p, 1) for p in second.bundles()]
+
+
+@st.composite
+def stable_seeds(draw):
+    """Whole orbits of a random share of the reps of a k = 4..5 box, n <= 2, margin <= n+1."""
+    k, n = draw(st.integers(4, 5)), draw(st.integers(1, 2))
+    margin = draw(st.integers(0, n + 1))
+    box = range(n + margin, -margin - 1, -1)
+    share, rng = draw(st.floats(0.05, 0.9)), draw(st.randoms(use_true_random=False))
+    reps = [r for r in itertools.combinations_with_replacement(box, k) if rng.random() < share]
+    return orbit_points(reps), n, k, margin
+
+
+@settings(max_examples=40, deadline=None)
+@given(stable_seeds())
+def test_stable_closures_on_orbit_reps_answer_as_the_grid(case):
+    seed, n, k, margin = case
+    argv = ["--n", str(n), "--margin", str(margin)]
+    for fmt in ("text", "json"):
+        got = run_closure(points_doc(k, seed), *argv, "--format", fmt)
+        want = run_closure(points_doc(k, seed), *argv, "--format", fmt, grid=True)
+        assert got[0] == want[0] and got[0] in (0, 3)
+        if got[0] == 0:  # a FULL closure writes the grid certificate, byte for byte
+            assert got == want
+        elif fmt == "text":
+            fields = [
+                dict(line.split(": ", 1) for line in out.splitlines()) for _, out, _ in (got, want)
+            ]
+            for key in ("status", "members", "missing"):
+                assert fields[0][key] == fields[1][key]
+            orbit_state, _ = saturation.close_orbits(seed, n, k, margin)
+            assert fields[0]["trace entries"] == str(orbit_state.trace_length)
+        else:
+            docs = [json.loads(out) for _, out, _ in (got, want)]
+            for key in ("status", "margin", "members", "box_size", "missing_sample"):
+                assert docs[0][key] == docs[1][key]
+
+
+def test_orbit_trace_out_replays_to_the_members_it_counts(tmp_path):
+    k, n, margin = 6, 1, 2
+    seed = xk1_without_weight(k, 1)
+    trace_path = tmp_path / "trace.jsonl"
+    rc, out, _ = run_closure(
+        points_doc(k, seed), "--n", str(n), "--margin", str(margin), "--trace-out", str(trace_path)
+    )
+    assert rc == 3
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    docs = list(map(json.loads, trace_path.read_text().splitlines()))
+    assert docs and all(set(doc) == {"line", "window_start", "added"} for doc in docs)
+    rules = [
+        saturation.OrbitRule(
+            line=tuple(doc["line"]),
+            window_start=doc["window_start"],
+            added=tuple(lattice.parse_multidegree(p, k) for p in doc["added"]),
+        )
+        for doc in docs
+    ]
+    assert fields["trace entries"] == str(len(rules))
+    box = lattice.Box(lo=-margin, hi=n + margin, k=k)
+    members = saturation.replay_orbit_trace(seed, n, box, rules)
+    assert fields["members"] == f"{sum(lattice.orbit_of(r).size for r in members)} of {box.size}"
+    state, _ = saturation.close_cube(seed, n, k, margin)
+    assert {lattice.canonical_rep(p) for p in state.members} == members
+
+
+def test_closures_of_unstable_k4_seeds_stay_on_the_grid(tmp_path):
+    seed = orbit_points([(1, 0, 0, 0), (1, 1, 0, 0)])[1:]  # one point short of two orbits
+    trace_path = tmp_path / "trace.jsonl"
+    rc, out, _ = run_closure(points_doc(4, seed), "--n", "1", "--trace-out", str(trace_path))
+    assert rc == 3
+    state, _ = saturation.close_cube(seed, 1, 4)
+    assert read_trace(trace_path, 4) == state.trace
+    assert f"trace entries: {state.trace_length}" in out
+
+
+def test_stable_closure_refusals_are_the_grids(tmp_path):
+    seed = points_doc(4, orbit_points([(1, 0, 0, 0), (1, 1, 0, 0), (5, 0, 0, 0)]))
+    inside = points_doc(4, orbit_points([(1, 0, 0, 0), (1, 1, 0, 0)]))
+    for text, argv in (
+        (seed, ["--n", "1", "--margin", "2"]),  # (5,0,0,0) is outside the box
+        (inside, ["--n", "1", "--margin", "-1"]),
+        (inside, ["--n", "0"]),
+        (inside, ["--n", "-1"]),
+        (inside.replace('"(1,0,0,0)"', '"(1,0,0)"'), ["--n", "1"]),
+    ):
+        got = run_closure(text, *argv)
+        assert got == run_closure(text, *argv, grid=True)
+        assert got[0] == 2 and got[1] == "" and got[2].startswith("error: ")
+
+
+def test_stable_closure_beyond_the_grid_limit_exits_3():
+    # the grid box, 6^12 cells, is refused; its 6,188 orbit lines are not
+    k, n, margin = 12, 1, 2
+    assert lattice.Box(lo=-margin, hi=n + margin, k=k).size > saturation.MAX_BOX_CELLS
+    rc, out, err = run_closure(
+        points_doc(k, xk1_without_weight(k, 4)), "--n", str(n), "--margin", str(margin)
+    )
+    assert (rc, err) == (3, "")
+    assert "status: INCONCLUSIVE" in out
 
 
 def test_multidegree_texts_match_format_multidegree():

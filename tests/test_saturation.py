@@ -482,6 +482,16 @@ def test_close_cube_drops_or_refuses_seeds_outside_the_box():
     assert missing == ((0, 1), (1, 0), (1, 1))
 
 
+def test_orbit_closure_drops_or_refuses_seeds_outside_the_box():
+    seed = orbit_elements([(0, 0, 0, 0), (5, 0, 0, 0)])
+    message = r"seed point \(\d(,\d){3}\) outside box \[0, 1\]\^4"
+    with pytest.raises(ValueError, match=message):
+        close_orbits(seed, 1, 4, 0)
+    state, missing = close_orbits(seed, 1, 4, 0, drop_outside=True)
+    assert state.seed == frozenset({(0, 0, 0, 0)})
+    assert missing == close_cube([(0, 0, 0, 0)], 1, 4, 0)[1]
+
+
 def test_seed_points_of_another_arity_are_refused_not_dropped():
     # a wrong-arity point is no point of the box; dropping it would answer
     # as for an empty seed, and refusing it as "outside" would misname it
@@ -681,6 +691,23 @@ def test_orbit_replay_rejects_corrupt_traces():
 def test_orbit_closure_refuses_a_negative_margin():
     with pytest.raises(ValueError, match="nonnegative"):
         close_orbits([(0, 0, 0, 0)], 1, 4, -1)
+
+
+def test_orbit_closure_refuses_n_below_1_as_the_grid_does():
+    # an empty cube would leave nothing missing, which reads as FULL
+    for n in (0, -1):
+        for closes in (close_cube, close_orbits):
+            with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
+                closes([(0, 0, 0, 0)], n, 4, 1)
+
+
+def test_orbit_replay_refuses_rules_that_do_not_fit_k():
+    box = Box(lo=0, hi=3, k=4)
+    seed = [(0, 0, 0, 0), (1, 0, 0, 0)]
+    for line, added in (((0, 0), ()), ((0, 0, 0, 0), ()), ((0, 0, 0), ((2, 0, 0),))):
+        bad = OrbitRule(line=line, window_start=0, added=added)
+        with pytest.raises(ValueError, match="does not fit k=4"):
+            replay_orbit_trace(seed, 1, box, (bad,))
 
 
 @st.composite

@@ -49,6 +49,7 @@ from .saturation import (
     INCONCLUSIVE,
     NOT_FULL_BY_RANK,
     OrbitClosureState,
+    _margin,
     close_seed,
     residual_check,
     verify_fullness,
@@ -321,9 +322,15 @@ def cmd_closure(args) -> int:
     if file_n is not None and args.n is not None and args.n != file_n:
         raise ValueError(f"--n {args.n} conflicts with seed file n={file_n}")
     state, missing = close_seed(seed, n, k, args.margin)
+    margin = _margin(n, args.margin)
+    box = Box(lo=-margin, hi=n + margin, k=k)
     status = FULL if not missing else INCONCLUSIVE
+    members = state.member_count
     if status == FULL:
         state = state.certificate(Box(lo=0, hi=n, k=k))
+        # replayed in `box`, the certificate gives the seed plus its listed
+        # points; its own box may be smaller and leave seed points out
+        members = state.member_count + len(set(seed) - state.seed)
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
             fh.writelines(json.dumps(doc) + "\n" for doc in _trace_docs(state))
@@ -333,10 +340,10 @@ def cmd_closure(args) -> int:
             "schema": JSON_SCHEMA,
             "k": k,
             "n": n,
-            "margin": -state.box.lo,
+            "margin": margin,
             "status": status,
-            "members": state.member_count,
-            "box_size": state.box.size,
+            "members": members,
+            "box_size": box.size,
             "trace": list(_trace_docs(state)),
         }
         if missing:
@@ -345,7 +352,7 @@ def cmd_closure(args) -> int:
 
     text = [
         f"status: {status}",
-        f"members: {state.member_count} of {state.box.size}",
+        f"members: {members} of {box.size}",
         f"trace entries: {state.trace_length}",
     ]
     if missing:

@@ -24,7 +24,9 @@ weakly decreasing (k-1)-tuple M.  From k = ORBIT_MIN_K on, where it visits
 C(W+k-2, k-1) lines of W points instead of the grid's W^k cells, fullness
 verdicts use it, and close_seed uses it for every S_k-stable seed: its
 INCONCLUSIVE answers stand, and a FULL one is redone on the grid, whose
-state certificate slices.  replay_orbit_trace checks its rules, and
+state certificate slices, in the least box that covers the cube: the
+closure grows with the box, so the orbit engine finds that box by trying
+the margins in ascending order.  replay_orbit_trace checks its rules, and
 expand_orbit_trace turns them into the RuleApplications replay_trace reads.
 """
 
@@ -113,19 +115,25 @@ class _Pass:
 
 @dataclass(frozen=True, eq=False)
 class ClosureState:
-    """The closure of `seed` over `box`: a boolean grid plus per-pass records.
+    """The closure of a seed over `box`: a boolean grid plus per-pass records.
 
-    grid[i_1, ..., i_k] is True when the point (box.lo + i_1, ...,
-    box.lo + i_k) is a member; it is read-only.  member_count, trace_length
-    and missing_points read the arrays.  members (a frozenset of points) and
-    trace (the RuleApplications in engine order) are built on first access.
+    seed_points holds the seed points, all inside the box, as a read-only
+    integer array of k columns (a point may repeat).  grid[i_1, ..., i_k] is
+    True when the point (box.lo + i_1, ..., box.lo + i_k) is a member; it is
+    read-only.  member_count, trace_length and missing_points read the
+    arrays.  seed and members (frozensets of points) and trace (the
+    RuleApplications in engine order) are built on first access.
     """
 
     box: Box
     n: int
-    seed: frozenset
+    seed_points: np.ndarray = field(repr=False)
     grid: np.ndarray = field(repr=False)
     passes: tuple[_Pass, ...] = field(repr=False)
+
+    @functools.cached_property
+    def seed(self) -> frozenset:
+        return frozenset(map(tuple, self.seed_points.tolist()))
 
     @functools.cached_property
     def member_count(self) -> int:
@@ -193,7 +201,7 @@ class ClosureState:
             raise ValueError(
                 f"target [{target.lo}, {target.hi}]^{target.k} is not covered by the closure"
             )
-        seed = _grid_of(self.seed, self.box)
+        seed = _grid_of(self.seed_points, self.box)
         need = np.zeros_like(self.grid)
         need[window] = True
         need &= ~seed
@@ -211,7 +219,11 @@ class ClosureState:
         need |= seed
         need.flags.writeable = False
         return ClosureState(
-            box=self.box, n=self.n, seed=self.seed, grid=need, passes=tuple(reversed(kept))
+            box=self.box,
+            n=self.n,
+            seed_points=self.seed_points,
+            grid=need,
+            passes=tuple(reversed(kept)),
         )
 
     def missing_points(self, target: Box, limit: int | None = None) -> list[Multidegree]:
@@ -393,33 +405,65 @@ def _refuse_outside(points, box: Box):
             )
 
 
-def _grid_of(points, box: Box) -> np.ndarray:
-    """A writable boolean grid over `box`, True at `points` (a set of points inside it)."""
+def _seed_array(seed, box: Box, drop_outside: bool = False) -> np.ndarray:
+    """The seed points as an integer array of k columns, one row per point.
+
+    seed is an iterable of points or already such an array.  A point of
+    another arity than k raises ValueError.  A point outside `box` is
+    dropped with drop_outside and raises ValueError otherwise.  Each
+    refusal names the first offending point of the distinct points kept,
+    in set order, as _seed_points and _refuse_outside do; the checks
+    themselves, the drop and the conversion run on the array.
+    """
+    k = box.k
+    if isinstance(seed, np.ndarray) and seed.ndim == 2 and seed.shape[1] == k:
+        points = seed.astype(np.int64)
+    else:
+        seed = list(seed)
+        if set(map(len, seed)) - {k}:
+            # points of another arity are kept by the drop, for _seed_points to refuse
+            _seed_points([p for p in seed if not drop_outside or len(p) != k or p in box], k)
+        points = np.fromiter(itertools.chain.from_iterable(seed), np.int64, len(seed) * k)
+        points = points.reshape(-1, k)
+    inside = ((points >= box.lo) & (points <= box.hi)).all(axis=1)
+    if drop_outside:
+        return points[inside]
+    if not inside.all():
+        _refuse_outside(_seed_points(seed, k), box)
+    return points
+
+
+def _grid_of(points: np.ndarray, box: Box) -> np.ndarray:
+    """A writable boolean grid over `box`, True at `points` (array rows inside it)."""
     grid = np.zeros((box.width,) * box.k, dtype=bool)
-    if points:
-        grid[tuple((np.array(list(points)) - box.lo).T)] = True
+    grid[tuple((points - box.lo).T)] = True
     return grid
+
+
+def _refuse_large_box(box: Box, advice: str):
+    if box.size > MAX_BOX_CELLS:
+        raise ValueError(
+            f"box [{box.lo}, {box.hi}]^{box.k} has {box.size} cells, more than the "
+            f"limit of {MAX_BOX_CELLS}; {advice}"
+        )
 
 
 def close(seed, n: int, box: Box, target: Box | None = None) -> ClosureState:
     """Least fixed point of the window rule over `box`, starting from `seed`.
 
-    The axes are visited cyclically until k passes in a row add nothing (the
+    seed is an iterable of points or an integer array of k columns.  The
+    axes are visited cyclically until k passes in a row add nothing (the
     fixed point) or, if target (a box inside `box`) is given, until all its
     points are members.  The target keeps traces small when only it matters;
     it never changes whether it is reached, only how much of the rest of the
     box gets filled.
     """
     _refuse_small_n(n)
-    if box.size > MAX_BOX_CELLS:
-        raise ValueError(
-            f"box [{box.lo}, {box.hi}]^{box.k} has {box.size} cells, more than the "
-            f"limit of {MAX_BOX_CELLS}; use a smaller margin"
-        )
-    seed = _seed_points(seed, box.k)
-    _refuse_outside(seed, box)
+    _refuse_large_box(box, "use a smaller margin")
+    points = _seed_array(seed, box)
+    points.flags.writeable = False
     h = n + 1
-    grid = _grid_of(seed, box)
+    grid = _grid_of(points, box)
 
     window = None if target is None else _sub_box(box, target)
 
@@ -437,14 +481,15 @@ def close(seed, n: int, box: Box, target: Box | None = None) -> ClosureState:
         axis = (axis + 1) % box.k
 
     grid.flags.writeable = False
-    return ClosureState(box=box, n=n, seed=seed, grid=grid, passes=tuple(passes))
+    return ClosureState(box=box, n=n, seed_points=points, grid=grid, passes=tuple(passes))
 
 
 def close_cube(seed, n: int, k: int, margin: int | None = None, drop_outside: bool = False):
     """Close `seed` over [-margin, n+margin]^k, stopping once [0, n]^k is covered.
 
-    margin defaults to n + 1 and must not be negative.  Returns the state
-    and the first MISSING_SAMPLE points of the cube that were not reached,
+    seed is an iterable of points or an integer array of k columns.  margin
+    defaults to n + 1 and must not be negative.  Returns the state and the
+    first MISSING_SAMPLE points of the cube that were not reached,
     ascending lex; an empty sample certifies that the cube, and so
     everything, is generated.  With drop_outside, seed points outside the
     box are dropped instead of refused (generating the cube from fewer
@@ -455,8 +500,7 @@ def close_cube(seed, n: int, k: int, margin: int | None = None, drop_outside: bo
     _refuse_small_n(n)
     box = Box(lo=-margin, hi=n + margin, k=k)
     if drop_outside:
-        # points of another arity stay, for close to refuse
-        seed = [p for p in seed if len(p) != k or p in box]
+        seed = _seed_array(seed, box, drop_outside=True)
     cube = Box(lo=0, hi=n, k=k)
     state = close(seed, n, box, target=cube)
     return state, tuple(state.missing_points(cube, limit=MISSING_SAMPLE))
@@ -614,16 +658,30 @@ def close_seed(seed, n: int, k: int, margin: int | None = None):
     From k = ORBIT_MIN_K on, an S_k-stable seed goes to close_orbits first.
     Both engines reach the same least fixed point, so when the cube is not
     covered the OrbitClosureState stands, with close_cube's member count and
-    missing sample.  When it is covered, close_cube runs as well, for the
-    grid state that ClosureState.certificate slices.  Other seeds, and all
-    of k < ORBIT_MIN_K, go to close_cube alone.  Refusals are close_cube's,
-    except that an orbit box is sized by MAX_ORBIT_LINES.
+    missing sample.  When it is covered, close_orbits tries the margins 0,
+    1, ... up to the requested one, dropping the seed points outside each
+    box, and close_cube runs with drop_outside at the first that covers the
+    cube, for the grid state that ClosureState.certificate slices.  The
+    closure grows with the box, so that is the least box whose grid covers
+    the cube, and a certificate built in it replays unchanged in the
+    requested box.  Other seeds, and all of k < ORBIT_MIN_K, go to
+    close_cube alone.  Refusals are close_cube's, except that an orbit box
+    is sized by MAX_ORBIT_LINES and a FULL seed's grid box is sized at the
+    least margin.
     """
     seed = list(seed)
     if k >= ORBIT_MIN_K and _is_symmetric(seed):
         state, missing = close_orbits(seed, n, k, margin)
         if missing:
             return state, missing
+        requested = -state.box.lo
+        covering = (
+            m for m in range(requested) if not close_orbits(seed, n, k, m, drop_outside=True)[1]
+        )
+        least = next(covering, requested)
+        box = Box(lo=-least, hi=n + least, k=k)
+        _refuse_large_box(box, f"it is the least box whose closure covers [0, {n}]^{k}")
+        return close_cube(seed, n, k, least, drop_outside=True)
     return close_cube(seed, n, k, margin)
 
 
@@ -704,7 +762,10 @@ def _generation_verdict(reps, n: int, k: int, margin: int | None) -> Verdict:
                 raise ValueError("orbit closure certificate does not replay to the cube")
     else:
         _refuse_above_limit(expected)
-        seed = {p for r in size for p in itertools.permutations(r)}
+        rows = np.fromiter(itertools.chain.from_iterable(size), np.int64, len(size) * k)
+        rows = rows.reshape(-1, k)
+        # every permutation of every rep, repeats and all
+        seed = np.concatenate([rows[:, list(p)] for p in itertools.permutations(range(k))])
         state, missing = close_cube(seed, n, k, margin, drop_outside=True)
     if not missing:
         return Verdict(status=FULL, state=state, detail={"margin": -state.box.lo})

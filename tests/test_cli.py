@@ -275,8 +275,8 @@ def test_closure_from_dumped_collection(capsys, tmp_path):
     assert set(first) == {"axis", "line", "window_start", "added"}
 
 
-def read_trace(path, k):
-    """The RuleApplications of a `--trace-out` file, parsed as an outside reader would."""
+def rule_applications(docs, k):
+    """The RuleApplications of trace documents, parsed as an outside reader would."""
     return tuple(
         saturation.RuleApplication(
             axis=doc["axis"],
@@ -284,8 +284,13 @@ def read_trace(path, k):
             window_start=doc["window_start"],
             added=tuple(lattice.parse_multidegree(p, k) for p in doc["added"]),
         )
-        for doc in map(json.loads, path.read_text().splitlines())
+        for doc in docs
     )
+
+
+def read_trace(path, k):
+    """The RuleApplications of a `--trace-out` file."""
+    return rule_applications(map(json.loads, path.read_text().splitlines()), k)
 
 
 @pytest.mark.parametrize(
@@ -349,13 +354,12 @@ def points_doc(k, points):
     return json.dumps({"k": k, "points": [format_multidegree(p) for p in points]})
 
 
-def run_closure(seed_text, *argv, grid=False):
+def run_closure(seed_text, *argv, engine=saturation.close_seed):
     """`closure` on a seed file holding seed_text: (rc, stdout, stderr).
 
-    With grid, the closure runs on close_cube alone, as it did before orbit
-    reps were used.
+    engine(seed, n, k, margin) stands in for close_seed; close_cube closes
+    on the grid alone, in the requested box.
     """
-    engine = saturation.close_cube if grid else saturation.close_seed
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as directory, mock.patch.object(cli, "close_seed", engine):
         path = Path(directory, "seed.json")
@@ -383,17 +387,43 @@ def stable_seeds(draw):
     return orbit_points(reps), n, k, margin
 
 
+def least_grid_margin(seed, n, k, margin):
+    """The least margin up to `margin` at which close_cube covers the cube, or None."""
+    covering = (
+        m
+        for m in range(margin + 1)
+        if not saturation.close_cube(seed, n, k, m, drop_outside=True)[1]
+    )
+    return next(covering, None)
+
+
 @settings(max_examples=40, deadline=None)
 @given(stable_seeds())
 def test_stable_closures_on_orbit_reps_answer_as_the_grid(case):
     seed, n, k, margin = case
     argv = ["--n", str(n), "--margin", str(margin)]
+    least = least_grid_margin(seed, n, k, margin)
+
+    def least_grid(seed, n, k, margin):
+        return saturation.close_cube(seed, n, k, least, drop_outside=True)
+
     for fmt in ("text", "json"):
-        got = run_closure(points_doc(k, seed), *argv, "--format", fmt)
-        want = run_closure(points_doc(k, seed), *argv, "--format", fmt, grid=True)
+        text = points_doc(k, seed)
+        got = run_closure(text, *argv, "--format", fmt)
+        want = run_closure(text, *argv, "--format", fmt, engine=saturation.close_cube)
         assert got[0] == want[0] and got[0] in (0, 3)
-        if got[0] == 0:  # a FULL closure writes the grid certificate, byte for byte
-            assert got == want
+        assert (got[0] == 0) == (least is not None)
+        if got[0] == 0:
+            # a FULL closure writes, byte for byte, the grid certificate of the
+            # least box whose grid covers the cube, with the requested margin and box
+            assert got == run_closure(text, *argv, "--format", fmt, engine=least_grid)
+            if fmt == "json":
+                doc, box = json.loads(got[1]), lattice.Box(lo=-margin, hi=n + margin, k=k)
+                assert (doc["margin"], doc["box_size"]) == (margin, box.size)
+                trace = rule_applications(doc["trace"], k)
+                replayed = saturation.replay_trace(seed, n, box, trace)
+                assert doc["members"] == len(replayed)
+                assert set(lattice.Box(lo=0, hi=n, k=k).points()) <= replayed
         elif fmt == "text":
             fields = [
                 dict(line.split(": ", 1) for line in out.splitlines()) for _, out, _ in (got, want)
@@ -456,7 +486,7 @@ def test_stable_closure_refusals_are_the_grids(tmp_path):
         (inside.replace('"(1,0,0,0)"', '"(1,0,0)"'), ["--n", "1"]),
     ):
         got = run_closure(text, *argv)
-        assert got == run_closure(text, *argv, grid=True)
+        assert got == run_closure(text, *argv, engine=saturation.close_cube)
         assert got[0] == 2 and got[1] == "" and got[2].startswith("error: ")
 
 
@@ -469,6 +499,52 @@ def test_stable_closure_beyond_the_grid_limit_exits_3():
     )
     assert (rc, err) == (3, "")
     assert "status: INCONCLUSIVE" in out
+
+
+def test_full_stable_closure_beyond_the_grid_limit_certifies_in_a_smaller_box(tmp_path):
+    # the requested box, 6^12 cells, is refused by the grid; [-1, 2]^12 covers the cube
+    k, n = 12, 1
+    seed, box = lefschetz.flatten_bundles(lefschetz.xk1(k)), lattice.Box(lo=-2, hi=3, k=k)
+    assert box.size > saturation.MAX_BOX_CELLS
+    trace_path = tmp_path / "trace.jsonl"
+    rc, out, err = run_closure(points_doc(k, seed), "--n", str(n), "--trace-out", str(trace_path))
+    assert (rc, err) == (0, "")
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    trace = read_trace(trace_path, k)
+    assert fields["trace entries"] == str(len(trace))
+    replayed = saturation.replay_trace(seed, n, box, trace)
+    assert fields["members"] == f"{len(replayed)} of {box.size}"
+    assert replayed.issuperset(lattice.Box(lo=0, hi=n, k=k).points())
+
+
+def test_full_stable_closure_refuses_a_least_box_above_the_grid_limit():
+    k, n = 15, 1
+    seed, least = lefschetz.flatten_bundles(lefschetz.xk1(k)), lattice.Box(lo=-1, hi=2, k=k)
+    assert least.size > saturation.MAX_BOX_CELLS
+    # margin 0 does not cover the cube, so [-1, 2]^15 is the least box that does
+    assert saturation.close_orbits(seed, n, k, 0, drop_outside=True)[1]
+    rc, out, err = run_closure(points_doc(k, seed), "--n", str(n))
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"error: box [-1, 2]^15 has {least.size} cells, more than the limit of "
+        f"{saturation.MAX_BOX_CELLS}; it is the least box whose closure covers [0, 1]^15\n"
+    )
+
+
+def test_full_stable_closure_counts_seed_points_outside_its_least_box():
+    k, n, margin = 4, 1, 2
+    seed = list(lefschetz.flatten_bundles(lefschetz.xk1(k))) + [(3, 3, 3, 3)]
+    box = lattice.Box(lo=-margin, hi=n + margin, k=k)
+    assert least_grid_margin(seed, n, k, margin) == 1  # (3,3,3,3) lies outside [-1, 2]^4
+    rc, out, _ = run_closure(points_doc(k, seed), "--n", str(n), "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    cert, _ = saturation.close_cube(seed, n, k, 1, drop_outside=True)
+    cert = cert.certificate(lattice.Box(lo=0, hi=n, k=k))
+    assert (doc["margin"], doc["box_size"]) == (margin, box.size)
+    assert doc["members"] == cert.member_count + 1
+    replayed = saturation.replay_trace(seed, n, box, rule_applications(doc["trace"], k))
+    assert doc["members"] == len(replayed) and (3, 3, 3, 3) in replayed
 
 
 def test_multidegree_texts_match_format_multidegree():

@@ -505,6 +505,82 @@ def test_seed_points_of_another_arity_are_refused_not_dropped():
             close_seed([(0, 0, 0, 0), (0, 0, 0)])
 
 
+def point_by_point_refusal(seed, box, drop_outside):
+    """The message a point-by-point seed intake gives, or None.
+
+    It takes the distinct points the drop keeps, in set order, and names the
+    first of another arity than k, else (without the drop) the first outside
+    the box.
+    """
+    kept = [p for p in seed if not drop_outside or len(p) != box.k or p in box]
+    points = frozenset(tuple(int(c) for c in p) for p in kept)
+    for p in points:
+        if len(p) != box.k:
+            return f"seed point {lattice.format_multidegree(p)} has arity {len(p)}, not k={box.k}"
+    for p in () if drop_outside else points:
+        if p not in box:
+            return (
+                f"seed point {lattice.format_multidegree(p)} outside box "
+                f"[{box.lo}, {box.hi}]^{box.k}"
+            )
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-3, 4), min_size=2, max_size=4).map(tuple), min_size=0, max_size=40
+    ),
+    st.booleans(),
+)
+def test_seed_intake_refuses_as_point_by_point(seed, drop_outside):
+    box = Box(lo=-1, hi=2, k=3)
+    want = point_by_point_refusal(seed, box, drop_outside)
+    if want is None:
+        state, _ = close_cube(seed, 1, 3, 1, drop_outside=drop_outside)
+        assert state.seed == frozenset(p for p in seed if p in box)
+        array = np.array(sorted(state.seed), dtype=np.int64).reshape(-1, 3)
+        assert close(array, 1, box).seed == state.seed
+        return
+    closers = [lambda: close_cube(seed, 1, 3, 1, drop_outside=drop_outside)]
+    if not drop_outside:
+        closers.append(lambda: close(seed, 1, box))
+    for closer in closers:
+        with pytest.raises(ValueError) as info:
+            closer()
+        assert str(info.value) == want
+
+
+def test_close_cube_takes_an_integer_array_seed():
+    seed = list(flatten_bundles(x32_minimal()))
+    state, missing = close_cube(seed, 2, 3, 1)
+    for array in (np.array(seed), np.array(seed + seed[:5], dtype=np.int32)):
+        got, got_missing = close_cube(array, 2, 3, 1)
+        assert (got.seed, got.members, got.trace, got_missing) == (
+            state.seed, state.members, state.trace, missing
+        )
+        assert array.flags.writeable
+    with pytest.raises(ValueError, match=r"seed point \(5,0,0\) outside box \[-1, 3\]\^3"):
+        close_cube(np.array(seed + [(5, 0, 0)]), 2, 3, 1)
+    dropped, _ = close_cube(np.array(seed + [(5, 0, 0)]), 2, 3, 1, drop_outside=True)
+    assert dropped.seed == state.seed
+
+
+def test_full_stable_seeds_close_in_the_least_box_that_covers_the_cube():
+    seed = flatten_bundles(xk1(6))
+    state, missing = saturation.close_seed(seed, 1, 6, 3)
+    assert missing == () and state.box == Box(lo=-1, hi=2, k=6)
+    assert close_cube(seed, 1, 6, 0, drop_outside=True)[1]
+    cert = state.certificate(Box(lo=0, hi=1, k=6))
+    replayed = replay_trace(seed, 1, Box(lo=-3, hi=4, k=6), cert.trace)
+    assert replayed == set(seed) | cert.members
+    assert replayed.issuperset(Box(lo=0, hi=1, k=6).points())
+    # an unstable seed, and an inconclusive one, keep the requested box
+    assert saturation.close_seed(seed[1:], 1, 6, 3)[0].box == Box(lo=-3, hi=4, k=6)
+    state, missing = saturation.close_seed([(0,) * 6], 1, 6, 3)
+    assert missing and state.box == Box(lo=-3, hi=4, k=6)
+
+
 def test_missing_points_refuses_target_outside_box():
     state = close([(0, 0)], 1, Box(lo=0, hi=2, k=2))
     with pytest.raises(ValueError, match="not inside box"):

@@ -423,7 +423,13 @@ def _seed_array(seed, box: Box, drop_outside: bool = False) -> np.ndarray:
         if set(map(len, seed)) - {k}:
             # points of another arity are kept by the drop, for _seed_points to refuse
             _seed_points([p for p in seed if not drop_outside or len(p) != k or p in box], k)
-        points = np.fromiter(itertools.chain.from_iterable(seed), np.int64, len(seed) * k)
+        try:
+            points = np.fromiter(itertools.chain.from_iterable(seed), np.int64, len(seed) * k)
+        except OverflowError:
+            # a coordinate beyond int64 lies outside every box
+            if not drop_outside:
+                _refuse_outside(_seed_points(seed, k), box)
+            return _seed_array([p for p in seed if p in box], box)
         points = points.reshape(-1, k)
     inside = ((points >= box.lo) & (points <= box.hi)).all(axis=1)
     if drop_outside:

@@ -475,11 +475,13 @@ def test_close_cube_matches_eager_reference(k, n, margin, data):
 
 
 def test_close_cube_drops_or_refuses_seeds_outside_the_box():
-    with pytest.raises(ValueError, match="outside box"):
-        close_cube([(0, 0), (5, 0)], 1, 2, 0)
-    state, missing = close_cube([(0, 0), (5, 0)], 1, 2, 0, drop_outside=True)
-    assert state.seed == frozenset({(0, 0)})
-    assert missing == ((0, 1), (1, 0), (1, 1))
+    # a coordinate beyond int64 is outside the box too
+    for far in (5, 2 ** 70, -(2 ** 70)):
+        with pytest.raises(ValueError, match="outside box"):
+            close_cube([(0, 0), (far, 0)], 1, 2, 0)
+        state, missing = close_cube([(0, 0), (far, 0)], 1, 2, 0, drop_outside=True)
+        assert state.seed == frozenset({(0, 0)})
+        assert missing == ((0, 1), (1, 0), (1, 1))
 
 
 def test_orbit_closure_drops_or_refuses_seeds_outside_the_box():

@@ -15,33 +15,18 @@ exits 3).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
-from .ext import _refuse_twist_table, first_nonorthogonal_twist, nonorthogonal_below
+from .ext import _refuse_twist_table, first_nonorthogonal_twist
 from .lattice import Orbit, OrbitSet, _refuse_above_limit, normalised_reps, orbit_set
 from .lefschetz import LefschetzCollection
-from .reptheory import (
-    content_orbit_count,
-    count_partitions,
-    decreasing_tuples,
-    partitions_of,
-    perm_module_dim,
-)
+from .reptheory import content_orbit_count, decreasing_tuples, partitions_of, perm_module_dim
 from .saturation import FULL, INCONCLUSIVE, _margin, verify_fullness
-
-# Most chain combinations a search sorts at once; they are counted first and
-# refused above this.  The largest the tests sort, minimal (k, n) = (2, 6),
-# has 155; minimal (3, 6) has 9,667,903.
-MAX_CHAIN_COMBINATIONS = 2 ** 16
-
-# Smallest m with more than MAX_CHAIN_COMBINATIONS partitions (44).
-_TOO_MANY_PARTITIONS = next(
-    m for m in itertools.count() if count_partitions(m) > MAX_CHAIN_COMBINATIONS
-)
 
 
 @dataclass(frozen=True)
@@ -102,8 +87,8 @@ def _pool(spec: SearchSpec) -> tuple[Orbit, ...]:
 
 
 def _block(k: int, orbits) -> OrbitSet:
-    """The OrbitSet of distinct pool orbits, reusing them and so their cached elements."""
-    return OrbitSet(k=k, orbits=tuple(sorted(orbits, key=lambda o: o.rep)))
+    """The OrbitSet of distinct pool orbits in pool (so ascending rep) order, reusing them."""
+    return OrbitSet(k=k, orbits=tuple(orbits))
 
 
 class _ExtTable:
@@ -113,31 +98,23 @@ class _ExtTable:
     B_0, t being the last block that holds P (nesting makes the blocks
     holding P exactly 0..t).  Built once per search, over the m pool orbits:
     - span_ok[P]: rep P spans at most n;
-    - zero[P, Q]: some bundle of Q is not orthogonal to rep P, for Q < P
-      (the nonorthogonal_below scan at twist 0);
-    - first_bad[P, Q]: the least twist t >= 1 at which rep P + t*1 is not
-      orthogonal to some bundle of Q (first_nonorthogonal_twist).
+    - first_bad[P, Q]: the least twist t at which rep P + t*1 is not
+      orthogonal to some bundle of Q, t = 0 counting only for Q < P
+      (first_nonorthogonal_twist with before = the first bundle of P).
     These are is_exceptional's three checks on a nested collection: a
-    candidate is exceptional iff every P of B_0 is span_ok, no Q of B_0
-    before P has zero[P, Q], and every Q of B_0 has first_bad[P, Q] >
-    last[P].  They fold into one clash bitmask over pool indices per (P, t),
-    memoised, which a candidate ANDs with the bitmask of B_0: no numpy call
-    and no object per candidate.
+    candidate is exceptional iff every P of B_0 is span_ok and every Q of
+    B_0 has first_bad[P, Q] > last[P].  They fold into one clash bitmask
+    over pool indices per (P, t), memoised, which a candidate ANDs with the
+    bitmask of B_0: no numpy call and no object per candidate.
     """
 
     def __init__(self, spec: SearchSpec):
         self.k, self.n, self.orbits = spec.k, spec.n, _pool(spec)
-        n, m = spec.n, len(self.orbits)
         reps = [o.rep for o in self.orbits]
-        sizes = [o.size for o in self.orbits]
-        offsets = list(itertools.accumulate(sizes, initial=0))
+        offsets = list(itertools.accumulate((o.size for o in self.orbits), initial=0))
         bundles = [el for o in self.orbits for el in o.elements]
-        self.span_ok = [rep[0] - rep[-1] <= n for rep in reps]
-        owner = np.repeat(np.arange(m), sizes)
-        self.zero = np.zeros((m, m), dtype=bool)
-        for qs, ps in nonorthogonal_below(n, reps, bundles, offsets[:-1]):
-            self.zero[qs, owner[ps]] = True
-        self.first_bad = first_nonorthogonal_twist(n, reps, bundles, offsets)
+        self.span_ok = [rep[0] - rep[-1] <= spec.n for rep in reps]
+        self.first_bad = first_nonorthogonal_twist(spec.n, reps, bundles, offsets, offsets[:-1])
         self._clash = {}
 
     def _clash_mask(self, p: int, t: int) -> int:
@@ -147,7 +124,7 @@ class _ExtTable:
         """
         if not self.span_ok[p]:
             return 1 << p
-        row = self.zero[p] | (self.first_bad[p] <= t)
+        row = self.first_bad[p] <= t
         return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
     def exceptional(self, last: dict[int, int]) -> bool:
@@ -166,8 +143,9 @@ class _ExtTable:
 
     def collection(self, last: dict[int, int]) -> LefschetzCollection:
         """The candidate's collection: block t holds the orbits whose last block is t or later."""
+        first = [p for p in range(len(self.orbits)) if p in last]
         blocks = tuple(
-            _block(self.k, [self.orbits[p] for p, top in last.items() if top >= t])
+            _block(self.k, [self.orbits[p] for p in first if last[p] >= t])
             for t in range(self.n + 1)
         )
         return LefschetzCollection(k=self.k, n=self.n, blocks=blocks)
@@ -195,22 +173,6 @@ def _run(spec: SearchSpec, table: _ExtTable, candidates) -> SearchResult:
     return SearchResult(found, exhausted, nodes, inconclusive)
 
 
-def _chain_count(t: int, h: int, cap: int) -> int:
-    """Chains of h counts summing to t with head <= cap, counted to one past the limit.
-
-    They are the partitions of t that fit in an h x cap box.  By Sylvester's
-    unimodality of the Gaussian binomial coefficients there are at least
-    p(min(t, h*cap - t, h, cap)) of them, which refuses a huge space without
-    enumerating it.
-    """
-    if not 0 <= t <= h * cap:
-        return 0
-    if min(t, h * cap - t, h, cap) >= _TOO_MANY_PARTITIONS:
-        return MAX_CHAIN_COMBINATIONS + 1
-    chains = itertools.islice(decreasing_tuples(t, h, cap), MAX_CHAIN_COMBINATIONS + 1)
-    return sum(1 for _ in chains)
-
-
 def _depth_first(extend):
     """Complete paths of a search tree as tuples, depth first in step order.
 
@@ -233,6 +195,43 @@ def _depth_first(extend):
             del path[-1:]  # the step into the finished depth; the root has none
 
 
+def _by_signature(per_shape, signature):
+    """The product of the per_shape iterators, by ascending signature, drawn lazily.
+
+    signature must rise strictly along each iterator, whatever the other
+    factors hold: lex order is kept by translation and positive scaling, so
+    a weighted sum of ascending chains does.  A best-first heap over index
+    tuples then gives the order of a stable sort of the product (the sorted
+    X+Y merge of Frederickson and Johnson): keyed by (signature, negated
+    index tuple), ties go in the product order of the reversed iterators.
+    A popped tuple pushes its successors only in the factors at or after
+    the last one raised, so each tuple is pushed once, and an item is drawn
+    from its iterator only when a pushed tuple first reaches it.
+    """
+    drawn = [[] for _ in per_shape]
+    heap = []
+
+    def push(index, last):
+        for j, i in enumerate(index):
+            if i == len(drawn[j]):
+                item = next(per_shape[j], None)
+                if item is None:
+                    return
+                drawn[j].append(item)
+        combo = tuple(items[i] for items, i in zip(drawn, index))
+        heapq.heappush(heap, (signature(combo), tuple(-i for i in index), last, combo))
+
+    push((0,) * len(per_shape), 0)
+    while heap:
+        _, negated, last, combo = heapq.heappop(heap)
+        yield combo
+        index = [-i for i in negated]
+        for j in range(last, len(index)):
+            index[j] += 1
+            push(tuple(index), j)
+            index[j] -= 1
+
+
 def _chain_candidates(spec: SearchSpec, orbits, head_cap):
     """Candidates whose per-shape orbit counts follow decreasing chains.
 
@@ -240,12 +239,12 @@ def _chain_candidates(spec: SearchSpec, orbits, head_cap):
     weakly decreasing so that the blocks nest and summing to t, the shape's orbit
     count in the class space (C^h)^(x k).  head_cap(t, avail) caps the first count;
     avail is the shape's orbit count in the pool.  A shape with no chain admits no
-    candidate.  Chain combinations are counted (more than MAX_CHAIN_COMBINATIONS are
-    refused), then taken by ascending block-size signature (r_0, r_1, ...).  Each is
-    walked over (shape, level) slots, shape-major: a slot picks its count of pool
-    indices, in lex order, from the shape's pool at level 0, else from the slot
-    before.  Block i is the union of the picks in path[i::h], so an orbit's last
-    block is the level of the last slot that picks it.
+    candidate.  Chain combinations are drawn lazily by ascending block-size signature
+    (r_0, r_1, ...), so --budget alone bounds the search.  Each is walked over
+    (shape, level) slots, shape-major: a slot picks its count of pool indices, in lex
+    order, from the shape's pool at level 0, else from the slot before.  Block i is
+    the union of the picks in path[i::h], so an orbit's last block is the level of
+    the last slot that picks it.
     """
     h = spec.n + 1
     by_shape = {}
@@ -255,21 +254,13 @@ def _chain_candidates(spec: SearchSpec, orbits, head_cap):
     pools = [by_shape.get(lam, []) for lam in shapes]
     totals = [content_orbit_count(h, lam) for lam in shapes]
     caps = [head_cap(t, len(pool)) for pool, t in zip(pools, totals)]
-    size = prod(_chain_count(t, h, cap) for t, cap in zip(totals, caps))
-    if size > MAX_CHAIN_COMBINATIONS:
-        raise ValueError(
-            f"at least {size} chain combinations for k={spec.k}, n={spec.n}, more than "
-            f"the limit of {MAX_CHAIN_COMBINATIONS}; use a smaller n or k"
-        )
-    per_shape_chains = [decreasing_tuples(t, h, cap) for t, cap in zip(totals, caps)]
+    per_shape = [decreasing_tuples(t, h, cap) for t, cap in zip(totals, caps)]
+    weights = [perm_module_dim(lam) for lam in shapes]
 
-    def signature(chain_combo):
-        return tuple(
-            sum(chain[i] * perm_module_dim(lam) for lam, chain in zip(shapes, chain_combo))
-            for i in range(h)
-        )
+    def signature(combo):
+        return tuple(sum(chain[i] * w for w, chain in zip(weights, combo)) for i in range(h))
 
-    for combo in sorted(itertools.product(*per_shape_chains), key=signature):
+    for combo in _by_signature(per_shape, signature):
         counts = [count for chain in combo for count in chain]
 
         def extend(path):

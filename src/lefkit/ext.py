@@ -14,7 +14,7 @@ is involved anywhere.  The vanishing predicate comes in three forms:
 - first_nonorthogonal_twist, the same inequality solved for a uniform
   twist: O(a + t*1) is orthogonal to O(b) exactly when t lies in
   (b_i - a_i, b_i - a_i + n] for some i, so one (a, b) pair gives the least
-  twist t >= 1 at which the pair fails, for every t at once.
+  twist t >= 1 (or t >= 0) at which the pair fails, for every t at once.
 """
 
 from __future__ import annotations
@@ -176,17 +176,20 @@ def _refuse_twist_table(rows: int, groups: int):
         )
 
 
-def first_nonorthogonal_twist(n: int, reps, targets, offsets) -> np.ndarray:
-    """Least t >= 1 with Ext*(O(reps[p] + t*1), O(b)) != 0 for some b of group q, as table[p, q].
+def first_nonorthogonal_twist(n: int, reps, targets, offsets, before=None) -> np.ndarray:
+    """Least t with Ext*(O(reps[p] + t*1), O(b)) != 0 for some b of group q, as table[p, q].
 
     Group q is targets[offsets[q]:offsets[q+1]]; offsets rise strictly from 0
-    to len(targets).  O(a + t*1) is orthogonal to O(b) exactly when t lies in
-    one of the k intervals (d_i, d_i + n], d = b - a.  Scanning the d_i in
-    ascending order from t = 1, an interval holding t moves t past its end
-    d_i + n; the first that does not leaves t uncovered, and so do all later
-    ones.  The answer is 1 or some d_i + n + 1, at most k*n + 1.  Rows are
-    taken a block at a time and reduced onto the groups at once.  The table
-    is sized first and refused above MAX_TWIST_TABLE.
+    to len(targets).  Twist t = 0 counts against targets[:before[p]] and
+    t >= 1 against every target; before defaults to no target at all.
+    O(a + t*1) is orthogonal to O(b) exactly when t lies in one of the k
+    intervals (d_i, d_i + n], d = b - a.  Scanning the d_i in ascending
+    order from the least twist that counts, an interval holding t moves t
+    past its end d_i + n; the first that does not leaves t uncovered, and
+    so do all later ones.  The answer is 0, 1 or some d_i + n + 1, at most
+    k*n + 1.  Rows are taken a block at a time and reduced onto the groups
+    at once.  The table is sized first and refused above MAX_TWIST_TABLE;
+    a before of another length than reps is refused.
     """
     _check_n(n)
     groups = len(offsets) - 1
@@ -196,6 +199,9 @@ def first_nonorthogonal_twist(n: int, reps, targets, offsets) -> np.ndarray:
     ):
         raise ValueError("offsets must rise strictly from 0 to the number of targets")
     pts, tgt = _points(reps), _points(targets)
+    bound = np.asarray([0] * len(pts) if before is None else before, dtype=np.int64)
+    if bound.shape != (len(pts),):
+        raise ValueError(f"before must hold one bound per rep, {len(pts)} of them")
     out = np.empty((len(pts), groups), dtype=np.int64)
     if not (len(pts) and groups):
         return out
@@ -209,7 +215,7 @@ def first_nonorthogonal_twist(n: int, reps, targets, offsets) -> np.ndarray:
     for start in range(0, len(pts), step):
         d = tgt[None, :, :] - pts[start : start + step, None, :]
         d.sort(axis=2)
-        t = np.ones(d.shape[:2], dtype=np.int64)
+        t = (np.arange(len(tgt)) >= bound[start : start + step, None]).astype(np.int64)
         for i in range(d.shape[2]):
             di = d[:, :, i]
             np.copyto(t, di + (n + 1), where=(di < t) & (t <= di + n))

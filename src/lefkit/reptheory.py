@@ -35,29 +35,28 @@ MAX_PARTITIONS = 2 ** 16
 def decreasing_tuples(total: int, parts: int, cap: int):
     """Weakly decreasing tuples of `parts` nonnegative ints summing to total, head <= cap.
 
-    Descending lex order.  Built in place without recursion, so any number
-    of parts works: each tuple fills its tail greedily below a bound, and
-    the next one lowers the rightmost part whose tail still fits under it.
+    Ascending lex order.  Built in place without recursion, so any number
+    of parts works: each tuple fills its tail as evenly as it can, and the
+    next one raises by one the rightmost part that stays under the part
+    before it (or cap) and still has a nonempty tail.
     """
     if not 0 <= total <= parts * cap:
         return
-    out = [0] * parts
-    start, bound, remaining = 0, cap, total
+    out, start, remaining = [0] * parts, 0, total
     while True:
-        for i in range(start, parts):
-            out[i] = bound = min(bound, remaining)
-            remaining -= bound
+        if start < parts:
+            q, r = divmod(remaining, parts - start)
+            out[start:] = [q + 1] * r + [q] * (parts - start - r)
         yield tuple(out)
         tail = 0
-        for start in range(parts - 1, -1, -1):
-            # lowering out[start] by one leaves tail + 1 for the parts after it
-            if tail < (parts - 1 - start) * (out[start] - 1):
+        for start in range(parts - 2, -1, -1):
+            tail += out[start + 1]
+            if tail and out[start] < (out[start - 1] if start else cap):
                 break
-            tail += out[start]
         else:
             return
-        out[start] -= 1
-        start, bound, remaining = start + 1, out[start], tail + 1
+        out[start] += 1
+        start, remaining = start + 1, tail - 1
 
 
 @cache
@@ -75,7 +74,7 @@ def partitions_rho(h: int, k: int) -> tuple[Partition, ...]:
             f"{count} partitions of {k} with at most {h} rows are more than the limit "
             f"of {MAX_PARTITIONS}"
         )
-    return tuple(tuple(p for p in lam if p) for lam in decreasing_tuples(k, rows, k))
+    return tuple(tuple(p for p in lam if p) for lam in decreasing_tuples(k, rows, k))[::-1]
 
 
 def partitions_of(k: int) -> tuple[Partition, ...]:

@@ -21,6 +21,7 @@ from lefkit.lefschetz import (
     check_exceptional,
     check_lefschetz,
     check_theorem_semiorthogonality,
+    is_exceptional,
     is_rectangular,
     ranks,
     x32_minimal,
@@ -291,3 +292,17 @@ def test_criterion_10_property_suites():
         assert ext_graded(n, a, b) == ext_graded(n, b, twist(a, -h))[::-1], (n, a, b)
 
     _done("criterion 10 property suites", start, 60.0)
+
+
+def test_criterion_11_minimal_hits_where_gcd_exceeds_one():
+    # cases the paper leaves open: the first hit's first block meets invariant_bound
+    start = time.perf_counter()
+    for k, n, budget in ((3, 5, 10), (6, 3, 2)):
+        result = search_minimal(SearchSpec(k=k, n=n, budget=budget))
+        coll = result.found[0]
+        assert ranks(coll)[0] == invariant_bound(n + 1, k) == {3: 40, 6: 1124}[k]
+        assert is_exceptional(coll)
+        if k == 3:
+            assert check_exceptional(coll) == []
+        assert verify_fullness(coll).status == FULL
+    _done("criterion 11 minimal hits where gcd(n+1, k) > 1", start, 60.0)

@@ -1,6 +1,7 @@
 import contextlib
 import doctest
 import hashlib
+import heapq
 import io
 import itertools
 import json
@@ -11,6 +12,7 @@ import sys
 import tempfile
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -719,18 +721,31 @@ def test_oversized_partition_lists_refused_before_building(capsys, monkeypatch):
                        "are more than the limit of 65536\n")
 
 
-def test_oversized_searches_refused_before_sorting_chains(capsys, monkeypatch):
+def test_chain_combinations_drawn_lazily_under_budget(capsys, monkeypatch):
+    # minimal (3, 6) has 9,667,903 chain combinations; none is counted or sorted
     def boom(*args, **kwargs):
-        raise AssertionError("chain combinations sorted before the size check")
+        raise AssertionError("sorted called in the search")
+
+    drawn, pushes = [], []
+
+    def counted_chains(*args):
+        for chain in reptheory.decreasing_tuples(*args):
+            drawn.append(chain)
+            yield chain
 
     monkeypatch.setattr(explorer, "sorted", boom, raising=False)
-    # (3, 6) counts every chain; (2, 2000) is refused by the partition lower bound
-    for argv, size in ((("--k", "3", "--n", "6", "--budget", "10"), 9667903),
-                       (("--k", "2", "--n", "2000"), 65537)):
-        rc, out, err = run(capsys, "search", *argv, "--target", "minimal")
-        assert (rc, out) == (2, ""), argv
-        assert err.startswith(f"error: at least {size} chain combinations")
-        assert err.endswith("more than the limit of 65536; use a smaller n or k\n")
+    monkeypatch.setattr(explorer, "decreasing_tuples", counted_chains)
+    monkeypatch.setattr(explorer, "heapq", SimpleNamespace(
+        heappush=lambda heap, item: pushes.append(item) or heapq.heappush(heap, item),
+        heappop=heapq.heappop,
+    ))
+    rc, out, err = run(capsys, "search", "--k", "3", "--n", "6", "--target", "minimal",
+                       "--budget", "1")
+    assert (rc, err) == (3, "")
+    assert out.startswith("hit ranks=(49, 49, 49, 49, 49, 49, 49) ")
+    assert out.endswith("nodes: 1, exhausted: no\n")
+    # the first combination, one chain of each of the 3 shapes
+    assert (len(drawn), len(pushes)) == (3, 1)
 
 
 def test_huge_n_refused_before_allocating_graded_dimensions(capsys, tmp_path):

@@ -22,7 +22,6 @@ from lefkit.lefschetz import (
 )
 from lefkit.reptheory import (
     content_orbit_count,
-    count_partitions,
     decreasing_tuples,
     partitions_of,
     perm_module_dim,
@@ -357,14 +356,24 @@ def test_exceptionality_verdict_does_not_depend_on_flatten_order(monkeypatch, k,
     assert len(checked) == visited > 0
 
 
-def test_chain_count_is_exact_below_the_limit_and_above_the_partition_bound():
-    for t, h, cap in itertools.product(range(14), range(1, 6), range(6)):
-        exact = sum(1 for _ in decreasing_tuples(t, h, cap))
-        assert explorer._chain_count(t, h, cap) == exact, (t, h, cap)
-        if exact:
-            # Sylvester: partitions of t in an h x cap box are at least p(min(...))
-            assert exact >= count_partitions(min(t, h * cap - t, h, cap)), (t, h, cap)
-    assert explorer._chain_count(10 ** 6, 2001, 2001) == explorer.MAX_CHAIN_COMBINATIONS + 1
+@given(
+    lists=st.lists(
+        st.lists(st.tuples(*[st.integers(0, 2)] * 2), min_size=1, max_size=4, unique=True),
+        min_size=1, max_size=3,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_by_signature_matches_stable_sort_of_the_descending_product(lists, data):
+    # small weights make many signatures tie; the heap must break them as the sort does
+    weights = [data.draw(st.integers(1, 3)) for _ in lists]
+
+    def signature(combo):
+        return tuple(sum(w * c[i] for w, c in zip(weights, combo)) for i in range(2))
+
+    ascending = [sorted(items) for items in lists]
+    expected = sorted(itertools.product(*(a[::-1] for a in ascending)), key=signature)
+    assert list(explorer._by_signature([iter(a) for a in ascending], signature)) == expected
 
 
 def nested_product_blocks(spec, head_cap):
@@ -378,7 +387,9 @@ def nested_product_blocks(spec, head_cap):
     shapes = partitions_of(spec.k)
     totals = [content_orbit_count(h, lam) for lam in shapes]
     caps = [head_cap(t, len(by_shape.get(lam, []))) for lam, t in zip(shapes, totals)]
-    per_shape_chains = [decreasing_tuples(t, h, cap) for t, cap in zip(totals, caps)]
+    per_shape_chains = [
+        sorted(decreasing_tuples(t, h, cap), reverse=True) for t, cap in zip(totals, caps)
+    ]
 
     def signature(chain_combo):
         return tuple(
@@ -406,7 +417,9 @@ def nested_product_blocks(spec, head_cap):
             *(nested_choices(lam, chain) for lam, chain in zip(shapes, combo))
         ):
             yield tuple(
-                explorer._block(spec.k, [o for per_shape in assembled for o in per_shape[level]])
+                explorer._block(spec.k, sorted(
+                    (o for per_shape in assembled for o in per_shape[level]), key=lambda o: o.rep
+                ))
                 for level in range(h)
             )
 

@@ -106,8 +106,12 @@ def test_first_nonorthogonal_twist_matches_scalar_predicate(n, k, chunk, data):
     groups = data.draw(st.lists(st.lists(target, min_size=1, max_size=4), max_size=4))
     targets = [b for group in groups for b in group]
     offsets = list(itertools.accumulate(map(len, groups), initial=0))
+    # twist 0 counts against targets[:before[p]]; None means against none
+    before = data.draw(st.one_of(
+        st.none(), st.lists(st.integers(0, len(targets)), min_size=len(reps), max_size=len(reps))
+    ))
     with mock.patch.object(ext, "_TWIST_CHUNK_CELLS", chunk):
-        table = first_nonorthogonal_twist(n, reps, targets, offsets)
+        table = first_nonorthogonal_twist(n, reps, targets, offsets, before)
     assert table.shape == (len(reps), len(groups))
 
     def fails(a, t, group):
@@ -115,9 +119,12 @@ def test_first_nonorthogonal_twist_matches_scalar_predicate(n, k, chunk, data):
 
     for p, a in enumerate(reps):
         for q, group in enumerate(groups):
+            below = [] if before is None else targets[offsets[q]:min(offsets[q + 1], before[p])]
             # k intervals of n twists cover at most k*n of 1, 2, ...
-            least = next(t for t in range(1, k * n + 2) if fails(a, t, group))
-            assert table[p, q] == least, (a, group)
+            least = 0 if fails(a, 0, below) else next(
+                t for t in range(1, k * n + 2) if fails(a, t, group)
+            )
+            assert table[p, q] == least, (a, group, below)
 
 
 def test_first_nonorthogonal_twist_refuses_bad_input():
@@ -133,6 +140,8 @@ def test_first_nonorthogonal_twist_refuses_bad_input():
         first_nonorthogonal_twist(1, [(2 ** 60,)], [(0,)], [0, 1])
     with pytest.raises(ValueError, match="2\\^60"):
         first_nonorthogonal_twist(2 ** 60, [(0,)], [(0,)], [0, 1])
+    with pytest.raises(ValueError, match="one bound per rep, 1 of them"):
+        first_nonorthogonal_twist(1, [(0,)], [(0,)], [0, 1], [0, 1])
     # the table is sized before any point is read
     with mock.patch.object(ext, "_points", side_effect=AssertionError("points read")):
         with pytest.raises(ValueError, match="twist table of 2049 x 2048 cells"):

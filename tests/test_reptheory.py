@@ -410,8 +410,7 @@ def test_decreasing_tuples_match_filtered_product():
     for total, parts, cap in itertools.product(range(9), range(5), range(-1, 6)):
         expected = sorted(
             (t for t in itertools.product(range(cap + 1), repeat=parts)
-             if sum(t) == total and all(a >= b for a, b in zip(t, t[1:]))),
-            reverse=True,
+             if sum(t) == total and all(a >= b for a, b in zip(t, t[1:])))
         )
         assert list(decreasing_tuples(total, parts, cap)) == expected, (total, parts, cap)
 
@@ -419,9 +418,9 @@ def test_decreasing_tuples_match_filtered_product():
 def test_decreasing_tuples_take_any_number_of_parts():
     parts = 5 * sys.getrecursionlimit()
     assert list(decreasing_tuples(parts, parts, 1)) == [(1,) * parts]
-    # j twos and parts + 1 - 2j ones for j = 1 .. (parts + 1) // 2, j descending
+    # j twos and parts + 1 - 2j ones for j = 1 .. (parts + 1) // 2, j ascending
     count = 0
     for count, last in enumerate(decreasing_tuples(parts + 1, parts, 2), 1):
-        assert last.count(2) == (parts + 1) // 2 - count + 1
+        assert last.count(2) == count
     assert count == (parts + 1) // 2
-    assert last == (2,) + (1,) * (parts - 1)
+    assert last == (2,) * count + (1,) * (parts + 1 - 2 * count) + (0,) * (count - 1)

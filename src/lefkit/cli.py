@@ -49,7 +49,7 @@ from .saturation import (
     INCONCLUSIVE,
     NOT_FULL_BY_RANK,
     OrbitClosureState,
-    _margin,
+    _cube_box,
     close_seed,
     residual_check,
     verify_fullness,
@@ -322,8 +322,7 @@ def cmd_closure(args) -> int:
     if file_n is not None and args.n is not None and args.n != file_n:
         raise ValueError(f"--n {args.n} conflicts with seed file n={file_n}")
     state, missing = close_seed(seed, n, k, args.margin)
-    margin = _margin(n, args.margin)
-    box = Box(lo=-margin, hi=n + margin, k=k)
+    box = _cube_box(n, k, args.margin)
     status = FULL if not missing else INCONCLUSIVE
     members = state.member_count
     if status == FULL:
@@ -340,7 +339,7 @@ def cmd_closure(args) -> int:
             "schema": JSON_SCHEMA,
             "k": k,
             "n": n,
-            "margin": margin,
+            "margin": -box.lo,
             "status": status,
             "members": members,
             "box_size": box.size,

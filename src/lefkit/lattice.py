@@ -102,30 +102,29 @@ class Orbit:
     @cached_property
     def elements(self) -> tuple[Multidegree, ...]:
         _refuse_above_limit(self.size)
-        return _multiset_permutations(self.rep)
+        return tuple(_multiset_permutations(self.rep))
 
 
-def _multiset_permutations(values) -> tuple[Multidegree, ...]:
-    """Distinct permutations of `values` in ascending lex order.
+def _multiset_permutations(values):
+    """Yield the distinct permutations of `values` in ascending lex order.
 
     Knuth, TAOCP 7.2.1.2, Algorithm L: from the ascending arrangement,
     repeatedly step to the lexicographic successor, so each distinct
     permutation is produced once and none is generated twice.
     """
     a = sorted(values)
-    out = [tuple(a)]
     while True:
+        yield tuple(a)
         j = len(a) - 2
         while j >= 0 and a[j] >= a[j + 1]:
             j -= 1
         if j < 0:
-            return tuple(out)
+            return
         m = len(a) - 1
         while a[j] >= a[m]:
             m -= 1
         a[j], a[m] = a[m], a[j]
         a[j + 1 :] = a[: j : -1]
-        out.append(tuple(a))
 
 
 def _refuse_above_limit(bundles: int):

@@ -45,6 +45,7 @@ from .lattice import (
     Multidegree,
     Orbit,
     OrbitSet,
+    _multiset_permutations,
     _refuse_above_limit,
     canonical_rep,
     format_multidegree,
@@ -316,6 +317,13 @@ def _margin(n: int, margin: int | None) -> int:
     return margin
 
 
+def _cube_box(n: int, k: int, margin: int | None) -> Box:
+    """The working box [-m, n+m]^k around the cube [0, n]^k, m by _margin; n below 1 is refused."""
+    m = _margin(n, margin)
+    _refuse_small_n(n)
+    return Box(lo=-m, hi=n + m, k=k)
+
+
 def _insert_coord(line, axis, value):
     return line[:axis] + (value,) + line[axis:]
 
@@ -412,31 +420,27 @@ def _seed_array(seed, box: Box, drop_outside: bool = False) -> np.ndarray:
     another arity than k raises ValueError.  A point outside `box` is
     dropped with drop_outside and raises ValueError otherwise.  Each
     refusal names the first offending point of the distinct points kept,
-    in set order, as _seed_points and _refuse_outside do; the checks
-    themselves, the drop and the conversion run on the array.
+    in set order, as _seed_points and _refuse_outside do.  A signed
+    integer array is checked and dropped vectorised; any other seed goes
+    point by point, so a coordinate no int64 holds is outside the box.
     """
     k = box.k
-    if isinstance(seed, np.ndarray) and seed.ndim == 2 and seed.shape[1] == k:
-        points = seed.astype(np.int64)
-    else:
-        seed = list(seed)
-        if set(map(len, seed)) - {k}:
-            # points of another arity are kept by the drop, for _seed_points to refuse
-            _seed_points([p for p in seed if not drop_outside or len(p) != k or p in box], k)
-        try:
-            points = np.fromiter(itertools.chain.from_iterable(seed), np.int64, len(seed) * k)
-        except OverflowError:
-            # a coordinate beyond int64 lies outside every box
-            if not drop_outside:
-                _refuse_outside(_seed_points(seed, k), box)
-            return _seed_array([p for p in seed if p in box], box)
-        points = points.reshape(-1, k)
-    inside = ((points >= box.lo) & (points <= box.hi)).all(axis=1)
-    if drop_outside:
-        return points[inside]
-    if not inside.all():
-        _refuse_outside(_seed_points(seed, k), box)
-    return points
+    if isinstance(seed, np.ndarray):
+        if seed.dtype.kind == "i" and seed.ndim == 2 and seed.shape[1] == k:
+            points = seed.astype(np.int64)
+            inside = ((points >= box.lo) & (points <= box.hi)).all(axis=1)
+            if drop_outside:
+                return points[inside]
+            if not inside.all():
+                _refuse_outside(_seed_points(points.tolist(), k), box)
+            return points
+        seed = seed.tolist()
+    # points of another arity are kept by the drop, for _seed_points to refuse
+    seed = [p for p in seed if not drop_outside or len(p) != k or p in box]
+    points = _seed_points(seed, k)
+    if not drop_outside:
+        _refuse_outside(points, box)
+    return np.array(list(itertools.chain.from_iterable(seed)), np.int64).reshape(-1, k)
 
 
 def _grid_of(points: np.ndarray, box: Box) -> np.ndarray:
@@ -502,9 +506,7 @@ def close_cube(seed, n: int, k: int, margin: int | None = None, drop_outside: bo
     seeds is still a sound certificate); a point of another arity than k
     is refused either way.
     """
-    margin = _margin(n, margin)
-    _refuse_small_n(n)
-    box = Box(lo=-margin, hi=n + margin, k=k)
+    box = _cube_box(n, k, margin)
     if drop_outside:
         seed = _seed_array(seed, box, drop_outside=True)
     cube = Box(lo=0, hi=n, k=k)
@@ -563,32 +565,14 @@ def _cube_reps(n: int, k: int):
     return itertools.combinations_with_replacement(range(n, -1, -1), k)
 
 
-def _lex_points(reps, limit: int) -> list[Multidegree]:
-    """The `limit` lex-smallest points whose coordinate multiset is one of `reps`.
-
-    A depth-first walk over prefixes, smallest coordinate first, that keeps
-    the reps (what is left of each) still containing the prefix; no orbit
-    is expanded.
-    """
-    out, stack = [], [((), list(reps))]
-    while stack and len(out) < limit:
-        prefix, pool = stack.pop()
-        if not pool[0]:
-            out.append(prefix)
-            continue
-        for v in sorted({c for r in pool for c in r}, reverse=True):
-            rest = [r[: r.index(v)] + r[r.index(v) + 1 :] for r in pool if v in r]
-            stack.append((prefix + (v,), rest))
-    return out
-
-
 def close_orbits(seed, n: int, k: int, margin: int | None = None, drop_outside: bool = False):
     """close_cube for an S_k-stable seed, given by any points of its orbits.
 
-    Members are the weakly decreasing reps in [-margin, n+margin]^k.  n
-    below 1, seed points outside the box and seed points of another arity
-    than k are refused as close_cube refuses them; with drop_outside,
-    points outside the box are dropped instead.
+    Members are the weakly decreasing reps in [-margin, n+margin]^k.  The
+    box is close_cube's and the seed goes through its intake, so n below
+    1, seed points outside the box and seed points of another arity than k
+    are refused alike; with drop_outside, points outside the box are
+    dropped instead.
     A pass visits the orbit lines in ascending lex order and floods each line
     holding n+1 consecutive member points at once; lines that gained no
     member since their last visit are skipped, as they would flood nothing.
@@ -598,19 +582,15 @@ def close_orbits(seed, n: int, k: int, margin: int | None = None, drop_outside: 
     Returns the state and the first MISSING_SAMPLE unreached points of the
     cube, ascending lex, as close_cube does.
     """
-    margin = _margin(n, margin)
-    _refuse_small_n(n)
-    box = Box(lo=-margin, hi=n + margin, k=k)
+    box = _cube_box(n, k, margin)
     lines = comb(box.width + k - 2, k - 1)
     if lines > MAX_ORBIT_LINES:
         raise ValueError(
             f"box [{box.lo}, {box.hi}]^{k} has {lines} orbit lines, more than the "
             f"limit of {MAX_ORBIT_LINES}; use a smaller margin"
         )
-    points = _seed_points(seed, k)
-    if not drop_outside:
-        _refuse_outside(points, box)
-    seed = frozenset(canonical_rep(p) for p in points if p in box)
+    points = _seed_array(seed, box, drop_outside)
+    seed = frozenset(map(tuple, np.unique(-np.sort(-points, axis=1), axis=0).tolist()))
     members, trace, h = set(seed), [], n + 1
 
     def in_cube(p):
@@ -649,7 +629,9 @@ def close_orbits(seed, n: int, k: int, margin: int | None = None, drop_outside: 
         box=box, n=n, seed=seed, members=frozenset(members), trace=tuple(trace)
     )
     missing = [r for r in _cube_reps(n, k) if r not in members]
-    return state, tuple(_lex_points(missing, MISSING_SAMPLE) if missing else ())
+    # the orbits are disjoint and each is listed in ascending lex order
+    sample = itertools.islice(heapq.merge(*map(_multiset_permutations, missing)), MISSING_SAMPLE)
+    return state, tuple(sample)
 
 
 def _is_symmetric(seed) -> bool:
@@ -680,13 +662,14 @@ def close_seed(seed, n: int, k: int, margin: int | None = None):
         state, missing = close_orbits(seed, n, k, margin)
         if missing:
             return state, missing
-        requested = -state.box.lo
+        # read once: the smaller boxes drop rows of the accepted array
+        seed, requested = _seed_array(seed, state.box), -state.box.lo
         covering = (
             m for m in range(requested) if not close_orbits(seed, n, k, m, drop_outside=True)[1]
         )
         least = next(covering, requested)
-        box = Box(lo=-least, hi=n + least, k=k)
-        _refuse_large_box(box, f"it is the least box whose closure covers [0, {n}]^{k}")
+        advice = f"it is the least box whose closure covers [0, {n}]^{k}"
+        _refuse_large_box(_cube_box(n, k, least), advice)
         return close_cube(seed, n, k, least, drop_outside=True)
     return close_cube(seed, n, k, margin)
 
@@ -768,8 +751,7 @@ def _generation_verdict(reps, n: int, k: int, margin: int | None) -> Verdict:
                 raise ValueError("orbit closure certificate does not replay to the cube")
     else:
         _refuse_above_limit(expected)
-        rows = np.fromiter(itertools.chain.from_iterable(size), np.int64, len(size) * k)
-        rows = rows.reshape(-1, k)
+        rows = np.array(list(itertools.chain.from_iterable(size)), np.int64).reshape(-1, k)
         # every permutation of every rep, repeats and all
         seed = np.concatenate([rows[:, list(p)] for p in itertools.permutations(range(k))])
         state, missing = close_cube(seed, n, k, margin, drop_outside=True)

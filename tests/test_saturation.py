@@ -543,14 +543,74 @@ def test_seed_intake_refuses_as_point_by_point(seed, drop_outside):
         assert state.seed == frozenset(p for p in seed if p in box)
         array = np.array(sorted(state.seed), dtype=np.int64).reshape(-1, 3)
         assert close(array, 1, box).seed == state.seed
+        if not drop_outside:  # an iterator is read once
+            assert close(iter(seed), 1, box).seed == state.seed
+        orbits, _ = close_orbits(seed, 1, 3, 1, drop_outside=drop_outside)
+        assert orbits.seed == {canonical_rep(p) for p in state.seed}
         return
-    closers = [lambda: close_cube(seed, 1, 3, 1, drop_outside=drop_outside)]
+    closers = [
+        lambda: close_cube(seed, 1, 3, 1, drop_outside=drop_outside),
+        lambda: close_orbits(seed, 1, 3, 1, drop_outside=drop_outside),
+    ]
     if not drop_outside:
         closers.append(lambda: close(seed, 1, box))
     for closer in closers:
         with pytest.raises(ValueError) as info:
             closer()
         assert str(info.value) == want
+
+
+def test_both_engines_name_the_same_refused_point():
+    # the drop keeps the two points of arity 3; set order puts (0,2,0) first
+    seed = [(-2, -1, -2), (2, -1, -3, 3), (0, 2, 0)]
+    message = r"^seed point \(0,2,0\) has arity 3, not k=4$"
+    for closes in (close_cube, close_orbits):
+        with pytest.raises(ValueError, match=message):
+            closes(seed, 1, 4, 0, drop_outside=True)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        np.array([(0, 0), (2 ** 64 - 1, 0)], dtype=np.uint64),
+        np.array([(0, 0), (2 ** 70, 0)], dtype=object),
+    ],
+    ids=["uint64", "object"],
+)
+def test_array_seeds_of_other_dtypes_are_read_point_by_point(seed):
+    # no coordinate wraps into the box, and none overflows on the way in
+    box = Box(lo=-1, hi=2, k=2)
+    message = rf"^seed point \({seed[1, 0]},0\) outside box \[-1, 2\]\^2$"
+    for closer in (
+        lambda: close_cube(seed, 1, 2, 1),
+        lambda: close_orbits(seed, 1, 2, 1),
+        lambda: close(seed, 1, box),
+    ):
+        with pytest.raises(ValueError, match=message):
+            closer()
+    for closes in (close_cube, close_orbits):
+        state, _ = closes(seed, 1, 2, 1, drop_outside=True)
+        assert state.seed == frozenset({(0, 0)})
+
+
+def test_orbit_missing_sample_is_drawn_lazily(monkeypatch):
+    drawn = []
+
+    def counted(values):
+        for p in lattice._multiset_permutations(values):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(saturation, "_multiset_permutations", counted)
+    # the orbit of (1,)*13 + (0,)*13 has C(26, 13) points, above MAX_ORBIT_BUNDLES
+    assert comb(26, 13) > lattice.MAX_ORBIT_BUNDLES
+    state, missing = close_orbits([(0,) * 26], 1, 26, 0)
+    assert state.trace == ()
+    assert missing == tuple(
+        tuple(map(int, format(i, "026b"))) for i in range(1, MISSING_SAMPLE + 1)
+    )
+    # one point of each of the 26 missing orbits, then one per sampled point
+    assert len(drawn) <= 26 + MISSING_SAMPLE
 
 
 def test_close_cube_takes_an_integer_array_seed():

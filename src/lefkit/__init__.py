@@ -6,6 +6,20 @@ a replayable window-generation closure, bound block sizes by character
 counting, and search for new collections.
 """
 
+import os
+
+# lefkit calls no BLAS routine, so numpy's OpenBLAS is loaded with one
+# thread instead of a pool of busy-waiting workers, one per core.  OpenBLAS
+# reads the variable only when it loads, so it is removed again and the
+# caller's environment (and every child process) is left as it was.  A value
+# the caller set is kept; if numpy was imported before lefkit, nothing changes.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .lattice import (
     Box,
     Multidegree,

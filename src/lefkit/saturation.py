@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 from math import comb
 
@@ -395,9 +396,17 @@ def _axis_pass(grid, axis, h):
     return _Pass(axis=axis, lines=lines, starts=starts, added=added)
 
 
+def _integer_point(p) -> tuple:
+    """p as a tuple of ints; a coordinate that is no integer (0.5, say) raises ValueError."""
+    try:
+        return tuple(map(operator.index, p))
+    except TypeError:
+        raise ValueError(f"seed point {p!r} is not a sequence of integers") from None
+
+
 def _seed_points(seed, k: int) -> frozenset:
-    """The seed as integer tuples; a point of another arity than k raises ValueError."""
-    points = frozenset(tuple(int(c) for c in p) for p in seed)
+    """The distinct seed points (tuples); a point of another arity than k raises ValueError."""
+    points = frozenset(seed)
     for p in points:
         if len(p) != k:
             raise ValueError(f"seed point {format_multidegree(p)} has arity {len(p)}, not k={k}")
@@ -416,8 +425,9 @@ def _refuse_outside(points, box: Box):
 def _seed_array(seed, box: Box, drop_outside: bool = False) -> np.ndarray:
     """The seed points as an integer array of k columns, one row per point.
 
-    seed is an iterable of points or already such an array.  A point of
-    another arity than k raises ValueError.  A point outside `box` is
+    seed is an iterable of points or already such an array.  A point with
+    a coordinate that is no integer, or of another arity than k, raises
+    ValueError, dropped or not.  A point outside `box` is
     dropped with drop_outside and raises ValueError otherwise.  Each
     refusal names the first offending point of the distinct points kept,
     in set order, as _seed_points and _refuse_outside do.  A signed
@@ -432,11 +442,11 @@ def _seed_array(seed, box: Box, drop_outside: bool = False) -> np.ndarray:
             if drop_outside:
                 return points[inside]
             if not inside.all():
-                _refuse_outside(_seed_points(points.tolist(), k), box)
+                _refuse_outside(_seed_points(map(tuple, points.tolist()), k), box)
             return points
         seed = seed.tolist()
     # points of another arity are kept by the drop, for _seed_points to refuse
-    seed = [p for p in seed if not drop_outside or len(p) != k or p in box]
+    seed = [p for p in map(_integer_point, seed) if not drop_outside or len(p) != k or p in box]
     points = _seed_points(seed, k)
     if not drop_outside:
         _refuse_outside(points, box)

@@ -1,4 +1,5 @@
-"""Lint: no module imports a name it never uses, and no private function is unreferenced."""
+"""Lint: no module imports a name it never uses, no private function is unreferenced,
+and no module calls a BLAS routine (lefkit loads OpenBLAS with one thread)."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,19 @@ def test_every_private_function_is_referenced():
             if node.name not in referenced_names(elsewhere):
                 unreferenced.append(f"{name}: {node.name}")
     assert unreferenced == []
+
+
+BLAS_ATTRIBUTES = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum", "linalg"}
+
+
+def test_no_module_calls_a_blas_routine():
+    # lefkit/__init__.py loads numpy with OPENBLAS_NUM_THREADS=1; that default
+    # is only free while no BLAS routine runs
+    calls = []
+    for name, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                calls.append(f"{name}:{node.lineno}: @")
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_ATTRIBUTES:
+                calls.append(f"{name}:{node.lineno}: {node.attr}")
+    assert calls == []

@@ -507,6 +507,35 @@ def test_seed_points_of_another_arity_are_refused_not_dropped():
             close_seed([(0, 0, 0, 0), (0, 0, 0)])
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [
+        [(0.5, 0), (1, 0)],
+        [(0, 0), (9.5, 0)],  # outside the box too: refused, not dropped
+        [(0, 0), ("1", 0)],
+        np.array([(0.7, 0.2)]),
+        np.array([(1.0, 0.0), (0.0, 0.0)]),
+    ],
+)
+def test_seed_coordinates_that_are_no_integers_are_refused_not_truncated(seed):
+    # int() would read (0.5, 0) and (0.7, 0.2) as (0, 0) and close from there
+    for close_seed in (
+        lambda seed: close_cube(seed, 1, 2, 0),
+        lambda seed: close_cube(seed, 1, 2, 0, drop_outside=True),
+        lambda seed: close_orbits(seed, 1, 2, 0),
+        lambda seed: close_orbits(seed, 1, 2, 0, drop_outside=True),
+        lambda seed: close(seed, 1, Box(lo=0, hi=1, k=2)),
+    ):
+        with pytest.raises(ValueError, match=r"seed point .* is not a sequence of integers"):
+            close_seed(seed)
+
+
+def test_integer_seed_coordinates_of_any_integer_type_are_read():
+    seeds = ([(np.int8(0), 0), (1, True)], np.array([(0, 0), (1, 1)], dtype=np.uint8))
+    for seed in seeds:
+        assert close_cube(seed, 1, 2, 0)[0].seed == {(0, 0), (1, 1)}
+
+
 def point_by_point_refusal(seed, box, drop_outside):
     """The message a point-by-point seed intake gives, or None.
 

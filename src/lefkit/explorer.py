@@ -101,11 +101,11 @@ class _ExtTable:
     - first_bad[P, Q]: the least twist t at which rep P + t*1 is not
       orthogonal to some bundle of Q, t = 0 counting only for Q < P
       (first_nonorthogonal_twist with before = the first bundle of P).
-    These are is_exceptional's three checks on a nested collection: a
-    candidate is exceptional iff every P of B_0 is span_ok and every Q of
-    B_0 has first_bad[P, Q] > last[P].  They fold into one clash bitmask
-    over pool indices per (P, t), memoised, which a candidate ANDs with the
-    bitmask of B_0: no numpy call and no object per candidate.
+    This is the reduction of lefschetz.is_exceptional, with one column per
+    pool orbit instead of one for all of B_0: a candidate is exceptional iff
+    every P of B_0 is span_ok and every Q of B_0 has first_bad[P, Q] >
+    last[P].  The checks fold into one clash bitmask over pool indices per
+    (P, t), memoised, which a candidate ANDs with the bitmask of B_0.
     """
 
     def __init__(self, spec: SearchSpec):

@@ -9,12 +9,12 @@ Dimensions are binomial coefficients computed exactly; no floating point
 is involved anywhere.  The vanishing predicate comes in three forms:
 - is_orthogonal_pair, the scalar test, kept as the reference: some
   coordinate has 0 < a_i - b_i <= n;
-- nonorthogonal_below, the chunked numpy scan that every pairwise check of
-  a collection goes through;
-- first_nonorthogonal_twist, the same inequality solved for a uniform
-  twist: O(a + t*1) is orthogonal to O(b) exactly when t lies in
-  (b_i - a_i, b_i - a_i + n] for some i, so one (a, b) pair gives the least
-  twist t >= 1 (or t >= 0) at which the pair fails, for every t at once.
+- nonorthogonal_below, the chunked numpy scan behind every check that
+  lists witness pairs;
+- first_nonorthogonal_twist, behind every yes/no over uniform twists, the
+  same inequality solved for t: O(a + t*1) is orthogonal to O(b) exactly
+  when t lies in (b_i - a_i, b_i - a_i + n] for some i, so one (a, b) pair
+  gives the least t >= 1 (or t >= 0) at which the pair fails.
 """
 
 from __future__ import annotations
@@ -132,37 +132,32 @@ def _mask_block(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def nonorthogonal_below(n: int, points, targets=None, before=None):
-    """Pairs p < before[q] with Ext*(O(points[q]), O(targets[p])) != 0, a block of rows at a time.
+def nonorthogonal_below(n: int, points, targets=None):
+    """Pairs (q, p) with Ext*(O(points[q]), O(targets[p])) != 0, a block of rows at a time.
 
-    The one pairwise Ext scan: every check of a collection draws from it.
-    targets defaults to points and before[q] to q, the strict lower triangle
-    of points against themselves; before[q] = len(targets) gives the full
-    rectangle.  A block of rows evaluates only the targets below its largest
-    bound, and only when drawn.  Yields (q, p) index arrays for each block
+    The full rectangle of points against targets, or without targets the
+    strict lower triangle p < q, each block of rows evaluated only when drawn
+    and only up to its last row.  Yields (q, p) index arrays for each block
     that has a pair, row-major within the block and blocks in ascending q,
     so the pairs come in (q, p) lex order.  Equal points count as
-    non-orthogonal (their Ext^0 is one-dimensional).  A before of another
-    length than points is refused.
+    non-orthogonal (their Ext^0 is one-dimensional).
     """
     _check_n(n)
     pts = _points(points)
     tgt = pts if targets is None else _points(targets)
-    bound = np.arange(len(pts)) if before is None else np.asarray(before, dtype=np.int64)
-    if bound.shape != (len(pts),):
-        raise ValueError(f"before must hold one bound per point, {len(pts)} of them")
-    if len(pts) and len(tgt):
-        if pts.ndim != 2 or tgt.ndim != 2:
-            raise ValueError("expected two sequences of multidegrees")
-        if pts.shape[1] != tgt.shape[1]:
-            raise ValueError(f"arity mismatch: {pts.shape[1]} vs {tgt.shape[1]}")
+    if not (len(pts) and len(tgt)):
+        return
+    if pts.ndim != 2 or tgt.ndim != 2:
+        raise ValueError("expected two sequences of multidegrees")
+    if pts.shape[1] != tgt.shape[1]:
+        raise ValueError(f"arity mismatch: {pts.shape[1]} vs {tgt.shape[1]}")
     for start in range(0, len(pts), _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, len(pts))
-        rows = bound[start:stop, None]
-        width = min(int(rows.max()), len(tgt))
-        if width <= 0:
-            continue
-        bad = ~_mask_block(n, pts[start:stop], tgt[:width]) & (np.arange(width) < rows)
+        rows = pts[start : start + _CHUNK_ROWS]
+        cols = tgt if targets is not None else tgt[: start + len(rows) - 1]
+        bad = ~_mask_block(n, rows, cols)
+        if targets is None:
+            # row q of the block is point start + q: only p < start + q counts
+            bad &= np.tri(len(rows), len(cols), start - 1, bool)
         if bad.any():
             q, p = np.nonzero(bad)
             yield q + start, p
@@ -213,11 +208,12 @@ def first_nonorthogonal_twist(n: int, reps, targets, offsets, before=None) -> np
         raise ValueError("coordinates and n must lie strictly between -2^60 and 2^60")
     step = max(1, _TWIST_CHUNK_CELLS // tgt.size)
     for start in range(0, len(pts), step):
-        d = tgt[None, :, :] - pts[start : start + step, None, :]
-        d.sort(axis=2)
+        # e = d + 1, each pair's offsets ascending
+        e = tgt[None, :, :] - (pts[start : start + step, None, :] - 1)
+        e.sort(axis=2)
         t = (np.arange(len(tgt)) >= bound[start : start + step, None]).astype(np.int64)
-        for i in range(d.shape[2]):
-            di = d[:, :, i]
-            np.copyto(t, di + (n + 1), where=(di < t) & (t <= di + n))
+        for i in range(e.shape[2]):
+            # d_i < t <= d_i + n exactly when t - e_i, read unsigned, is below n
+            np.add(e[:, :, i], n, out=t, where=(t - e[:, :, i]).view(np.uint64) < n)
         out[start : start + step] = np.minimum.reduceat(t, offsets[:-1], axis=1)
     return out

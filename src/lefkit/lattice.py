@@ -70,6 +70,14 @@ def parse_multidegree(text: str, k: int | None = None) -> Multidegree:
     return coords
 
 
+def _integer_point(p, what: str) -> Multidegree:
+    """p as a tuple of ints; a coordinate that is no integer (0.5) raises ValueError."""
+    try:
+        return tuple(map(operator.index, p))
+    except TypeError:
+        raise ValueError(f"{what} {p!r} is not a sequence of integers") from None
+
+
 def format_multidegree(a) -> str:
     """Inverse of parse_multidegree, with no spaces: (2,1,0)."""
     return "(" + ",".join(str(c) for c in a) + ")"
@@ -189,7 +197,7 @@ def orbit_set(k: int, reps) -> OrbitSet:
         raise ValueError("k must be at least 1")
     seen = set()
     for a in reps:
-        a = tuple(int(c) for c in a)
+        a = _integer_point(a, "orbit rep")
         if len(a) != k:
             raise ValueError(f"arity mismatch: expected k={k}, got {a}")
         seen.add(canonical_rep(a))

@@ -13,7 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .ext import ext_graded, nonorthogonal_below
+from .ext import ext_graded, first_nonorthogonal_twist, nonorthogonal_below
 from .lattice import (
     Multidegree,
     OrbitSet,
@@ -178,38 +178,40 @@ def exceptional_violations(coll: LefschetzCollection, shown: int | None = None):
 
 
 def is_exceptional(coll: LefschetzCollection) -> bool:
-    """check_exceptional(coll) == [], stopping at the first block of rows with a violation.
+    """check_exceptional(coll) == [], answered without building any Violation.
 
-    A nested collection (check_lefschetz(coll) is None) is decided on reps
-    against the first block B_0, and is never flattened.  Orthogonality is
+    A nested collection (check_lefschetz(coll) is None) is decided on the
+    reps of its first block B_0 and is never flattened.  Orthogonality is
     unchanged when both sides are permuted at once, so a rep stands for its
     orbit against any S_k-stable set, and the flattened pairs reduce to three
-    checks:
-    1. inside one orbit of B_0: the rep spans at most n (max - min).  Then
-       the first coordinate where a later element exceeds an earlier one
-       differs by at most n; a larger span fails on the pair that swaps the
-       largest and smallest coordinates.
-    2. across orbits of B_0: each rep against every bundle of the orbits
-       before it.  Pairs inside a later block B_t are pairs of B_0 in the
+    checks on each orbit P of B_0, with t_P the last block that holds P:
+    1. inside P: the rep spans at most n (max - min).  Then the first
+       coordinate where a later element exceeds an earlier one differs by at
+       most n; a larger span fails on the pair that swaps the largest and
+       smallest coordinates.
+    2. across orbits of B_0: the rep against every bundle of the orbits
+       before P.  Pairs inside a later block B_t are pairs of B_0 in the
        same order, since B_t is a subset of B_0 and both list their orbits
        in ascending rep order.
-    3. across blocks: for t = 1..d, the reps of B_t twisted by t against
-       every bundle of B_0.  Block t against block s < t is a subset of
-       block t-s against block 0, as B_t is in B_{t-s} and B_s in B_0.
-    Checks 2 and 3 are one nonorthogonal_below scan of _twisted_reps(coll)
-    against the bundles of B_0.  Other collections are flattened and scan
-    their strict lower triangle.
+    3. across blocks: for t = 1..t_P, the rep twisted by t against every
+       bundle of B_0.  Block t against block s < t is a subset of block t-s
+       against block 0, as B_t is in B_{t-s} and B_s in B_0.
+    Checks 2 and 3 are one first_nonorthogonal_twist call, B_0 one group and
+    twist 0 counted against the orbits before P: each rep's least failing
+    twist must be past t_P.  Other collections are flattened and scanned.
     """
     n, first = coll.n, coll.blocks[0]
     if check_lefschetz(coll) is not None:
-        rows, targets, before = flatten_bundles(coll), None, None
-    elif any(rep[0] - rep[-1] > n for rep in first.reps()):
+        return next(nonorthogonal_below(n, flatten_bundles(coll)), None) is None
+    reps = first.reps()
+    if not reps:
+        return True
+    if any(rep[0] - rep[-1] > n for rep in reps):
         return False
-    else:
-        rows, targets = _twisted_reps(coll), first.bundles()
-        offsets = list(itertools.accumulate((o.size for o in first.orbits), initial=0))
-        before = offsets[:-1] + offsets[-1:] * (len(rows) - len(first.orbits))
-    return next(nonorthogonal_below(n, rows, targets, before), None) is None
+    offsets = list(itertools.accumulate((o.size for o in first.orbits), initial=0))
+    bad = first_nonorthogonal_twist(n, reps, first.bundles(), [0, offsets[-1]], offsets[:-1])
+    last = {rep: t for t, block in enumerate(coll.blocks) for rep in block.reps()}
+    return all(t > last[rep] for rep, t in zip(reps, bad[:, 0].tolist()))
 
 
 def ext_violations(n: int, sources, targets):
@@ -219,7 +221,7 @@ def ext_violations(n: int, sources, targets):
     the full-rectangle nonorthogonal_below scan; graded dimensions are
     computed only for the pairs drawn.
     """
-    for qs, ps in nonorthogonal_below(n, sources, targets, [len(targets)] * len(sources)):
+    for qs, ps in nonorthogonal_below(n, sources, targets):
         for i, j in zip(qs.tolist(), ps.tolist()):
             a, b = sources[i], targets[j]
             yield Violation(kind="ext", witness=(a, b), detail=ext_graded(n, a, b))

@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import operator
 from dataclasses import dataclass, field, replace
 from math import comb
 
@@ -46,6 +45,7 @@ from .lattice import (
     Multidegree,
     Orbit,
     OrbitSet,
+    _integer_point,
     _multiset_permutations,
     _refuse_above_limit,
     canonical_rep,
@@ -396,14 +396,6 @@ def _axis_pass(grid, axis, h):
     return _Pass(axis=axis, lines=lines, starts=starts, added=added)
 
 
-def _integer_point(p) -> tuple:
-    """p as a tuple of ints; a coordinate that is no integer (0.5, say) raises ValueError."""
-    try:
-        return tuple(map(operator.index, p))
-    except TypeError:
-        raise ValueError(f"seed point {p!r} is not a sequence of integers") from None
-
-
 def _seed_points(seed, k: int) -> frozenset:
     """The distinct seed points (tuples); a point of another arity than k raises ValueError."""
     points = frozenset(seed)
@@ -446,7 +438,8 @@ def _seed_array(seed, box: Box, drop_outside: bool = False) -> np.ndarray:
             return points
         seed = seed.tolist()
     # points of another arity are kept by the drop, for _seed_points to refuse
-    seed = [p for p in map(_integer_point, seed) if not drop_outside or len(p) != k or p in box]
+    seed = [_integer_point(p, "seed point") for p in seed]
+    seed = [p for p in seed if not drop_outside or len(p) != k or p in box]
     points = _seed_points(seed, k)
     if not drop_outside:
         _refuse_outside(points, box)
@@ -532,7 +525,7 @@ def replay_trace(seed, n: int, box: Box, trace) -> frozenset:
     leaves the box, or if it is off the rule's line.  Returns the final
     member set.
     """
-    members = set(tuple(int(c) for c in p) for p in seed)
+    members = {_integer_point(p, "seed point") for p in seed}
     h, k, lo, hi = n + 1, box.k, box.lo, box.hi
     for app in trace:
         if not 0 <= app.axis < k or len(app.line) != k - 1:
@@ -646,7 +639,7 @@ def close_orbits(seed, n: int, k: int, margin: int | None = None, drop_outside: 
 
 def _is_symmetric(seed) -> bool:
     """Whether the distinct points of `seed` are whole S_k-orbits."""
-    points = {tuple(int(c) for c in p) for p in seed}
+    points = {_integer_point(p, "seed point") for p in seed}
     return len(points) == sum(Orbit(r).size for r in {canonical_rep(p) for p in points})
 
 
@@ -692,7 +685,7 @@ def replay_orbit_trace(seed, n: int, box: Box, trace) -> frozenset:
     if an added rep leaves the box or is off the rule's line.  Returns the
     final set of reps.
     """
-    members, k = {canonical_rep(p) for p in seed}, box.k
+    members, k = {canonical_rep(_integer_point(p, "seed point")) for p in seed}, box.k
     for rule in trace:
         if len(rule.line) != k - 1 or any(len(p) != k for p in rule.added):
             raise ValueError(f"rule on line {rule.line} does not fit k={k}")

@@ -86,16 +86,6 @@ def test_nonorthogonal_below_refuses_points_that_are_not_multidegrees():
     assert list(nonorthogonal_below(1, [], [1, 2])) == []
 
 
-def test_nonorthogonal_below_refuses_a_before_of_another_length():
-    points = [(0,), (1,), (2,)]
-    # one bound used to broadcast over every row, two were a numpy shape
-    # error, and a fourth was cut off
-    for before in ([2], [1, 2], [0, 1, 2, 3]):
-        with pytest.raises(ValueError, match="one bound per point, 3 of them"):
-            list(nonorthogonal_below(1, points, points, before))
-    assert [q.tolist() for q, _ in nonorthogonal_below(1, points, points, [0, 1, 2])] == [[2]]
-
-
 @given(n=st.integers(1, 4), k=st.integers(1, 5), chunk=st.integers(1, 40), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_first_nonorthogonal_twist_matches_scalar_predicate(n, k, chunk, data):
@@ -183,28 +173,20 @@ def test_nonorthogonal_below_matches_scalar_predicate(n, k, chunk, data):
     point = st.tuples(*[st.integers(-2 * n - 1, 2 * n + 1)] * k)
     points = data.draw(st.lists(point, max_size=8))
     targets = data.draw(st.lists(point, max_size=8))
-    # each row's bound anywhere from no target to every target
-    before = [data.draw(st.integers(0, len(targets))) for _ in points]
 
     def pairs(*args):
         with mock.patch.object(ext, "_CHUNK_ROWS", chunk):
             blocks = list(nonorthogonal_below(n, *args))
         return [(q, p) for qs, ps in blocks for q, p in zip(qs.tolist(), ps.tolist())]
 
-    assert pairs(points, targets, before) == [
-        (q, p)
-        for q, a in enumerate(points)
-        for p in range(before[q])
-        if not is_orthogonal_pair(n, a, targets[p])
-    ]
     # the full rectangle, source-major, as ext_violations draws it
-    assert pairs(points, targets, [len(targets)] * len(points)) == [
+    assert pairs(points, targets) == [
         (q, p)
         for q, a in enumerate(points)
         for p, b in enumerate(targets)
         if not is_orthogonal_pair(n, a, b)
     ]
-    # the defaults are the strict lower triangle of points against themselves
+    # without targets, the strict lower triangle of points against themselves
     assert pairs(points) == [
         (q, p)
         for q in range(len(points))
@@ -257,4 +239,4 @@ def test_dense_vectors_sized_before_allocation():
         ext_graded(limit // 2, (0, 0), (0, 0))
     # the vanishing predicates build no vector
     assert is_orthogonal_pair(10 ** 12, (1,), (0,))
-    assert list(nonorthogonal_below(10 ** 12, [(1,)], [(0,)], [1])) == []
+    assert list(nonorthogonal_below(10 ** 12, [(1,)], [(0,)])) == []

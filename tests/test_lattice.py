@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -131,6 +132,14 @@ def test_orbit_set_rejects_bad_arity():
         orbit_set(3, [(1, 0)])
     with pytest.raises(ValueError):
         orbit_set(0, [])
+
+
+def test_orbit_set_refuses_reps_that_are_no_integers():
+    # int() would read (0.7, 0.2) as the orbit of (0, 0)
+    for rep in [(0.7, 0.2)], [(1, "0")], [3]:
+        with pytest.raises(ValueError, match=r"orbit rep .* is not a sequence of integers"):
+            orbit_set(2, rep)
+    assert orbit_set(2, [(np.int64(1), True)]).reps() == ((1, 1),)
 
 
 def test_parse_format_roundtrip_examples():

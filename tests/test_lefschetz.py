@@ -294,22 +294,88 @@ def test_ext_violations_match_scalar_reference(k, n, chunk, data):
 
 
 def test_every_collection_check_goes_through_the_one_scan(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise RuntimeError("pairwise scan")
+    # witness pairs come from the pair scan, nested yes/no from the twist kernel
+    def refusing(kernel):
+        def refuse(*args, **kwargs):
+            raise RuntimeError(kernel)
+        return refuse
 
-    monkeypatch.setattr(lefschetz, "nonorthogonal_below", refuse)
+    monkeypatch.setattr(lefschetz, "nonorthogonal_below", refusing("pair scan"))
+    monkeypatch.setattr(lefschetz, "first_nonorthogonal_twist", refusing("twist kernel"))
     not_nested = LefschetzCollection(k=3, n=2, blocks=(build_E(3, 2), build_Ehat(3, 2)))
     assert check_lefschetz(not_nested) is not None
     checks = [
-        lambda: check_theorem_semiorthogonality(2, 1),
-        lambda: residual_check(x32_rectangular_part(), x32_residual()),
-        lambda: check_exceptional(xk1(3)),
-        lambda: is_exceptional(xk1(3)),
-        lambda: is_exceptional(not_nested),
+        (lambda: check_theorem_semiorthogonality(2, 1), "pair scan"),
+        (lambda: residual_check(x32_rectangular_part(), x32_residual()), "pair scan"),
+        (lambda: check_exceptional(xk1(3)), "pair scan"),
+        (lambda: is_exceptional(not_nested), "pair scan"),
+        (lambda: is_exceptional(xk1(3)), "twist kernel"),
     ]
-    for check in checks:
-        with pytest.raises(RuntimeError, match="pairwise scan"):
+    for check, kernel in checks:
+        with pytest.raises(RuntimeError, match=kernel):
             check()
+
+
+def test_nested_is_exceptional_is_one_twist_kernel_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("flattened or twisted scan")
+
+    calls = []
+    kernel = lefschetz.first_nonorthogonal_twist
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(lefschetz, "first_nonorthogonal_twist", counted)
+    monkeypatch.setattr(lefschetz, "nonorthogonal_below", refuse)
+    monkeypatch.setattr(lefschetz, "_twisted_reps", refuse)
+    # (2,2) in block 2 meets (0,0) of B_0: the least failing twist of (0,0) is 2
+    too_long = LefschetzCollection(k=2, n=1, blocks=(orbit_set(2, [(0, 0)]),) * 3)
+    for coll, want in (
+        (x3n_rectangular(4), True), (xk1(6), True), (x32_minimal(), True), (too_long, False)
+    ):
+        calls.clear()
+        assert is_exceptional(coll) is want
+        assert len(calls) == 1
+    # an empty B_0 and a rep spanning more than n are answered before the kernel
+    calls.clear()
+    assert is_exceptional(LefschetzCollection(k=2, n=1, blocks=(orbit_set(2, []),) * 2))
+    assert not is_exceptional(LefschetzCollection(k=2, n=1, blocks=(orbit_set(2, [(2, 0)]),)))
+    assert calls == []
+
+
+@st.composite
+def _signed_nested_blocks(draw, k, n):
+    """Nested blocks over reps of any sign; B_0 may be empty.
+
+    B_0 also holds some of its reps twisted by -2..2, so a rep twisted into a
+    later block can coincide with a bundle of B_0.
+    """
+    rep = st.tuples(*[st.integers(-n - 2, n + 2)] * k)
+    base = draw(st.lists(rep, max_size=4))
+    if base:
+        moved = draw(st.lists(st.tuples(st.sampled_from(base), st.integers(-2, 2)), max_size=3))
+        base += [twist(r, t) for r, t in moved]
+    blocks = [base]
+    for _ in range(draw(st.integers(0, n + 1))):
+        blocks.append([r for r in blocks[-1] if draw(st.booleans())])
+    return blocks
+
+
+@given(
+    k=st.integers(1, 3),
+    n=st.integers(1, 3),
+    chunk=st.integers(1, 40),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_nested_is_exceptional_matches_check_exceptional_on_signed_reps(k, n, chunk, data):
+    blocks = data.draw(_signed_nested_blocks(k, n))
+    coll = LefschetzCollection(k=k, n=n, blocks=tuple(orbit_set(k, b) for b in blocks))
+    assert check_lefschetz(coll) is None
+    with mock.patch.object(ext, "_TWIST_CHUNK_CELLS", chunk):
+        assert is_exceptional(coll) == (check_exceptional(coll) == [])
 
 
 def test_x32_minimal_is_exceptional():

@@ -1,10 +1,12 @@
 """Lint: no module imports a name it never uses, no private function is unreferenced,
-and no module calls a BLAS routine (lefkit loads OpenBLAS with one thread)."""
+no defaulted parameter goes unpassed, and no module calls a BLAS routine (lefkit loads
+OpenBLAS with one thread)."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lefkit"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def parsed_modules():
@@ -53,6 +55,57 @@ def test_every_private_function_is_referenced():
             if node.name not in referenced_names(elsewhere):
                 unreferenced.append(f"{name}: {node.name}")
     assert unreferenced == []
+
+
+def defaulted_parameters(func):
+    """(position, name) of each defaulted parameter of `func`; position None if keyword-only."""
+    positional = func.args.posonlyargs + func.args.args
+    out = [(i, a.arg) for i, a in enumerate(positional)][len(positional) - len(func.args.defaults):]
+    kwonly = zip(func.args.kwonlyargs, func.args.kw_defaults)
+    return out + [(None, a.arg) for a, default in kwonly if default is not None]
+
+
+def passes(call, position, name):
+    """Whether `call` passes the parameter at `position` (None: keyword-only) or named `name`."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no caller in lefkit or perfbench overrides is a knob
+    # without a user; calls from the tests do not count
+    trees = list(parsed_modules().values())
+    trees += [ast.parse(path.read_text("utf-8")) for path in sorted(PERFBENCH.glob("*.py"))]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for module, tree in parsed_modules().items():
+        # a method is called as obj.name(...) or, for __init__, as Class(...)
+        owner = {
+            id(func): cls.name
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for func in cls.body
+            if isinstance(func, ast.FunctionDef)
+            and not any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list)
+        }
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            method = id(func) in owner
+            name = owner[id(func)] if func.name == "__init__" and method else func.name
+            for position, param in defaulted_parameters(func):
+                at = None if position is None else position - method
+                if not any(passes(call, at, param) for call in calls.get(name, [])):
+                    unpassed.append(f"{module}: {func.name}({param}=...)")
+    assert unpassed == []
 
 
 BLAS_ATTRIBUTES = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum", "linalg"}

@@ -530,6 +530,33 @@ def test_seed_coordinates_that_are_no_integers_are_refused_not_truncated(seed):
             close_seed(seed)
 
 
+def test_replay_trace_refuses_seed_coordinates_that_are_no_integers():
+    # int() would read (0.5, 0) as (0, 0), a member no engine seeds
+    with pytest.raises(ValueError, match=r"seed point .* is not a sequence of integers"):
+        replay_trace([(0.5, 0), (1, 0)], 1, Box(lo=0, hi=1, k=2), [])
+    assert replay_trace([(np.int8(0), 0), (1, True)], 1, Box(lo=0, hi=1, k=2), []) == {
+        (0, 0), (1, 1)
+    }
+
+
+def test_replay_orbit_trace_refuses_seed_coordinates_that_are_no_integers():
+    # canonical_rep alone would keep (0.5, 0, 0, 0) as a member rep
+    with pytest.raises(ValueError, match=r"seed point .* is not a sequence of integers"):
+        replay_orbit_trace([(0.5, 0, 0, 0)], 1, Box(lo=0, hi=1, k=4), [])
+    assert replay_orbit_trace([(0, np.int8(1), 0, 0)], 1, Box(lo=0, hi=1, k=4), []) == {
+        (1, 0, 0, 0)
+    }
+
+
+def test_symmetry_test_refuses_seed_coordinates_that_are_no_integers():
+    # int() would read these four points as the one point (0, 0, 0, 0), a whole orbit
+    seed = [(0.5, 0, 0, 0), (0, 0.5, 0, 0), (0, 0, 0.5, 0), (0, 0, 0, 0.5)]
+    with pytest.raises(ValueError, match=r"seed point .* is not a sequence of integers"):
+        saturation._is_symmetric(seed)
+    assert saturation._is_symmetric([(1, 0), (0, 1)])
+    assert not saturation._is_symmetric([(1, 0)])
+
+
 def test_integer_seed_coordinates_of_any_integer_type_are_read():
     seeds = ([(np.int8(0), 0), (1, True)], np.array([(0, 0), (1, 1)], dtype=np.uint8))
     for seed in seeds:

@@ -15,8 +15,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .ext import ext_graded, is_orthogonal_pair
 from .lattice import Box, _refuse_above_limit, format_multidegree, orbit_set, parse_multidegree
 from .lefschetz import (
@@ -48,7 +46,6 @@ from .saturation import (
     FULL,
     INCONCLUSIVE,
     NOT_FULL_BY_RANK,
-    OrbitClosureState,
     _cube_box,
     close_seed,
     residual_check,
@@ -101,35 +98,25 @@ def _ranks_text(coll) -> str:
     return "(" + ", ".join(str(r) for r in ranks(coll)) + ")"
 
 
-def _multidegree_texts(points) -> list[str]:
-    """format_multidegree of each row of a nonempty integer array, all rows in one go."""
-    lo = int(points.min())
-    names = [str(v) for v in range(lo, int(points.max()) + 1)]
-    width = max(map(len, names))
-    # every coordinate as `width` bytes padded with spaces, then a comma
-    table = np.frombuffer("".join(s.rjust(width) + "," for s in names).encode(), np.uint8)
-    cells = table.reshape(len(names), width + 1)[points - lo].reshape(len(points), -1)
-    cells[:, -1] = ord(")")
-    text = cells.tobytes().decode().replace(" ", "")
-    return ("(" + text.replace(")", ")\n(")[:-2]).split("\n")
-
-
 def _trace_docs(state):
-    """The closure trace as one JSON-ready dict per rule, in engine order.
+    """One JSON-ready dict per rule of state.trace, keyed by the rule's fields, in order."""
+    for rule in state.trace:
+        added = [format_multidegree(p) for p in rule.added]
+        yield {**vars(rule), "line": list(rule.line), "added": added}
 
-    An orbit state gives its OrbitRules, with no "axis".  A grid state is
-    read from its pass arrays, with no RuleApplication built.
-    """
-    if isinstance(state, OrbitClosureState):
-        for rule in state.trace:
-            added = [format_multidegree(p) for p in rule.added]
-            yield {"line": list(rule.line), "window_start": rule.window_start, "added": added}
-        return
-    for axis, lines, starts, points, ends in state.pass_rows():
-        added, begin = _multidegree_texts(points), 0
-        for line, start, end in zip(lines, starts, ends):
-            yield {"axis": axis, "line": line, "window_start": start, "added": added[begin:end]}
-            begin = end
+
+def _missing_text(points) -> str:
+    """The first four unreached points, as the text reports list them."""
+    return ", ".join(format_multidegree(p) for p in points[:4])
+
+
+def _read_json(path):
+    """The JSON document in the file at path; one nested too deeply is a ValueError too."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def cmd_ext(args) -> int:
@@ -167,8 +154,7 @@ def _load_collection(args):
         if given != needed:
             raise ValueError(f"{name} {'takes no' if given else 'needs'} --{option}")
     if args.collection:
-        with open(args.collection, encoding="utf-8") as fh:
-            return collection_from_json(fh.read())
+        return collection_from_json(_read_json(args.collection))
     return build(args)
 
 
@@ -178,7 +164,7 @@ def _fullness_text(verdict) -> str:
         return f"FULL (margin {detail['margin']}, trace length {verdict.state.trace_length})"
     if verdict.status == NOT_FULL_BY_RANK:
         return f"NOT_FULL_BY_RANK ({detail['bundles']} bundles, expected {detail['expected']})"
-    missing = ", ".join(format_multidegree(p) for p in detail["missing_sample"][:4])
+    missing = _missing_text(detail["missing_sample"])
     return f"INCONCLUSIVE (margin {detail['margin']}, missing {missing})"
 
 
@@ -294,8 +280,7 @@ def cmd_bounds(args) -> int:
 
 def _load_seed(path):
     """A seed file is either a collection document or {"k":, "points": [...]}."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError("seed file must hold a JSON object")
     if "blocks" in doc:
@@ -355,7 +340,7 @@ def cmd_closure(args) -> int:
         f"trace entries: {state.trace_length}",
     ]
     if missing:
-        text.append("missing: " + ", ".join(format_multidegree(p) for p in missing[:4]))
+        text.append("missing: " + _missing_text(missing))
     return _render(args, EXIT_OK if status == FULL else EXIT_INCONCLUSIVE, text=text, json=doc)
 
 

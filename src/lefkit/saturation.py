@@ -149,40 +149,22 @@ class ClosureState:
     def members(self) -> frozenset:
         return frozenset(map(tuple, (np.argwhere(self.grid) + self.box.lo).tolist()))
 
-    def pass_rows(self):
-        """Each recorded pass, in engine order.
-
-        Yields (axis, lines, starts, points, ends): the flooded lines (the k-1
-        other coordinates each) and their window starts as lists, the points
-        gained as one integer array of k columns, line by line, and the list
-        of where each line's points end in it.
-        """
-        lo = self.box.lo
+    @functools.cached_property
+    def trace(self) -> tuple[RuleApplication, ...]:
+        out, lo = [], self.box.lo
         for p in self.passes:
             shape = self.grid.shape[: p.axis] + (1,) + self.grid.shape[p.axis + 1 :]
             coords = np.stack(np.unravel_index(p.lines, shape), axis=1) + lo
             rows, zs = np.nonzero(p.added)
             points = coords[rows]
             points[:, p.axis] = zs + lo
-            ends = np.cumsum(np.count_nonzero(p.added, axis=1)).tolist()
+            # the points gained, line after line
+            points = map(tuple, points.tolist())
             lines = np.delete(coords, p.axis, axis=1).tolist()
-            yield p.axis, lines, (p.starts + lo).tolist(), points, ends
-
-    @functools.cached_property
-    def trace(self) -> tuple[RuleApplication, ...]:
-        out = []
-        for axis, lines, starts, points, ends in self.pass_rows():
-            points, begin = list(map(tuple, points.tolist())), 0
-            for line, start, end in zip(lines, starts, ends):
-                out.append(
-                    RuleApplication(
-                        axis=axis,
-                        line=tuple(line),
-                        window_start=start,
-                        added=tuple(points[begin:end]),
-                    )
-                )
-                begin = end
+            counts = np.count_nonzero(p.added, axis=1).tolist()
+            for line, start, count in zip(lines, (p.starts + lo).tolist(), counts):
+                added = tuple(itertools.islice(points, count))
+                out.append(RuleApplication(p.axis, tuple(line), start, added))
         return tuple(out)
 
     def certificate(self, target: Box) -> ClosureState:

@@ -15,7 +15,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -334,18 +333,32 @@ def test_inconclusive_closure_writes_the_engine_trace(capsys, tmp_path):
 
 
 def test_trace_docs_match_the_rule_applications():
-    # wide margins give negative and two-digit coordinates
-    for seed, n, margin in (
-        (lefschetz.flatten_bundles(x32_minimal()), 2, 11),
-        ([(-3, 0), (-2, 0), (-3, 1), (-2, 1)], 1, 12),
-        ([(0,), (1,), (2,)], 2, 120),
-    ):
-        state, _ = saturation.close_cube(seed, n, len(seed[0]), margin)
-        assert list(cli._trace_docs(state)) == [
-            {"axis": app.axis, "line": list(app.line), "window_start": app.window_start,
-             "added": [format_multidegree(p) for p in app.added]}
-            for app in state.trace
+    # wide margins give negative and two-digit coordinates; the last case is
+    # an INCONCLUSIVE k = 4 stable seed, which closes on orbit reps
+    states = [
+        saturation.close_cube(seed, n, len(seed[0]), margin)[0]
+        for seed, n, margin in (
+            (lefschetz.flatten_bundles(x32_minimal()), 2, 11),
+            ([(-3, 0), (-2, 0), (-3, 1), (-2, 1)], 1, 12),
+            ([(0,), (1,), (2,)], 2, 120),
+        )
+    ]
+    orbit_state, missing = saturation.close_seed(xk1_without_weight(4, 1), 1, 4, 2)
+    assert isinstance(orbit_state, saturation.OrbitClosureState) and missing
+    assert orbit_state.trace
+    for state in states + [orbit_state]:
+        on_grid = isinstance(state, saturation.ClosureState)
+        # compared as JSON text, so the key order is pinned too
+        want = [
+            json.dumps({
+                **({"axis": rule.axis} if on_grid else {}),
+                "line": list(rule.line),
+                "window_start": rule.window_start,
+                "added": [format_multidegree(p) for p in rule.added],
+            })
+            for rule in state.trace
         ]
+        assert list(map(json.dumps, cli._trace_docs(state))) == want
 
 
 def orbit_points(reps):
@@ -549,12 +562,38 @@ def test_full_stable_closure_counts_seed_points_outside_its_least_box():
     assert doc["members"] == len(replayed) and (3, 3, 3, 3) in replayed
 
 
-def test_multidegree_texts_match_format_multidegree():
-    rng = np.random.default_rng(5)
-    for lo, hi, k in ((0, 1, 1), (-3, 4, 3), (-120, 7, 5), (95, 1003, 2)):
-        points = rng.integers(lo, hi + 1, size=(50, k))
-        want = [format_multidegree(p) for p in points.tolist()]
-        assert cli._multidegree_texts(points) == want
+def test_benchmark_certificate_keeps_its_bytes(capsys, tmp_path):
+    # the xk1(9) certificate the benchmark renders, byte for byte
+    seed_path, trace_path = tmp_path / "xk1_9.json", tmp_path / "trace.jsonl"
+    seed_path.write_text(collection_to_json(lefschetz.xk1(9)), encoding="utf-8")
+    argv = ("closure", "--seed-file", str(seed_path), "--trace-out", str(trace_path))
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert "members: 1349 of 10077696\n" in out and "trace entries: 837\n" in out
+    body = trace_path.read_bytes()
+    assert (body.count(b"\n"), len(body)) == (837, 82863)
+    assert hashlib.sha256(body).hexdigest() == (
+        "cc94cb857c84f7603731d2b404d10d65782cbf2cfafeea87c7b0efd6bb294be7"
+    )
+    rc, out, _ = run(capsys, *argv, "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["trace"] == list(map(json.loads, body.decode().splitlines()))
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    # the decoder's RecursionError is a usage error, not a failed check
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    src = str(Path(lefkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    for argv in (["verify", "--collection", str(path)], ["closure", "--seed-file", str(path)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lefkit", *argv], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_closure_inconclusive_exits_3(capsys, tmp_path):

@@ -19,6 +19,7 @@ from .ext import ext_graded, is_orthogonal_pair
 from .lattice import Box, _refuse_above_limit, format_multidegree, orbit_set, parse_multidegree
 from .lefschetz import (
     JSON_SCHEMA,
+    _shown,
     check_exceptional,
     check_lefschetz,
     check_theorem_semiorthogonality,
@@ -291,7 +292,7 @@ def _load_seed(path):
     except KeyError as exc:
         raise ValueError(f"malformed seed file: {exc}") from None
     if type(k) is not int:
-        raise ValueError(f"malformed seed file: k must be an integer, got {json.dumps(k)}")
+        raise ValueError(f"malformed seed file: k must be an integer, got {_shown(k)}")
     if not isinstance(raw_points, list) or not all(isinstance(p, str) for p in raw_points):
         raise ValueError(
             'malformed seed file: points must be a list of multidegree strings such as "(1,0)"'

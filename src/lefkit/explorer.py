@@ -20,13 +20,14 @@ import itertools
 from dataclasses import dataclass, field
 from math import comb
 
-import numpy as np
-
+from . import _numpy
 from .ext import _refuse_twist_table, first_nonorthogonal_twist
 from .lattice import Orbit, OrbitSet, _refuse_above_limit, normalised_reps, orbit_set
 from .lefschetz import LefschetzCollection
 from .reptheory import content_orbit_count, decreasing_tuples, partitions_of, perm_module_dim
 from .saturation import FULL, INCONCLUSIVE, _margin, verify_fullness
+
+np = _numpy()
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from math import comb
 
-import numpy as np
+from . import _numpy
 
 GradedDims = tuple[int, ...]
 
@@ -112,8 +112,9 @@ def is_orthogonal_pair(n: int, a, b) -> bool:
     return any(0 < x - y <= n for x, y in zip(a, b))
 
 
-def _points(xs) -> np.ndarray:
+def _points(xs):
     """Multidegrees as an int64 array, one row each."""
+    np = _numpy()
     try:
         arr = np.asarray(xs, dtype=np.int64)
     except OverflowError:
@@ -123,8 +124,9 @@ def _points(xs) -> np.ndarray:
     return arr
 
 
-def _mask_block(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mask_block(n: int, a, b):
     """mask[i, j] iff some coordinate of a[i] - b[j] lies in (0, n], as in is_orthogonal_pair."""
+    np = _numpy()
     out = np.zeros((len(a), len(b)), dtype=bool)
     for c in range(a.shape[1]):
         d = a[:, c, None] - b[None, :, c]
@@ -142,6 +144,7 @@ def nonorthogonal_below(n: int, points, targets=None):
     so the pairs come in (q, p) lex order.  Equal points count as
     non-orthogonal (their Ext^0 is one-dimensional).
     """
+    np = _numpy()
     _check_n(n)
     pts = _points(points)
     tgt = pts if targets is None else _points(targets)
@@ -171,7 +174,7 @@ def _refuse_twist_table(rows: int, groups: int):
         )
 
 
-def first_nonorthogonal_twist(n: int, reps, targets, offsets, before=None) -> np.ndarray:
+def first_nonorthogonal_twist(n: int, reps, targets, offsets, before=None):
     """Least t with Ext*(O(reps[p] + t*1), O(b)) != 0 for some b of group q, as table[p, q].
 
     Group q is targets[offsets[q]:offsets[q+1]]; offsets rise strictly from 0
@@ -183,9 +186,10 @@ def first_nonorthogonal_twist(n: int, reps, targets, offsets, before=None) -> np
     past its end d_i + n; the first that does not leaves t uncovered, and
     so do all later ones.  The answer is 0, 1 or some d_i + n + 1, at most
     k*n + 1.  Rows are taken a block at a time and reduced onto the groups
-    at once.  The table is sized first and refused above MAX_TWIST_TABLE;
-    a before of another length than reps is refused.
+    at once.  The table, an int64 array, is sized first and refused above
+    MAX_TWIST_TABLE; a before of another length than reps is refused.
     """
+    np = _numpy()
     _check_n(n)
     groups = len(offsets) - 1
     _refuse_twist_table(len(reps), groups)

@@ -306,6 +306,12 @@ def collection_to_json(coll: LefschetzCollection) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _shown(value) -> str:
+    """value as JSON for an error message, cut short after 40 characters."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def collection_from_json(doc) -> LefschetzCollection:
     """Read a collection document, given as JSON text or as the parsed object.
 
@@ -322,7 +328,7 @@ def collection_from_json(doc) -> LefschetzCollection:
     for key, value in (("k", k), ("n", n)):
         if type(value) is not int:
             raise ValueError(
-                f"malformed collection document: {key} must be an integer, got {json.dumps(value)}"
+                f"malformed collection document: {key} must be an integer, got {_shown(value)}"
             )
     if not isinstance(raw_blocks, list) or not all(
         isinstance(reps, list) and all(isinstance(r, str) for r in reps)

@@ -38,8 +38,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from math import comb
 
-import numpy as np
-
+from . import _numpy
 from .lattice import (
     Box,
     Multidegree,
@@ -60,6 +59,8 @@ from .lefschetz import (
     flatten_bundles,
     ranks,
 )
+
+np = _numpy()
 
 FULL = "FULL"
 NOT_FULL_BY_RANK = "NOT_FULL_BY_RANK"
@@ -575,7 +576,7 @@ def close_orbits(seed, n: int, k: int, margin: int | None = None, drop_outside: 
             f"limit of {MAX_ORBIT_LINES}; use a smaller margin"
         )
     points = _seed_array(seed, box, drop_outside)
-    seed = frozenset(map(tuple, np.unique(-np.sort(-points, axis=1), axis=0).tolist()))
+    seed = frozenset(map(tuple, (-np.sort(-points, axis=1)).tolist()))
     members, trace, h = set(seed), [], n + 1
 
     def in_cube(p):

@@ -645,6 +645,20 @@ def test_malformed_seed_points_exit_2(capsys, tmp_path):
         assert "n must be an integer, got 1.5" in err
 
 
+def test_a_large_malformed_value_is_echoed_cut_short(capsys, tmp_path):
+    big = list(range(200_000))
+    seed, coll = tmp_path / "seed.json", tmp_path / "coll.json"
+    seed.write_text(json.dumps({"k": big, "points": ["(0,0)"]}))
+    coll.write_text(json.dumps({"schema": "lefkit/1", "k": big, "n": 1, "blocks": [["(0,0)"]]}))
+    for argv in (
+        ("closure", "--seed-file", str(seed), "--n", "1"),
+        ("verify", "--collection", str(coll)),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert "k must be an integer, got [0, 1, 2, 3," in err and len(err.encode()) < 300
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,6 @@
 """Lint: no module imports a name it never uses, no private function is unreferenced,
-no defaulted parameter goes unpassed, and no module calls a BLAS routine (lefkit loads
-OpenBLAS with one thread)."""
+no defaulted parameter goes unpassed, and no module calls a BLAS routine or imports
+numpy past `lefkit._numpy` (which loads OpenBLAS with one thread)."""
 
 import ast
 from pathlib import Path
@@ -28,8 +28,6 @@ def referenced_names(nodes):
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
     for name, tree in parsed_modules().items():
-        if name == "__init__.py":
-            continue  # it imports to re-export
         used = referenced_names([tree])
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -42,19 +40,35 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
-def test_every_private_function_is_referenced():
-    modules = parsed_modules()
+def unreferenced_private_functions(modules):
+    """`module: name` of each module-level private function that no other code names.
+
+    A dunder such as the package's `__getattr__` is a hook that Python calls, not a
+    private helper, so only names that begin with `_` and do not end with `__` count.
+    """
     unreferenced = []
     for name, tree in modules.items():
         for node in tree.body:
-            if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_")):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if not node.name.startswith("_") or node.name.endswith("__"):
                 continue
             # a function calling itself is no reference from the rest of the code
             elsewhere = [other for other in modules.values() if other is not tree]
             elsewhere += [stmt for stmt in tree.body if stmt is not node]
             if node.name not in referenced_names(elsewhere):
                 unreferenced.append(f"{name}: {node.name}")
-    assert unreferenced == []
+    return unreferenced
+
+
+def test_every_private_function_is_referenced():
+    assert unreferenced_private_functions(parsed_modules()) == []
+
+
+def test_a_planted_private_helper_is_caught_and_a_dunder_hook_is_not():
+    planted = ast.parse("def __getattr__(name):\n    pass\n\n\ndef _helper():\n    pass\n")
+    modules = {**parsed_modules(), "planted.py": planted}
+    assert unreferenced_private_functions(modules) == ["planted.py: _helper"]
 
 
 def defaulted_parameters(func):
@@ -122,3 +136,22 @@ def test_no_module_calls_a_blas_routine():
             elif isinstance(node, ast.Attribute) and node.attr in BLAS_ATTRIBUTES:
                 calls.append(f"{name}:{node.lineno}: {node.attr}")
     assert calls == []
+
+
+def test_only_the_package_imports_numpy():
+    # every module takes numpy from lefkit._numpy, so none loads it with OpenBLAS's
+    # default thread pool or before a kernel needs it
+    imports = []
+    for name, tree in parsed_modules().items():
+        if name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                imports.append(f"{name}:{node.lineno}")
+    assert imports == []

@@ -1,10 +1,13 @@
-"""Start-up contract: importing lefkit loads numpy's OpenBLAS with one thread
-and leaves the caller's environment as it was.
+"""Start-up contract: importing lefkit loads none of its submodules and no numpy;
+each public name loads its submodule on first access, numpy loads with its
+OpenBLAS on one thread when a kernel or a module built on arrays first needs it,
+and the caller's environment is left as it was.
 
 Each case runs in a fresh interpreter, because pytest has already imported
 numpy in this one, and OpenBLAS reads its thread count only when it loads.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -13,48 +16,122 @@ from pathlib import Path
 
 import pytest
 
+import lefkit
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+WATCHED = ("numpy", "numpy.ma", "lefkit.saturation", "lefkit.explorer")
 
 PROBE = """
 import json, os, sys
-import {module}
+{code}
 tasks = "/proc/self/task"
 report = {{
     "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
     "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
-    "numpy": "numpy" in sys.modules,
+    "loaded": [m for m in {watched!r} if m in sys.modules],
 }}
 print(json.dumps(report))
 """
 
+# what each case runs in its interpreter, and whether numpy is loaded after it
+CASES = {
+    "lefkit": ("import lefkit", False),
+    "lefkit.cli": ("import lefkit.cli", True),
+    "lefkit.saturation": ("import lefkit.saturation", True),
+    "lefkit.explorer": ("import lefkit.explorer", True),
+    "lefkit-kernel": ("import lefkit; lefkit.is_exceptional(lefkit.xk1(3))", True),
+}
 
-def probe(module, **env):
-    """Import `module` in a fresh interpreter whose environment has no
+
+def probe(code, **env):
+    """Run `code` in a fresh interpreter whose environment has no
     OPENBLAS_NUM_THREADS except as given; return what it reports."""
     child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     child["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), child.get("PYTHONPATH")]))
     child.update(env)
     out = subprocess.run(
-        [sys.executable, "-c", PROBE.format(module=module)],
+        [sys.executable, "-c", PROBE.format(code=code, watched=WATCHED)],
         env=child,
         capture_output=True,
         text=True,
         check=True,
         timeout=60,
     )
-    return json.loads(out.stdout)
+    return json.loads(out.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("module", ["lefkit", "lefkit.cli"])
-def test_import_leaves_one_thread_and_no_variable(module):
-    report = probe(module)
-    assert report["numpy"]
+def test_import_and_builders_load_no_numpy():
+    code = "\n".join([
+        "import lefkit",
+        "lefkit.collection_to_json(lefkit.xk1(9))",
+        "lefkit.format_multidegree(lefkit.twist((0, 1), 2))",
+        "lefkit.invariant_bound(2, 3)",
+    ])
+    assert probe(code)["loaded"] == []
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_import_leaves_one_thread_and_no_variable(case):
+    code, numpy_loaded = CASES[case]
+    report = probe(code)
+    assert ("numpy" in report["loaded"]) == numpy_loaded
     assert report["blas"] is None
     if report["threads"] is None:
         pytest.skip("no /proc/self/task to count threads")
     assert report["threads"] == 1
 
 
-@pytest.mark.parametrize("module", ["lefkit", "lefkit.cli"])
-def test_a_callers_thread_count_is_kept(module):
-    assert probe(module, OPENBLAS_NUM_THREADS="2")["blas"] == "2"
+@pytest.mark.parametrize("case", CASES)
+def test_a_callers_thread_count_is_kept(case):
+    assert probe(CASES[case][0], OPENBLAS_NUM_THREADS="2")["blas"] == "2"
+
+
+def test_a_fullness_check_leaves_numpy_ma_unloaded():
+    report = probe('from lefkit import cli; cli.main(["verify", "--builtin", "xk1", "--k", "7"])')
+    assert "numpy" in report["loaded"] and "numpy.ma" not in report["loaded"]
+
+
+# the public names as the package exported them eagerly, by defining submodule
+EXPORTS = {
+    "lattice": """Box Multidegree Orbit OrbitSet canonical_rep format_multidegree orbit_of
+        orbit_set parse_multidegree stabilizer_shape twist""".split(),
+    "ext": "GradedDims ext_graded is_orthogonal_pair line_cohomology".split(),
+    "lefschetz": """LefschetzCollection Violation adjust build_E build_Ehat check_exceptional
+        check_lefschetz check_theorem_semiorthogonality collection_from_json
+        collection_to_json flatten_bundles is_exceptional is_rectangular ranks
+        staircase_rectangular x32_minimal x32_rectangular_part x32_residual x3n_rectangular
+        xk1""".split(),
+    "saturation": """FULL INCONCLUSIVE NOT_FULL_BY_RANK ClosureState OrbitClosureState
+        OrbitRule RuleApplication Verdict close close_cube close_orbits expand_orbit_trace
+        replay_orbit_trace replay_trace residual_check verify_fullness""".split(),
+    "reptheory": """Partition SchurWeylTable content_orbit_count count_partitions dim_irrep
+        dim_schur divisibility_criterion equivariant_lengths hook_lengths invariant_bound
+        kostka lef_bounds partitions_of partitions_rho perm_module_dim schur_weyl_table
+        transpose""".split(),
+    "explorer": "SearchResult SearchSpec search_minimal search_rectangular".split(),
+}
+
+
+def test_every_export_is_its_submodules_object():
+    assert sorted(lefkit.__all__) == sorted(sum(EXPORTS.values(), []))
+    assert len(lefkit.__all__) == 72
+    for module, names in EXPORTS.items():
+        sub = importlib.import_module(f"lefkit.{module}")
+        for name in names:
+            assert getattr(lefkit, name) is getattr(sub, name), name
+    star = {}
+    exec("from lefkit import *", star)
+    assert star.keys() - {"__builtins__"} == set(lefkit.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        lefkit.no_such_name
+
+
+def test_a_fresh_import_lists_the_exports_and_resolves_the_submodules():
+    code = "\n".join([
+        "import lefkit",
+        "assert set(lefkit.__all__) <= set(dir(lefkit))",
+        f"for m in {list(EXPORTS)!r}:",
+        "    assert getattr(lefkit, m) is sys.modules['lefkit.' + m]",
+    ])
+    assert "lefkit.explorer" in probe(code)["loaded"]

@@ -12,6 +12,7 @@ either way).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -355,12 +356,14 @@ def cmd_search(args) -> int:
         raise ValueError("--no-prune applies to --target rectangular only")
     else:
         result = search_minimal(spec)
+    # found blocks repeat their reps: an unpruned k = 2, n = 1100 hit holds 1,101 equal blocks
+    fmt = functools.cache(format_multidegree)
     hits = [
         {
             "k": coll.k,
             "n": coll.n,
             "ranks": ranks(coll),
-            "blocks": [[format_multidegree(r) for r in b.reps()] for b in coll.blocks],
+            "blocks": [[fmt(r) for r in b.reps()] for b in coll.blocks],
         }
         for coll in result.found
     ]

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import _numpy
-from .ext import _refuse_twist_table, first_nonorthogonal_twist
+from .ext import _refuse_twist_table
 from .lattice import Orbit, OrbitSet, _refuse_above_limit, normalised_reps, orbit_set
-from .lefschetz import LefschetzCollection
+from .lefschetz import LefschetzCollection, _first_failing_twists
 from .reptheory import content_orbit_count, decreasing_tuples, partitions_of, perm_module_dim
 from .saturation import FULL, INCONCLUSIVE, _margin, verify_fullness
 
@@ -98,33 +98,24 @@ class _ExtTable:
     A candidate is a dict last: P -> t over the orbits P of its first block
     B_0, t being the last block that holds P (nesting makes the blocks
     holding P exactly 0..t).  Built once per search, over the m pool orbits:
-    - span_ok[P]: rep P spans at most n;
-    - first_bad[P, Q]: the least twist t at which rep P + t*1 is not
-      orthogonal to some bundle of Q, t = 0 counting only for Q < P
-      (first_nonorthogonal_twist with before = the first bundle of P).
-    This is the reduction of lefschetz.is_exceptional, with one column per
-    pool orbit instead of one for all of B_0: a candidate is exceptional iff
-    every P of B_0 is span_ok and every Q of B_0 has first_bad[P, Q] >
-    last[P].  The checks fold into one clash bitmask over pool indices per
-    (P, t), memoised, which a candidate ANDs with the bitmask of B_0.
+    first_bad[P, Q] is the least twist t at which rep P + t*1 is not
+    orthogonal to some bundle of Q, t = 0 counting only against the
+    bundles listed before rep P: all of each Q < P, and the rest of P,
+    where it fails exactly when P spans more than n.  It is
+    lefschetz._first_failing_twists, the table behind is_exceptional, with
+    one group per pool orbit instead of one for all of B_0: a candidate is
+    exceptional iff every P and Q of B_0 have first_bad[P, Q] > last[P].
+    The checks fold into one clash bitmask over pool indices per (P, t),
+    memoised, which a candidate ANDs with the bitmask of B_0.
     """
 
     def __init__(self, spec: SearchSpec):
         self.k, self.n, self.orbits = spec.k, spec.n, _pool(spec)
-        reps = [o.rep for o in self.orbits]
-        offsets = list(itertools.accumulate((o.size for o in self.orbits), initial=0))
-        bundles = [el for o in self.orbits for el in o.elements]
-        self.span_ok = [rep[0] - rep[-1] <= spec.n for rep in reps]
-        self.first_bad = first_nonorthogonal_twist(spec.n, reps, bundles, offsets, offsets[:-1])
+        self.first_bad = _first_failing_twists(spec.n, self.orbits, range(len(self.orbits) + 1))
         self._clash = {}
 
     def _clash_mask(self, p: int, t: int) -> int:
-        """Pool orbits that B_0 must avoid when it holds p up to block t, as bits of an int.
-
-        A rep spanning more than n clashes with its own orbit.
-        """
-        if not self.span_ok[p]:
-            return 1 << p
+        """Pool orbits that B_0 must avoid when it holds p up to block t, as bits of an int."""
         row = self.first_bad[p] <= t
         return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 

@@ -120,9 +120,9 @@ def flatten_bundles(coll: LefschetzCollection) -> tuple[Multidegree, ...]:
     )
 
 
-def _twisted_reps(coll: LefschetzCollection) -> list[Multidegree]:
-    """The rep of every orbit of the collection, block i twisted by i."""
-    return [twist(o.rep, i) for i, block in enumerate(coll.blocks) for o in block.orbits]
+def _twisted_orbits(coll: LefschetzCollection):
+    """(rep, size) of every orbit of the collection, block i's rep twisted by i, drawn lazily."""
+    return ((twist(o.rep, i), o.size) for i, b in enumerate(coll.blocks) for o in b.orbits)
 
 
 def ranks(coll: LefschetzCollection) -> tuple[int, ...]:
@@ -183,35 +183,48 @@ def is_exceptional(coll: LefschetzCollection) -> bool:
     A nested collection (check_lefschetz(coll) is None) is decided on the
     reps of its first block B_0 and is never flattened.  Orthogonality is
     unchanged when both sides are permuted at once, so a rep stands for its
-    orbit against any S_k-stable set, and the flattened pairs reduce to three
+    orbit against any S_k-stable set, and the flattened pairs reduce to two
     checks on each orbit P of B_0, with t_P the last block that holds P:
-    1. inside P: the rep spans at most n (max - min).  Then the first
-       coordinate where a later element exceeds an earlier one differs by at
-       most n; a larger span fails on the pair that swaps the largest and
-       smallest coordinates.
-    2. across orbits of B_0: the rep against every bundle of the orbits
-       before P.  Pairs inside a later block B_t are pairs of B_0 in the
-       same order, since B_t is a subset of B_0 and both list their orbits
-       in ascending rep order.
-    3. across blocks: for t = 1..t_P, the rep twisted by t against every
+    1. inside B_0: the rep against every bundle listed before it, those of
+       the orbits before P and the rest of P.  Pairs inside a later block
+       B_t are pairs of B_0 in the same order, since B_t is a subset of B_0
+       and both list their orbits in ascending rep order.
+    2. across blocks: for t = 1..t_P, the rep twisted by t against every
        bundle of B_0.  Block t against block s < t is a subset of block t-s
        against block 0, as B_t is in B_{t-s} and B_s in B_0.
-    Checks 2 and 3 are one first_nonorthogonal_twist call, B_0 one group and
-    twist 0 counted against the orbits before P: each rep's least failing
-    twist must be past t_P.  Other collections are flattened and scanned.
+    Both are one _first_failing_twists call, B_0 one group: each rep's least
+    failing twist must be past t_P.  Other collections are flattened and
+    scanned.
     """
     n, first = coll.n, coll.blocks[0]
     if check_lefschetz(coll) is not None:
         return next(nonorthogonal_below(n, flatten_bundles(coll)), None) is None
-    reps = first.reps()
-    if not reps:
+    if not first.orbits:
         return True
-    if any(rep[0] - rep[-1] > n for rep in reps):
-        return False
-    offsets = list(itertools.accumulate((o.size for o in first.orbits), initial=0))
-    bad = first_nonorthogonal_twist(n, reps, first.bundles(), [0, offsets[-1]], offsets[:-1])
+    bad = _first_failing_twists(n, first.orbits, [0, len(first.orbits)])
     last = {rep: t for t, block in enumerate(coll.blocks) for rep in block.reps()}
-    return all(t > last[rep] for rep, t in zip(reps, bad[:, 0].tolist()))
+    return all(t > last[rep] for rep, t in zip(first.reps(), bad[:, 0].tolist()))
+
+
+def _first_failing_twists(n: int, orbits, groups):
+    """Least t with Ext*(O(rep_P + t*1), O(b)) != 0 for some bundle b of group g, as table[P, g].
+
+    The bundles are listed orbit by orbit, ascending lex inside each; groups
+    lists the index of each group's first orbit, then len(orbits).  Twist 0
+    counts against the bundles listed before the rep: the orbits before P
+    and the rest of P, since the rep is its orbit's lex-largest element and
+    so listed last.  Against the rest of P twist 0 fails exactly when the
+    rep spans more than n (max - min): then the element that swaps its
+    largest and smallest coordinates has no difference in (0, n]; else the
+    first coordinate where the rep exceeds an element differs by at most n.
+    The bundles are sized first and refused above MAX_ORBIT_BUNDLES.
+    """
+    starts = list(itertools.accumulate((o.size for o in orbits), initial=0))
+    _refuse_above_limit(starts[-1])
+    bundles = [el for o in orbits for el in o.elements]
+    reps, offsets = [o.rep for o in orbits], [starts[g] for g in groups]
+    # each rep is the last bundle of its orbit
+    return first_nonorthogonal_twist(n, reps, bundles, offsets, [s - 1 for s in starts[1:]])
 
 
 def ext_violations(n: int, sources, targets):

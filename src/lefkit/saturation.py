@@ -49,12 +49,11 @@ from .lattice import (
     _refuse_above_limit,
     canonical_rep,
     format_multidegree,
-    twist,
 )
 from .lefschetz import (
     LefschetzCollection,
     Violation,
-    _twisted_reps,
+    _twisted_orbits,
     ext_violations,
     flatten_bundles,
     ranks,
@@ -706,10 +705,11 @@ def expand_orbit_trace(trace) -> tuple[RuleApplication, ...]:
     return tuple(out)
 
 
-def _generation_verdict(reps, n: int, k: int, margin: int | None) -> Verdict:
-    """Decide whether the orbits of `reps` generate: the bundle counts, then the closure.
+def _generation_verdict(orbits, n: int, k: int, margin: int | None) -> Verdict:
+    """Decide whether the given orbits generate: the bundle counts, then the closure.
 
-    reps holds one weakly decreasing rep per orbit, repeats allowed.
+    orbits yields one (rep, size) pair per orbit, the rep weakly decreasing
+    and the size its orbit's, repeats allowed.
     Generating with exactly (n+1)^k bundles needs that many distinct ones;
     any other count, taken from the orbit sizes, is NOT_FULL_BY_RANK before
     any closure runs.  With the count right, the orbits seed a closure over
@@ -722,11 +722,11 @@ def _generation_verdict(reps, n: int, k: int, margin: int | None) -> Verdict:
     """
     _margin(n, margin)
     expected = (n + 1) ** k
-    # a twist keeps an orbit's size: one Orbit per distinct untwisted rep
-    untwisted_size = functools.cache(lambda rep: Orbit(rep).size)
-    size = {r: untwisted_size(twist(r, -r[-1])) for r in dict.fromkeys(reps)}
+    # one pass over orbits: a repeated rep counts again in total, once in size
+    size = {}
+    total = sum(size.setdefault(rep, s) for rep, s in orbits)
     count = sum(size.values())
-    if count != expected or sum(map(size.get, reps)) != expected:
+    if count != expected or total != expected:
         detail = {"bundles": count, "expected": expected}
         return Verdict(status=NOT_FULL_BY_RANK, state=None, detail=detail)
     if k >= ORBIT_MIN_K:
@@ -753,7 +753,7 @@ def verify_fullness(coll: LefschetzCollection, margin: int | None = None) -> Ver
     The twisted orbits go through _generation_verdict; a NOT_FULL_BY_RANK
     verdict also carries the collection's ranks.
     """
-    verdict = _generation_verdict(_twisted_reps(coll), coll.n, coll.k, margin)
+    verdict = _generation_verdict(_twisted_orbits(coll), coll.n, coll.k, margin)
     if verdict.status != NOT_FULL_BY_RANK:
         return verdict
     return replace(verdict, detail={**verdict.detail, "ranks": ranks(coll)})
@@ -774,5 +774,5 @@ def residual_check(
     if residual.k != k:
         raise ValueError(f"arity mismatch: expected k={k}, got a residual of k={residual.k}")
     violations = list(ext_violations(n, flatten_bundles(rect_part), residual.bundles()))
-    reps = _twisted_reps(rect_part) + list(residual.reps())
-    return violations, _generation_verdict(reps, n, k, margin)
+    orbits = itertools.chain(_twisted_orbits(rect_part), ((o.rep, o.size) for o in residual.orbits))
+    return violations, _generation_verdict(orbits, n, k, margin)

@@ -596,6 +596,17 @@ def test_deeply_nested_json_is_an_input_error(tmp_path):
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+def test_nested_coordinates_past_the_twist_kernel_bound_are_an_input_error(capsys, tmp_path):
+    # (2^60, 0) spans more than n, and is refused by the twist kernel like any
+    # nested rep holding such a coordinate, not answered as a failed check
+    path = tmp_path / "coll.json"
+    for rep in ("(1152921504606846976,0)", "(1152921504606846976,1152921504606846976)"):
+        path.write_text(json.dumps({"schema": "lefkit/1", "k": 2, "n": 1, "blocks": [[rep]]}))
+        rc, out, err = run(capsys, "verify", "--collection", str(path))
+        assert (rc, out) == (2, "")
+        assert err == "error: coordinates and n must lie strictly between -2^60 and 2^60\n"
+
+
 def test_closure_inconclusive_exits_3(capsys, tmp_path):
     seed_path = tmp_path / "seed.json"
     seed_path.write_text(json.dumps({"k": 2, "points": ["(0,0)"]}))

@@ -329,19 +329,21 @@ def test_nested_is_exceptional_is_one_twist_kernel_call(monkeypatch):
 
     monkeypatch.setattr(lefschetz, "first_nonorthogonal_twist", counted)
     monkeypatch.setattr(lefschetz, "nonorthogonal_below", refuse)
-    monkeypatch.setattr(lefschetz, "_twisted_reps", refuse)
+    monkeypatch.setattr(lefschetz, "_twisted_orbits", refuse)
     # (2,2) in block 2 meets (0,0) of B_0: the least failing twist of (0,0) is 2
     too_long = LefschetzCollection(k=2, n=1, blocks=(orbit_set(2, [(0, 0)]),) * 3)
+    # (2,0) spans more than n: it meets (0,2), listed before it in its own orbit
+    too_wide = LefschetzCollection(k=2, n=1, blocks=(orbit_set(2, [(2, 0)]),))
     for coll, want in (
-        (x3n_rectangular(4), True), (xk1(6), True), (x32_minimal(), True), (too_long, False)
+        (x3n_rectangular(4), True), (xk1(6), True), (x32_minimal(), True),
+        (too_long, False), (too_wide, False),
     ):
         calls.clear()
         assert is_exceptional(coll) is want
         assert len(calls) == 1
-    # an empty B_0 and a rep spanning more than n are answered before the kernel
+    # only an empty B_0 is answered before the kernel
     calls.clear()
     assert is_exceptional(LefschetzCollection(k=2, n=1, blocks=(orbit_set(2, []),) * 2))
-    assert not is_exceptional(LefschetzCollection(k=2, n=1, blocks=(orbit_set(2, [(2, 0)]),)))
     assert calls == []
 
 
@@ -376,6 +378,57 @@ def test_nested_is_exceptional_matches_check_exceptional_on_signed_reps(k, n, ch
     assert check_lefschetz(coll) is None
     with mock.patch.object(ext, "_TWIST_CHUNK_CELLS", chunk):
         assert is_exceptional(coll) == (check_exceptional(coll) == [])
+
+
+def assert_first_failing_twists_match_scalar_predicate(n, orbits, groups, chunk):
+    """The builder's table against is_orthogonal_pair, cell by cell, over orbits in list order."""
+    with mock.patch.object(ext, "_TWIST_CHUNK_CELLS", chunk):
+        table = lefschetz._first_failing_twists(n, orbits, groups)
+    bundles = [el for o in orbits for el in o.elements]
+    spans = [[el for o in orbits[lo:hi] for el in o.elements] for lo, hi in zip(groups, groups[1:])]
+    assert table.shape == (len(orbits), len(spans))
+
+    def fails(a, t, targets):
+        return any(not is_orthogonal_pair(n, twist(a, t), b) for b in targets)
+
+    for p, o in enumerate(orbits):
+        # twist 0 counts against the bundles listed before the rep
+        listed_before = set(bundles[: bundles.index(o.rep)])
+        for g, group in enumerate(spans):
+            below = [b for b in group if b in listed_before]
+            least = 0 if fails(o.rep, 0, below) else next(
+                t for t in range(1, len(o.rep) * n + 2) if fails(o.rep, t, group)
+            )
+            assert table[p, g] == least, (o.rep, g)
+    return table
+
+
+@given(n=st.integers(1, 3), k=st.integers(1, 3), chunk=st.integers(1, 40), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_first_failing_twists_match_scalar_predicate(n, k, chunk, data):
+    # reps of any span and sign, some of them twists of others
+    rep = st.tuples(*[st.integers(-2, n + 3)] * k).map(canonical_rep)
+    reps = data.draw(st.lists(rep, min_size=1, max_size=5))
+    moved = data.draw(st.lists(st.tuples(st.sampled_from(reps), st.integers(1, k * n)), max_size=2))
+    orbits = orbit_set(k, reps + [twist(r, t) for r, t in moved]).orbits
+    m = len(orbits)
+    cuts = data.draw(st.sets(st.integers(1, m - 1))) if m > 1 else set()
+    for groups in ([0, m], [0, *sorted(cuts), m]):
+        assert_first_failing_twists_match_scalar_predicate(n, orbits, groups, chunk)
+    table = assert_first_failing_twists_match_scalar_predicate(n, orbits, range(m + 1), chunk)
+    # one group per orbit: twist 0 fails against the rest of the rep's own
+    # orbit exactly when the rep spans more than n
+    for p, o in enumerate(orbits):
+        assert (table[p, p] == 0) == (o.rep[0] - o.rep[-1] > n), o.rep
+
+
+def test_first_failing_twists_cover_wide_reps_and_twisted_meetings():
+    # (3,0) spans more than n = 2; (1,1) is (0,0) twisted by 1, met at twist 1
+    orbits = orbit_set(2, [(0, 0), (1, 1), (3, 0)]).orbits
+    for groups in ([0, 3], range(4)):
+        table = assert_first_failing_twists_match_scalar_predicate(2, orbits, groups, 1)
+    assert table.diagonal().tolist() == [3, 3, 0]
+    assert table[0, 1] == 1
 
 
 def test_x32_minimal_is_exceptional():

@@ -1,6 +1,7 @@
 """Lint: no module imports a name it never uses, no private function is unreferenced,
-no defaulted parameter goes unpassed, and no module calls a BLAS routine or imports
-numpy past `lefkit._numpy` (which loads OpenBLAS with one thread)."""
+no defaulted parameter goes unpassed, no module calls a BLAS routine or imports
+numpy past `lefkit._numpy` (which loads OpenBLAS with one thread), and the twist
+kernel has one caller."""
 
 import ast
 from pathlib import Path
@@ -155,3 +156,37 @@ def test_only_the_package_imports_numpy():
             if any(m == "numpy" or m.startswith("numpy.") for m in modules):
                 imports.append(f"{name}:{node.lineno}")
     assert imports == []
+
+
+def callers(modules, name):
+    """`module: holder` of each call to `name`; the holder is the module-level definition
+    around the call, or the call's line outside any."""
+    out = []
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                    out.append(f"{module}: {getattr(stmt, 'name', node.lineno)}")
+    return out
+
+
+def test_the_twist_kernel_has_one_caller():
+    # nested exceptionality is decided on one table, built in one place
+    assert callers(parsed_modules(), "first_nonorthogonal_twist") == [
+        "lefschetz.py: _first_failing_twists"
+    ]
+
+
+def test_a_planted_second_twist_kernel_call_is_caught():
+    planted = ast.parse(
+        "from .ext import first_nonorthogonal_twist\n\n\n"
+        "def _table(n, reps, bundles, offsets):\n"
+        "    return first_nonorthogonal_twist(n, reps, bundles, offsets)\n"
+    )
+    modules = {**parsed_modules(), "planted.py": planted}
+    assert callers(modules, "first_nonorthogonal_twist") == [
+        "lefschetz.py: _first_failing_twists", "planted.py: _table"
+    ]

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import _numpy
-from .ext import _refuse_twist_table
+from .ext import _refuse_twist_table, first_failing_twists
 from .lattice import Orbit, OrbitSet, _refuse_above_limit, normalised_reps, orbit_set
-from .lefschetz import LefschetzCollection, _first_failing_twists
+from .lefschetz import LefschetzCollection
 from .reptheory import content_orbit_count, decreasing_tuples, partitions_of, perm_module_dim
 from .saturation import FULL, INCONCLUSIVE, _margin, verify_fullness
 
@@ -87,11 +87,6 @@ def _pool(spec: SearchSpec) -> tuple[Orbit, ...]:
     return orbit_set(spec.k, normalised_reps(spec.k, hi)).orbits
 
 
-def _block(k: int, orbits) -> OrbitSet:
-    """The OrbitSet of distinct pool orbits in pool (so ascending rep) order, reusing them."""
-    return OrbitSet(k=k, orbits=tuple(orbits))
-
-
 class _ExtTable:
     """Exceptionality of nested candidates over one pool, decided on pool indices.
 
@@ -102,8 +97,8 @@ class _ExtTable:
     orthogonal to some bundle of Q, t = 0 counting only against the
     bundles listed before rep P: all of each Q < P, and the rest of P,
     where it fails exactly when P spans more than n.  It is
-    lefschetz._first_failing_twists, the table behind is_exceptional, with
-    one group per pool orbit instead of one for all of B_0: a candidate is
+    ext.first_failing_twists, the table behind is_exceptional, with one
+    group per pool orbit instead of one for all of B_0: a candidate is
     exceptional iff every P and Q of B_0 have first_bad[P, Q] > last[P].
     The checks fold into one clash bitmask over pool indices per (P, t),
     memoised, which a candidate ANDs with the bitmask of B_0.
@@ -111,7 +106,7 @@ class _ExtTable:
 
     def __init__(self, spec: SearchSpec):
         self.k, self.n, self.orbits = spec.k, spec.n, _pool(spec)
-        self.first_bad = _first_failing_twists(spec.n, self.orbits, range(len(self.orbits) + 1))
+        self.first_bad = first_failing_twists(spec.n, self.orbits, range(len(self.orbits) + 1))
         self._clash = {}
 
     def _clash_mask(self, p: int, t: int) -> int:
@@ -136,8 +131,9 @@ class _ExtTable:
     def collection(self, last: dict[int, int]) -> LefschetzCollection:
         """The candidate's collection: block t holds the orbits whose last block is t or later."""
         first = [p for p in range(len(self.orbits)) if p in last]
+        # distinct pool orbits in pool (so ascending rep) order, reused
         blocks = tuple(
-            _block(self.k, [self.orbits[p] for p in first if last[p] >= t])
+            OrbitSet(k=self.k, orbits=tuple(self.orbits[p] for p in first if last[p] >= t))
             for t in range(self.n + 1)
         )
         return LefschetzCollection(k=self.k, n=self.n, blocks=blocks)

@@ -11,17 +11,20 @@ is involved anywhere.  The vanishing predicate comes in three forms:
   coordinate has 0 < a_i - b_i <= n;
 - nonorthogonal_below, the chunked numpy scan behind every check that
   lists witness pairs;
-- first_nonorthogonal_twist, behind every yes/no over uniform twists, the
-  same inequality solved for t: O(a + t*1) is orthogonal to O(b) exactly
-  when t lies in (b_i - a_i, b_i - a_i + n] for some i, so one (a, b) pair
-  gives the least t >= 1 (or t >= 0) at which the pair fails.
+- first_failing_twists, behind every yes/no over uniform twists, the
+  same inequality solved for t over S_k-orbits: O(a + t*1) is orthogonal
+  to O(b) exactly when t lies in (b_i - a_i, b_i - a_i + n] for some i, so
+  each rep a and group of orbits give the least twist at which a pair
+  fails, twist 0 counting against the bundles listed before a.
 """
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 from . import _numpy
+from .lattice import _multiset_permutations, _refuse_above_limit
 
 GradedDims = tuple[int, ...]
 
@@ -36,8 +39,8 @@ _COORD_LIMIT = 2 ** 62
 # bound no sum wraps either.
 _TWIST_LIMIT = 2 ** 60
 
-# Offsets per twist-kernel block: the (rows, len(targets), k) int64 array of
-# b - a stays near 3 MB.
+# Offsets per twist-table block: the (rows, bundles, k) int64 array of b - a
+# stays near 3 MB.
 _TWIST_CHUNK_CELLS = 3 * 2 ** 17
 
 # Most cells of a twist table, one int64 per (rep, target group): 32 MB.  A
@@ -167,49 +170,52 @@ def nonorthogonal_below(n: int, points, targets=None):
 
 
 def _refuse_twist_table(rows: int, groups: int):
-    """Refuse a first_nonorthogonal_twist table of more than MAX_TWIST_TABLE cells."""
+    """Refuse a first_failing_twists table of more than MAX_TWIST_TABLE cells."""
     if rows * groups > MAX_TWIST_TABLE:
         raise ValueError(
             f"twist table of {rows} x {groups} cells is more than the limit of {MAX_TWIST_TABLE}"
         )
 
 
-def first_nonorthogonal_twist(n: int, reps, targets, offsets, before=None):
-    """Least t with Ext*(O(reps[p] + t*1), O(b)) != 0 for some b of group q, as table[p, q].
+def first_failing_twists(n: int, orbits, groups):
+    """Least t with Ext*(O(rep_P + t*1), O(b)) != 0 for some bundle b of group g, as table[P, g].
 
-    Group q is targets[offsets[q]:offsets[q+1]]; offsets rise strictly from 0
-    to len(targets).  Twist t = 0 counts against targets[:before[p]] and
-    t >= 1 against every target; before defaults to no target at all.
+    The bundles are listed orbit by orbit, ascending lex inside each; groups
+    lists the index of each group's first orbit, then len(orbits).  Twist 0
+    counts against the bundles listed before the rep: the orbits before P
+    and the rest of P, since the rep is its orbit's lex-largest element and
+    so listed last.  Against the rest of P twist 0 fails exactly when the
+    rep spans more than n (max - min): then the element that swaps its
+    largest and smallest coordinates has no difference in (0, n]; else the
+    first coordinate where the rep exceeds an element differs by at most n.
+    Twists t >= 1 count against every bundle.
+
     O(a + t*1) is orthogonal to O(b) exactly when t lies in one of the k
     intervals (d_i, d_i + n], d = b - a.  Scanning the d_i in ascending
     order from the least twist that counts, an interval holding t moves t
     past its end d_i + n; the first that does not leaves t uncovered, and
     so do all later ones.  The answer is 0, 1 or some d_i + n + 1, at most
     k*n + 1.  Rows are taken a block at a time and reduced onto the groups
-    at once.  The table, an int64 array, is sized first and refused above
-    MAX_TWIST_TABLE; a before of another length than reps is refused.
+    at once.  The bundles are sized first and refused above
+    MAX_ORBIT_BUNDLES, then the table, an int64 array, above
+    MAX_TWIST_TABLE, before any point is read.
     """
     np = _numpy()
+    starts = list(itertools.accumulate((o.size for o in orbits), initial=0))
+    _refuse_above_limit(starts[-1])
     _check_n(n)
-    groups = len(offsets) - 1
-    _refuse_twist_table(len(reps), groups)
-    if groups < 0 or offsets[0] != 0 or offsets[-1] != len(targets) or any(
-        lo >= hi for lo, hi in zip(offsets, offsets[1:])
-    ):
-        raise ValueError("offsets must rise strictly from 0 to the number of targets")
-    pts, tgt = _points(reps), _points(targets)
-    bound = np.asarray([0] * len(pts) if before is None else before, dtype=np.int64)
-    if bound.shape != (len(pts),):
-        raise ValueError(f"before must hold one bound per rep, {len(pts)} of them")
-    out = np.empty((len(pts), groups), dtype=np.int64)
-    if not (len(pts) and groups):
+    _refuse_twist_table(len(orbits), len(groups) - 1)
+    pts = _points([o.rep for o in orbits])
+    out = np.empty((len(orbits), len(groups) - 1), dtype=np.int64)
+    if not out.size:
         return out
-    if pts.ndim != 2 or tgt.ndim != 2:
-        raise ValueError("expected two sequences of multidegrees")
-    if pts.shape[1] != tgt.shape[1]:
-        raise ValueError(f"arity mismatch: {pts.shape[1]} vs {tgt.shape[1]}")
-    if n >= _TWIST_LIMIT or max(-pts.min(), pts.max(), -tgt.min(), tgt.max()) >= _TWIST_LIMIT:
+    # the bundles are permutations of the reps, so the reps bound them too
+    if n >= _TWIST_LIMIT or max(-pts.min(), pts.max()) >= _TWIST_LIMIT:
         raise ValueError("coordinates and n must lie strictly between -2^60 and 2^60")
+    tgt = _points([el for o in orbits for el in _multiset_permutations(o.rep)])
+    # each rep is the last bundle of its orbit
+    bound = np.asarray(starts[1:], dtype=np.int64) - 1
+    offsets = [starts[g] for g in groups[:-1]]
     step = max(1, _TWIST_CHUNK_CELLS // tgt.size)
     for start in range(0, len(pts), step):
         # e = d + 1, each pair's offsets ascending
@@ -219,5 +225,5 @@ def first_nonorthogonal_twist(n: int, reps, targets, offsets, before=None):
         for i in range(e.shape[2]):
             # d_i < t <= d_i + n exactly when t - e_i, read unsigned, is below n
             np.add(e[:, :, i], n, out=t, where=(t - e[:, :, i]).view(np.uint64) < n)
-        out[start : start + step] = np.minimum.reduceat(t, offsets[:-1], axis=1)
+        out[start : start + step] = np.minimum.reduceat(t, offsets, axis=1)
     return out

@@ -9,11 +9,10 @@ certificates.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
-from .ext import ext_graded, first_nonorthogonal_twist, nonorthogonal_below
+from .ext import ext_graded, first_failing_twists, nonorthogonal_below
 from .lattice import (
     Multidegree,
     OrbitSet,
@@ -192,39 +191,16 @@ def is_exceptional(coll: LefschetzCollection) -> bool:
     2. across blocks: for t = 1..t_P, the rep twisted by t against every
        bundle of B_0.  Block t against block s < t is a subset of block t-s
        against block 0, as B_t is in B_{t-s} and B_s in B_0.
-    Both are one _first_failing_twists call, B_0 one group: each rep's least
-    failing twist must be past t_P.  Other collections are flattened and
-    scanned.
+    Both are one ext.first_failing_twists call, B_0 one group: each rep's
+    least failing twist must be past t_P.  Other collections are flattened
+    and scanned.
     """
     n, first = coll.n, coll.blocks[0]
     if check_lefschetz(coll) is not None:
         return next(nonorthogonal_below(n, flatten_bundles(coll)), None) is None
-    if not first.orbits:
-        return True
-    bad = _first_failing_twists(n, first.orbits, [0, len(first.orbits)])
+    bad = first_failing_twists(n, first.orbits, [0, len(first.orbits)])
     last = {rep: t for t, block in enumerate(coll.blocks) for rep in block.reps()}
     return all(t > last[rep] for rep, t in zip(first.reps(), bad[:, 0].tolist()))
-
-
-def _first_failing_twists(n: int, orbits, groups):
-    """Least t with Ext*(O(rep_P + t*1), O(b)) != 0 for some bundle b of group g, as table[P, g].
-
-    The bundles are listed orbit by orbit, ascending lex inside each; groups
-    lists the index of each group's first orbit, then len(orbits).  Twist 0
-    counts against the bundles listed before the rep: the orbits before P
-    and the rest of P, since the rep is its orbit's lex-largest element and
-    so listed last.  Against the rest of P twist 0 fails exactly when the
-    rep spans more than n (max - min): then the element that swaps its
-    largest and smallest coordinates has no difference in (0, n]; else the
-    first coordinate where the rep exceeds an element differs by at most n.
-    The bundles are sized first and refused above MAX_ORBIT_BUNDLES.
-    """
-    starts = list(itertools.accumulate((o.size for o in orbits), initial=0))
-    _refuse_above_limit(starts[-1])
-    bundles = [el for o in orbits for el in o.elements]
-    reps, offsets = [o.rep for o in orbits], [starts[g] for g in groups]
-    # each rep is the last bundle of its orbit
-    return first_nonorthogonal_twist(n, reps, bundles, offsets, [s - 1 for s in starts[1:]])
 
 
 def ext_violations(n: int, sources, targets):

@@ -625,7 +625,7 @@ def _is_symmetric(seed) -> bool:
     return len(points) == sum(Orbit(r).size for r in {canonical_rep(p) for p in points})
 
 
-def close_seed(seed, n: int, k: int, margin: int | None = None):
+def close_seed(seed, n: int, k: int, margin: int | None):
     """close_cube's answer, decided on orbit reps where the seed allows it.
 
     From k = ORBIT_MIN_K on, an S_k-stable seed goes to close_orbits first.

@@ -10,7 +10,7 @@ from lefkit import explorer, lefschetz
 from lefkit.cli import main
 from lefkit.ext import is_orthogonal_pair
 from lefkit.explorer import SearchResult, SearchSpec, search_minimal, search_rectangular
-from lefkit.lattice import orbit_of, orbit_set
+from lefkit.lattice import OrbitSet, orbit_of, orbit_set
 from lefkit.lefschetz import (
     LefschetzCollection,
     build_E,
@@ -181,16 +181,16 @@ def test_blocks_from_pool_orbits_match_rebuilt_blocks(monkeypatch, search, spec)
     # their reps with orbit_set, so hits, node counts and hit order agree;
     # blocks are built for the exceptional candidates only
     reused = search(spec)
-    from_pool = explorer._block
+    from_pool = explorer.OrbitSet
     built = []
 
-    def rebuilt(k, orbits):
+    def rebuilt(*, k, orbits):
         block = orbit_set(k, [o.rep for o in orbits])
-        assert block == from_pool(k, orbits)
+        assert block == from_pool(k=k, orbits=orbits)
         built.append(block)
         return block
 
-    monkeypatch.setattr(explorer, "_block", rebuilt)
+    monkeypatch.setattr(explorer, "OrbitSet", rebuilt)
     reference = search(spec)
     assert built
     assert reference.nodes_visited == reused.nodes_visited > 0
@@ -301,7 +301,7 @@ def test_each_candidate_is_checked_before_the_next_is_built(monkeypatch, search,
     # g: a candidate drawn from the walk, c / C: the table rejects / passes it,
     # b: a block built (for passed candidates only)
     events = []
-    walk, verdict, build = explorer._depth_first, explorer._ExtTable.exceptional, explorer._block
+    walk, verdict, build = explorer._depth_first, explorer._ExtTable.exceptional, explorer.OrbitSet
 
     def logged_walk(extend):
         for path in walk(extend):
@@ -313,13 +313,13 @@ def test_each_candidate_is_checked_before_the_next_is_built(monkeypatch, search,
         events.append("C" if passed else "c")
         return passed
 
-    def logged_block(k, orbits):
+    def logged_block(**fields):
         events.append("b")
-        return build(k, orbits)
+        return build(**fields)
 
     monkeypatch.setattr(explorer, "_depth_first", logged_walk)
     monkeypatch.setattr(explorer._ExtTable, "exceptional", logged_verdict)
-    monkeypatch.setattr(explorer, "_block", logged_block)
+    monkeypatch.setattr(explorer, "OrbitSet", logged_block)
     result = search(spec)
     log = "".join(events)
     assert log.count("c") + log.count("C") == result.nodes_visited > 0
@@ -417,9 +417,9 @@ def nested_product_blocks(spec, head_cap):
             *(nested_choices(lam, chain) for lam, chain in zip(shapes, combo))
         ):
             yield tuple(
-                explorer._block(spec.k, sorted(
+                OrbitSet(k=spec.k, orbits=tuple(sorted(
                     (o for per_shape in assembled for o in per_shape[level]), key=lambda o: o.rep
-                ))
+                )))
                 for level in range(h)
             )
 
@@ -443,7 +443,7 @@ def recursive_subset_blocks(spec):
 
     h = spec.n + 1
     for picked in subsets(0, h ** (spec.k - 1)):
-        yield (explorer._block(spec.k, picked),) * h
+        yield (OrbitSet(k=spec.k, orbits=picked),) * h
 
 
 def search_case(target, spec, prune=True):

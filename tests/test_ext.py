@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from lefkit import ext
 from lefkit.ext import (
     ext_graded,
-    first_nonorthogonal_twist,
+    first_failing_twists,
     is_orthogonal_pair,
     line_cohomology,
     nonorthogonal_below,
 )
-from lefkit.lattice import twist
+from lefkit.lattice import orbit_set, twist
 
 
 def test_line_cohomology_known_values():
@@ -86,58 +86,19 @@ def test_nonorthogonal_below_refuses_points_that_are_not_multidegrees():
     assert list(nonorthogonal_below(1, [], [1, 2])) == []
 
 
-@given(n=st.integers(1, 4), k=st.integers(1, 5), chunk=st.integers(1, 40), data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_first_nonorthogonal_twist_matches_scalar_predicate(n, k, chunk, data):
-    point = st.tuples(*[st.integers(-4, 6)] * k)
-    reps = data.draw(st.lists(point, max_size=5))
-    # targets may repeat the reps, so twisted reps can meet them exactly
-    target = st.one_of(point, st.sampled_from(reps)) if reps else point
-    groups = data.draw(st.lists(st.lists(target, min_size=1, max_size=4), max_size=4))
-    targets = [b for group in groups for b in group]
-    offsets = list(itertools.accumulate(map(len, groups), initial=0))
-    # twist 0 counts against targets[:before[p]]; None means against none
-    before = data.draw(st.one_of(
-        st.none(), st.lists(st.integers(0, len(targets)), min_size=len(reps), max_size=len(reps))
-    ))
-    with mock.patch.object(ext, "_TWIST_CHUNK_CELLS", chunk):
-        table = first_nonorthogonal_twist(n, reps, targets, offsets, before)
-    assert table.shape == (len(reps), len(groups))
-
-    def fails(a, t, group):
-        return any(not is_orthogonal_pair(n, twist(a, t), b) for b in group)
-
-    for p, a in enumerate(reps):
-        for q, group in enumerate(groups):
-            below = [] if before is None else targets[offsets[q]:min(offsets[q + 1], before[p])]
-            # k intervals of n twists cover at most k*n of 1, 2, ...
-            least = 0 if fails(a, 0, below) else next(
-                t for t in range(1, k * n + 2) if fails(a, t, group)
-            )
-            assert table[p, q] == least, (a, group, below)
-
-
-def test_first_nonorthogonal_twist_refuses_bad_input():
-    with pytest.raises(ValueError, match="offsets must rise strictly"):
-        first_nonorthogonal_twist(1, [(0,)], [(0,), (1,)], [0, 0, 2])
-    with pytest.raises(ValueError, match="offsets must rise strictly"):
-        first_nonorthogonal_twist(1, [(0,)], [(0,), (1,)], [0, 1])
-    with pytest.raises(ValueError, match="offsets must rise strictly"):
-        first_nonorthogonal_twist(1, [(0,)], [], [])
-    with pytest.raises(ValueError, match="arity mismatch: 2 vs 1"):
-        first_nonorthogonal_twist(1, [(0, 0)], [(0,)], [0, 1])
+def test_first_failing_twists_refuses_bad_input():
+    one = orbit_set(1, [(0,)]).orbits
     with pytest.raises(ValueError, match="2\\^60"):
-        first_nonorthogonal_twist(1, [(2 ** 60,)], [(0,)], [0, 1])
+        first_failing_twists(1, orbit_set(1, [(2 ** 60,)]).orbits, [0, 1])
     with pytest.raises(ValueError, match="2\\^60"):
-        first_nonorthogonal_twist(2 ** 60, [(0,)], [(0,)], [0, 1])
-    with pytest.raises(ValueError, match="one bound per rep, 1 of them"):
-        first_nonorthogonal_twist(1, [(0,)], [(0,)], [0, 1], [0, 1])
+        first_failing_twists(2 ** 60, one, [0, 1])
     # the table is sized before any point is read
+    many = orbit_set(1, [(i,) for i in range(2049)]).orbits
     with mock.patch.object(ext, "_points", side_effect=AssertionError("points read")):
         with pytest.raises(ValueError, match="twist table of 2049 x 2048 cells"):
-            first_nonorthogonal_twist(1, [(0,)] * 2049, [], range(2049))
-    assert first_nonorthogonal_twist(1, [], [(0,)], [0, 1]).shape == (0, 1)
-    assert first_nonorthogonal_twist(1, [(0,)], [], [0]).shape == (1, 0)
+            first_failing_twists(1, many, [*range(2048), 2049])
+    assert first_failing_twists(1, (), [0, 0]).shape == (0, 1)
+    assert first_failing_twists(1, one, [0]).shape == (1, 0)
 
 
 def test_is_orthogonal_pair_known_values():

@@ -301,7 +301,7 @@ def test_every_collection_check_goes_through_the_one_scan(monkeypatch):
         return refuse
 
     monkeypatch.setattr(lefschetz, "nonorthogonal_below", refusing("pair scan"))
-    monkeypatch.setattr(lefschetz, "first_nonorthogonal_twist", refusing("twist kernel"))
+    monkeypatch.setattr(lefschetz, "first_failing_twists", refusing("twist kernel"))
     not_nested = LefschetzCollection(k=3, n=2, blocks=(build_E(3, 2), build_Ehat(3, 2)))
     assert check_lefschetz(not_nested) is not None
     checks = [
@@ -321,30 +321,28 @@ def test_nested_is_exceptional_is_one_twist_kernel_call(monkeypatch):
         raise AssertionError("flattened or twisted scan")
 
     calls = []
-    kernel = lefschetz.first_nonorthogonal_twist
+    kernel = lefschetz.first_failing_twists
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(lefschetz, "first_nonorthogonal_twist", counted)
+    monkeypatch.setattr(lefschetz, "first_failing_twists", counted)
     monkeypatch.setattr(lefschetz, "nonorthogonal_below", refuse)
     monkeypatch.setattr(lefschetz, "_twisted_orbits", refuse)
     # (2,2) in block 2 meets (0,0) of B_0: the least failing twist of (0,0) is 2
     too_long = LefschetzCollection(k=2, n=1, blocks=(orbit_set(2, [(0, 0)]),) * 3)
     # (2,0) spans more than n: it meets (0,2), listed before it in its own orbit
     too_wide = LefschetzCollection(k=2, n=1, blocks=(orbit_set(2, [(2, 0)]),))
+    # an empty B_0 gives an empty table, and all() over it is True
+    empty = LefschetzCollection(k=2, n=1, blocks=(orbit_set(2, []),) * 2)
     for coll, want in (
         (x3n_rectangular(4), True), (xk1(6), True), (x32_minimal(), True),
-        (too_long, False), (too_wide, False),
+        (too_long, False), (too_wide, False), (empty, True),
     ):
         calls.clear()
         assert is_exceptional(coll) is want
         assert len(calls) == 1
-    # only an empty B_0 is answered before the kernel
-    calls.clear()
-    assert is_exceptional(LefschetzCollection(k=2, n=1, blocks=(orbit_set(2, []),) * 2))
-    assert calls == []
 
 
 @st.composite
@@ -383,7 +381,7 @@ def test_nested_is_exceptional_matches_check_exceptional_on_signed_reps(k, n, ch
 def assert_first_failing_twists_match_scalar_predicate(n, orbits, groups, chunk):
     """The builder's table against is_orthogonal_pair, cell by cell, over orbits in list order."""
     with mock.patch.object(ext, "_TWIST_CHUNK_CELLS", chunk):
-        table = lefschetz._first_failing_twists(n, orbits, groups)
+        table = ext.first_failing_twists(n, orbits, groups)
     bundles = [el for o in orbits for el in o.elements]
     spans = [[el for o in orbits[lo:hi] for el in o.elements] for lo, hi in zip(groups, groups[1:])]
     assert table.shape == (len(orbits), len(spans))
@@ -406,10 +404,12 @@ def assert_first_failing_twists_match_scalar_predicate(n, orbits, groups, chunk)
 @given(n=st.integers(1, 3), k=st.integers(1, 3), chunk=st.integers(1, 40), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_first_failing_twists_match_scalar_predicate(n, k, chunk, data):
-    # reps of any span and sign, some of them twists of others
+    # reps of any span and sign, some of them twists of others, or none at all
     rep = st.tuples(*[st.integers(-2, n + 3)] * k).map(canonical_rep)
-    reps = data.draw(st.lists(rep, min_size=1, max_size=5))
-    moved = data.draw(st.lists(st.tuples(st.sampled_from(reps), st.integers(1, k * n)), max_size=2))
+    reps = data.draw(st.lists(rep, max_size=5))
+    moved = data.draw(
+        st.lists(st.tuples(st.sampled_from(reps), st.integers(1, k * n)), max_size=2)
+    ) if reps else []
     orbits = orbit_set(k, reps + [twist(r, t) for r, t in moved]).orbits
     m = len(orbits)
     cuts = data.draw(st.sets(st.integers(1, m - 1))) if m > 1 else set()

@@ -1,10 +1,12 @@
 """Lint: no module imports a name it never uses, no private function is unreferenced,
-no defaulted parameter goes unpassed, no module calls a BLAS routine or imports
-numpy past `lefkit._numpy` (which loads OpenBLAS with one thread), and the twist
-kernel has one caller."""
+no defaulted parameter goes unpassed, no unexported default is passed by every call,
+and no module calls a BLAS routine or imports numpy past `lefkit._numpy` (which
+loads OpenBLAS with one thread)."""
 
 import ast
 from pathlib import Path
+
+import lefkit
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lefkit"
 PERFBENCH = SRC.parent.parent / "perfbench"
@@ -89,10 +91,10 @@ def passes(call, position, name):
     return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
 
-def test_every_defaulted_parameter_is_passed_somewhere():
-    # a default that no caller in lefkit or perfbench overrides is a knob
-    # without a user; calls from the tests do not count
-    trees = list(parsed_modules().values())
+def calls_by_name(modules):
+    """Every call in `modules` and perfbench, by the bare name called; calls from the
+    tests do not count."""
+    trees = list(modules.values())
     trees += [ast.parse(path.read_text("utf-8")) for path in sorted(PERFBENCH.glob("*.py"))]
     calls = {}
     for tree in trees:
@@ -101,6 +103,13 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no caller in lefkit or perfbench overrides is a knob
+    # without a user
+    calls = calls_by_name(parsed_modules())
     unpassed = []
     for module, tree in parsed_modules().items():
         # a method is called as obj.name(...) or, for __init__, as Class(...)
@@ -121,6 +130,39 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 if not any(passes(call, at, param) for call in calls.get(name, [])):
                     unpassed.append(f"{module}: {func.name}({param}=...)")
     assert unpassed == []
+
+
+def always_overridden_defaults(modules):
+    """`module: name(param=...)` of each defaulted parameter of a module-level function
+    outside lefkit.__all__ that every call passes."""
+    calls = calls_by_name(modules)
+    overridden = []
+    for module, tree in modules.items():
+        for func in tree.body:
+            if not isinstance(func, ast.FunctionDef) or func.name in lefkit.__all__:
+                continue
+            made = calls.get(func.name, [])
+            for position, param in defaulted_parameters(func):
+                if made and all(passes(call, position, param) for call in made):
+                    overridden.append(f"{module}: {func.name}({param}=...)")
+    return overridden
+
+
+def test_no_unexported_default_is_always_overridden():
+    # a default that every caller in lefkit or perfbench overrides is a
+    # contract nobody relies on; exported functions keep theirs for library users
+    assert always_overridden_defaults(parsed_modules()) == []
+
+
+def test_a_planted_always_overridden_default_is_caught():
+    planted = ast.parse(
+        "def _scaled(x, factor=2):\n    return x * factor\n\n\n"
+        "def _shifted(x, by=1):\n    return x + by\n\n\n"
+        "def _use(x):\n"
+        "    return _scaled(x, 3) + _scaled(x, factor=4) + _shifted(x) + _shifted(x, 2)\n"
+    )
+    modules = {**parsed_modules(), "planted.py": planted}
+    assert always_overridden_defaults(modules) == ["planted.py: _scaled(factor=...)"]
 
 
 BLAS_ATTRIBUTES = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum", "linalg"}
@@ -156,37 +198,3 @@ def test_only_the_package_imports_numpy():
             if any(m == "numpy" or m.startswith("numpy.") for m in modules):
                 imports.append(f"{name}:{node.lineno}")
     assert imports == []
-
-
-def callers(modules, name):
-    """`module: holder` of each call to `name`; the holder is the module-level definition
-    around the call, or the call's line outside any."""
-    out = []
-    for module, tree in modules.items():
-        for stmt in tree.body:
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
-                    out.append(f"{module}: {getattr(stmt, 'name', node.lineno)}")
-    return out
-
-
-def test_the_twist_kernel_has_one_caller():
-    # nested exceptionality is decided on one table, built in one place
-    assert callers(parsed_modules(), "first_nonorthogonal_twist") == [
-        "lefschetz.py: _first_failing_twists"
-    ]
-
-
-def test_a_planted_second_twist_kernel_call_is_caught():
-    planted = ast.parse(
-        "from .ext import first_nonorthogonal_twist\n\n\n"
-        "def _table(n, reps, bundles, offsets):\n"
-        "    return first_nonorthogonal_twist(n, reps, bundles, offsets)\n"
-    )
-    modules = {**parsed_modules(), "planted.py": planted}
-    assert callers(modules, "first_nonorthogonal_twist") == [
-        "lefschetz.py: _first_failing_twists", "planted.py: _table"
-    ]

@@ -6,8 +6,8 @@ a replayable window-generation closure, bound block sizes by character
 counting, and search for new collections.
 
 Importing the package runs this file alone: each public name is imported
-from its submodule on first access (PEP 562), and numpy only when a kernel
-or a module built on arrays first needs it.
+from its submodule on first access (PEP 562), and numpy only when an array
+kernel first runs; importing a submodule loads none.
 """
 
 import functools

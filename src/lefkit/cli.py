@@ -17,7 +17,14 @@ import json
 import sys
 
 from .ext import ext_graded, is_orthogonal_pair
-from .lattice import Box, _refuse_above_limit, format_multidegree, orbit_set, parse_multidegree
+from .lattice import (
+    ORBIT_MIN_K,
+    Box,
+    _refuse_above_limit,
+    format_multidegree,
+    orbit_set,
+    parse_multidegree,
+)
 from .lefschetz import (
     JSON_SCHEMA,
     _shown,
@@ -176,8 +183,10 @@ def cmd_verify(args) -> int:
         dump = collection_to_json(coll).splitlines()
         return _render(args, EXIT_OK, text=dump, json=dump)
 
+    # below ORBIT_MIN_K the twist table and the grid closure list every bundle:
     # sized as flattened, so a refusal does not depend on the verdict
-    _refuse_above_limit(sum(ranks(coll)))
+    if coll.k < ORBIT_MIN_K:
+        _refuse_above_limit(sum(ranks(coll)))
     if is_exceptional(coll):
         violation_count, violations = 0, []
     else:

@@ -20,14 +20,11 @@ import itertools
 from dataclasses import dataclass, field
 from math import comb
 
-from . import _numpy
 from .ext import _refuse_twist_table, first_failing_twists
 from .lattice import Orbit, OrbitSet, _refuse_above_limit, normalised_reps, orbit_set
 from .lefschetz import LefschetzCollection
 from .reptheory import content_orbit_count, decreasing_tuples, partitions_of, perm_module_dim
 from .saturation import FULL, INCONCLUSIVE, _margin, verify_fullness
-
-np = _numpy()
 
 
 @dataclass(frozen=True)
@@ -93,13 +90,13 @@ class _ExtTable:
     A candidate is a dict last: P -> t over the orbits P of its first block
     B_0, t being the last block that holds P (nesting makes the blocks
     holding P exactly 0..t).  Built once per search, over the m pool orbits:
-    first_bad[P, Q] is the least twist t at which rep P + t*1 is not
+    first_bad[P][Q] is the least twist t at which rep P + t*1 is not
     orthogonal to some bundle of Q, t = 0 counting only against the
     bundles listed before rep P: all of each Q < P, and the rest of P,
     where it fails exactly when P spans more than n.  It is
     ext.first_failing_twists, the table behind is_exceptional, with one
     group per pool orbit instead of one for all of B_0: a candidate is
-    exceptional iff every P and Q of B_0 have first_bad[P, Q] > last[P].
+    exceptional iff every P and Q of B_0 have first_bad[P][Q] > last[P].
     The checks fold into one clash bitmask over pool indices per (P, t),
     memoised, which a candidate ANDs with the bitmask of B_0.
     """
@@ -111,8 +108,7 @@ class _ExtTable:
 
     def _clash_mask(self, p: int, t: int) -> int:
         """Pool orbits that B_0 must avoid when it holds p up to block t, as bits of an int."""
-        row = self.first_bad[p] <= t
-        return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        return int("".join("1" if v <= t else "0" for v in reversed(self.first_bad[p])), 2)
 
     def exceptional(self, last: dict[int, int]) -> bool:
         """is_exceptional of the candidate, from the table alone."""

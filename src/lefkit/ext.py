@@ -12,19 +12,29 @@ is involved anywhere.  The vanishing predicate comes in three forms:
 - nonorthogonal_below, the chunked numpy scan behind every check that
   lists witness pairs;
 - first_failing_twists, behind every yes/no over uniform twists, the
-  same inequality solved for t over S_k-orbits: O(a + t*1) is orthogonal
-  to O(b) exactly when t lies in (b_i - a_i, b_i - a_i + n] for some i, so
-  each rep a and group of orbits give the least twist at which a pair
-  fails, twist 0 counting against the bundles listed before a.
+  same inequality solved for t over S_k-orbits: each rep a and group of
+  orbits give the least twist t at which O(a + t*1) fails against some
+  bundle of the group, twist 0 counting against the bundles listed before
+  a.  Below k = ORBIT_MIN_K it lists every bundle and solves per element
+  (O(a + t*1) is orthogonal to O(b) exactly when t lies in
+  (b_i - a_i, b_i - a_i + n] for some i).  From ORBIT_MIN_K on it takes
+  each (rep, orbit) pair in closed form, with no bundle listed: some
+  permutation of b fails against a + t exactly when the rows i can be
+  matched to positions j with b_j outside [a_i + t - n, a_i + t - 1], and
+  by Hall's theorem (P. Hall, J. London Math. Soc. 1935) that matching
+  exists unless the a_i in some value interval [lo, hi], hi - lo < n,
+  number more than k minus the b_j in [hi - n + t, lo - 1 + t].
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb
+from array import array
+from bisect import bisect_left, bisect_right
+from math import comb, inf
 
 from . import _numpy
-from .lattice import _multiset_permutations, _refuse_above_limit
+from .lattice import ORBIT_MIN_K, _multiset_permutations, _refuse_above_limit
 
 GradedDims = tuple[int, ...]
 
@@ -177,8 +187,14 @@ def _refuse_twist_table(rows: int, groups: int):
         )
 
 
+def _refuse_far(n: int, lo: int, hi: int):
+    """Refuse n or a coordinate in [lo, hi] at or beyond 2^60, where twists could wrap int64."""
+    if n >= _TWIST_LIMIT or max(-lo, hi) >= _TWIST_LIMIT:
+        raise ValueError("coordinates and n must lie strictly between -2^60 and 2^60")
+
+
 def first_failing_twists(n: int, orbits, groups):
-    """Least t with Ext*(O(rep_P + t*1), O(b)) != 0 for some bundle b of group g, as table[P, g].
+    """Least t with Ext*(O(rep_P + t*1), O(b)) != 0 for some bundle b of group g, as table[P][g].
 
     The bundles are listed orbit by orbit, ascending lex inside each; groups
     lists the index of each group's first orbit, then len(orbits).  Twist 0
@@ -190,33 +206,47 @@ def first_failing_twists(n: int, orbits, groups):
     first coordinate where the rep exceeds an element differs by at most n.
     Twists t >= 1 count against every bundle.
 
+    The table is a list of array("q") rows, one per orbit, one cell per
+    group.  Below k = ORBIT_MIN_K it comes from _element_table, from there
+    on from _orbit_table, which lists no bundle.  n below 1 is refused, then
+    (on the element path) more than MAX_ORBIT_BUNDLES bundles, then a table
+    above MAX_TWIST_TABLE cells, all before any point is read, and then a
+    coordinate or n at or beyond 2^60.
+    """
+    _check_n(n)
+    if not orbits or len(orbits[0].rep) < ORBIT_MIN_K:
+        return _element_table(n, orbits, groups)
+    _refuse_twist_table(len(orbits), len(groups) - 1)
+    _refuse_far(n, min(o.rep[-1] for o in orbits), max(o.rep[0] for o in orbits))
+    return _orbit_table(n, orbits, groups)
+
+
+def _element_table(n: int, orbits, groups):
+    """first_failing_twists over every bundle of `orbits`, in numpy blocks of rows.
+
     O(a + t*1) is orthogonal to O(b) exactly when t lies in one of the k
     intervals (d_i, d_i + n], d = b - a.  Scanning the d_i in ascending
     order from the least twist that counts, an interval holding t moves t
     past its end d_i + n; the first that does not leaves t uncovered, and
     so do all later ones.  The answer is 0, 1 or some d_i + n + 1, at most
     k*n + 1.  Rows are taken a block at a time and reduced onto the groups
-    at once.  The bundles are sized first and refused above
-    MAX_ORBIT_BUNDLES, then the table, an int64 array, above
-    MAX_TWIST_TABLE, before any point is read.
+    at once.
     """
     np = _numpy()
     starts = list(itertools.accumulate((o.size for o in orbits), initial=0))
     _refuse_above_limit(starts[-1])
-    _check_n(n)
     _refuse_twist_table(len(orbits), len(groups) - 1)
     pts = _points([o.rep for o in orbits])
-    out = np.empty((len(orbits), len(groups) - 1), dtype=np.int64)
-    if not out.size:
-        return out
+    if not (len(orbits) and len(groups) > 1):
+        return [array("q") for _ in orbits]
     # the bundles are permutations of the reps, so the reps bound them too
-    if n >= _TWIST_LIMIT or max(-pts.min(), pts.max()) >= _TWIST_LIMIT:
-        raise ValueError("coordinates and n must lie strictly between -2^60 and 2^60")
+    _refuse_far(n, int(pts.min()), int(pts.max()))
     tgt = _points([el for o in orbits for el in _multiset_permutations(o.rep)])
     # each rep is the last bundle of its orbit
     bound = np.asarray(starts[1:], dtype=np.int64) - 1
     offsets = [starts[g] for g in groups[:-1]]
     step = max(1, _TWIST_CHUNK_CELLS // tgt.size)
+    table = []
     for start in range(0, len(pts), step):
         # e = d + 1, each pair's offsets ascending
         e = tgt[None, :, :] - (pts[start : start + step, None, :] - 1)
@@ -225,5 +255,73 @@ def first_failing_twists(n: int, orbits, groups):
         for i in range(e.shape[2]):
             # d_i < t <= d_i + n exactly when t - e_i, read unsigned, is below n
             np.add(e[:, :, i], n, out=t, where=(t - e[:, :, i]).view(np.uint64) < n)
-        out[start : start + step] = np.minimum.reduceat(t, offsets, axis=1)
-    return out
+        block = np.minimum.reduceat(t, offsets, axis=1)
+        table += [array("q", row.tobytes()) for row in block]
+    return table
+
+
+def _hall_triples(n: int, a):
+    """(hi - n, lo - 1, count) for each pair of values lo <= hi of a with hi - lo < n.
+
+    a is ascending; count is how many a_i lie in [lo, hi].  These are the
+    Hall sets of _least_failing_twist: rows whose windows all hold
+    [hi - n + t, lo - 1 + t].
+    """
+    values = sorted(set(a))
+    triples = []
+    for x, lo in enumerate(values):
+        for hi in values[x:]:
+            if hi - lo >= n:
+                break
+            triples.append((hi - n, lo - 1, bisect_right(a, hi) - bisect_left(a, lo)))
+    return triples
+
+
+def _least_failing_twist(k, triples, shifts, b, t0, best):
+    """The least t in [t0, best) at which some permutation of b fails against a + t*1, or best.
+
+    b is ascending.  Rows i and positions j pair up when b_j lies outside
+    a_i's window [a_i + t - n, a_i + t - 1]; some permutation fails exactly
+    when they pair up perfectly, which by Hall's theorem fails exactly when
+    some triple (u, w, count) has count + #{b_j in [u + t, w + t]} > k.  A
+    pair (i, j) joins only as t reaches b_j - a_i + n + 1, so the least such
+    t is t0 or one of those: a value of b plus a shift n + 1 - a_i.
+    """
+    if t0 >= best:
+        return best
+    later = sorted(t for t in {v + s for v in b for s in shifts} if t0 < t < best)
+    for t in (t0, *later):
+        for u, w, c in triples:
+            if c + bisect_right(b, w + t) - bisect_left(b, u + t) > k:
+                break
+        else:
+            return t
+    return best
+
+
+def _orbit_table(n: int, orbits, groups):
+    """first_failing_twists on reps alone, one closed-form _least_failing_twist per orbit pair.
+
+    The rep against an orbit listed before it starts at twist 0, and
+    against one listed after it at 1.  Against its own orbit it fails at 0
+    exactly when it spans more than n, and starts at 1 against the whole
+    orbit otherwise.  Each cell is the least over its group's orbits, and
+    an orbit only tries the twists below the best so far.
+    """
+    reps = [o.rep[::-1] for o in orbits]
+    triples = [_hall_triples(n, a) for a in reps]
+    shifts = [{n + 1 - v for v in set(a)} for a in reps]
+    table = []
+    for p, a in enumerate(reps):
+        row = array("q")
+        for lo, hi in zip(groups, groups[1:]):
+            best = inf
+            for q in range(lo, hi):
+                if q == p and a[-1] - a[0] > n:
+                    best = 0
+                else:
+                    t0 = 0 if q < p else 1
+                    best = _least_failing_twist(len(a), triples[p], shifts[p], reps[q], t0, best)
+            row.append(best)
+        table.append(row)
+    return table

@@ -25,6 +25,11 @@ Multidegree = tuple[int, ...]
 # the largest collection the tests and benchmarks flatten, has 16,384.
 MAX_ORBIT_BUNDLES = 2 ** 22
 
+# Smallest k at which S_k-orbits are handled by their reps alone, with no bundle
+# enumerated: the closure of an S_k-stable seed and the twist table.  Below it an
+# orbit holds at most 3! = 6 bundles, and the array forms are as fast or faster.
+ORBIT_MIN_K = 4
+
 
 def canonical_rep(a) -> Multidegree:
     """Coordinates sorted weakly decreasing, the lex-largest point of the orbit.

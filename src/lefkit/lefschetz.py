@@ -200,7 +200,7 @@ def is_exceptional(coll: LefschetzCollection) -> bool:
         return next(nonorthogonal_below(n, flatten_bundles(coll)), None) is None
     bad = first_failing_twists(n, first.orbits, [0, len(first.orbits)])
     last = {rep: t for t, block in enumerate(coll.blocks) for rep in block.reps()}
-    return all(t > last[rep] for rep, t in zip(first.reps(), bad[:, 0].tolist()))
+    return all(row[0] > last[rep] for rep, row in zip(first.reps(), bad))
 
 
 def ext_violations(n: int, sources, targets):

@@ -40,6 +40,7 @@ from math import comb
 
 from . import _numpy
 from .lattice import (
+    ORBIT_MIN_K,
     Box,
     Multidegree,
     Orbit,
@@ -59,8 +60,6 @@ from .lefschetz import (
     ranks,
 )
 
-np = _numpy()
-
 FULL = "FULL"
 NOT_FULL_BY_RANK = "NOT_FULL_BY_RANK"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -75,10 +74,6 @@ MAX_ORBIT_LINES = 2 ** 20
 
 # Unreached cube points reported with an INCONCLUSIVE closure.
 MISSING_SAMPLE = 20
-
-# Smallest k at which S_k-stable seeds are closed on orbit reps; below it the
-# grid is as fast or faster.
-ORBIT_MIN_K = 4
 
 
 @dataclass(frozen=True)
@@ -139,7 +134,7 @@ class ClosureState:
 
     @functools.cached_property
     def member_count(self) -> int:
-        return int(np.count_nonzero(self.grid))
+        return int(_numpy().count_nonzero(self.grid))
 
     @property
     def trace_length(self) -> int:
@@ -147,10 +142,11 @@ class ClosureState:
 
     @functools.cached_property
     def members(self) -> frozenset:
-        return frozenset(map(tuple, (np.argwhere(self.grid) + self.box.lo).tolist()))
+        return frozenset(map(tuple, (_numpy().argwhere(self.grid) + self.box.lo).tolist()))
 
     @functools.cached_property
     def trace(self) -> tuple[RuleApplication, ...]:
+        np = _numpy()
         out, lo = [], self.box.lo
         for p in self.passes:
             shape = self.grid.shape[: p.axis] + (1,) + self.grid.shape[p.axis + 1 :]
@@ -180,6 +176,7 @@ class ClosureState:
         the replay or leaving a target point uncovered.  ValueError unless
         the target is covered.
         """
+        np = _numpy()
         window = _sub_box(self.box, target)
         if not self.grid[window].all():
             raise ValueError(
@@ -215,6 +212,7 @@ class ClosureState:
 
         Ascending lex order, at most `limit` of them.
         """
+        np = _numpy()
         sub = self.grid[_sub_box(self.box, target)]
         flat = np.flatnonzero(~sub)[:limit]
         coords = np.stack(np.unravel_index(flat, sub.shape), axis=1) + target.lo
@@ -351,6 +349,7 @@ def _line_cells(shape, lines, axis, length, first=0):
     They start at `first`, a number or one start per line.  The result of
     indexing with it has one row per line.
     """
+    np = _numpy()
     index = [c[:, None] for c in np.unravel_index(lines, shape)]
     index[axis] = np.reshape(first, (-1, 1)) + np.arange(length)
     return tuple(index)
@@ -363,6 +362,7 @@ def _axis_pass(grid, axis, h):
     pairwise disjoint, so flooding them from a common snapshot equals any
     sequential order.
     """
+    np = _numpy()
     width = grid.shape[axis]
     if width < h:
         return None
@@ -396,18 +396,35 @@ def _refuse_outside(points, box: Box):
             )
 
 
+def _seed_tuples(seed, box: Box, drop_outside: bool) -> list[Multidegree]:
+    """The seed points as tuples of ints, in the order given, repeats kept.
+
+    seed is an iterable of points.  A point with a coordinate that is no
+    integer, or of another arity than k, raises ValueError, dropped or
+    not.  A point outside `box` is dropped with drop_outside and raises
+    ValueError otherwise.  Each refusal names the first offending point of
+    the distinct points kept, in set order, as _seed_points and
+    _refuse_outside do.  A coordinate of any size is read, so one no int64
+    holds is outside the box.
+    """
+    k = box.k
+    # points of another arity are kept by the drop, for _seed_points to refuse
+    seed = [_integer_point(p, "seed point") for p in seed]
+    seed = [p for p in seed if not drop_outside or len(p) != k or p in box]
+    points = _seed_points(seed, k)
+    if not drop_outside:
+        _refuse_outside(points, box)
+    return seed
+
+
 def _seed_array(seed, box: Box, drop_outside: bool = False) -> np.ndarray:
     """The seed points as an integer array of k columns, one row per point.
 
-    seed is an iterable of points or already such an array.  A point with
-    a coordinate that is no integer, or of another arity than k, raises
-    ValueError, dropped or not.  A point outside `box` is
-    dropped with drop_outside and raises ValueError otherwise.  Each
-    refusal names the first offending point of the distinct points kept,
-    in set order, as _seed_points and _refuse_outside do.  A signed
-    integer array is checked and dropped vectorised; any other seed goes
-    point by point, so a coordinate no int64 holds is outside the box.
+    seed is an iterable of points or already such an array, read as
+    _seed_tuples reads it.  A signed integer array is checked and dropped
+    vectorised; any other seed goes point by point through _seed_tuples.
     """
+    np = _numpy()
     k = box.k
     if isinstance(seed, np.ndarray):
         if seed.dtype.kind == "i" and seed.ndim == 2 and seed.shape[1] == k:
@@ -419,18 +436,13 @@ def _seed_array(seed, box: Box, drop_outside: bool = False) -> np.ndarray:
                 _refuse_outside(_seed_points(map(tuple, points.tolist()), k), box)
             return points
         seed = seed.tolist()
-    # points of another arity are kept by the drop, for _seed_points to refuse
-    seed = [_integer_point(p, "seed point") for p in seed]
-    seed = [p for p in seed if not drop_outside or len(p) != k or p in box]
-    points = _seed_points(seed, k)
-    if not drop_outside:
-        _refuse_outside(points, box)
+    seed = _seed_tuples(seed, box, drop_outside)
     return np.array(list(itertools.chain.from_iterable(seed)), np.int64).reshape(-1, k)
 
 
 def _grid_of(points: np.ndarray, box: Box) -> np.ndarray:
     """A writable boolean grid over `box`, True at `points` (array rows inside it)."""
-    grid = np.zeros((box.width,) * box.k, dtype=bool)
+    grid = _numpy().zeros((box.width,) * box.k, dtype=bool)
     grid[tuple((points - box.lo).T)] = True
     return grid
 
@@ -574,8 +586,7 @@ def close_orbits(seed, n: int, k: int, margin: int | None = None, drop_outside: 
             f"box [{box.lo}, {box.hi}]^{k} has {lines} orbit lines, more than the "
             f"limit of {MAX_ORBIT_LINES}; use a smaller margin"
         )
-    points = _seed_array(seed, box, drop_outside)
-    seed = frozenset(map(tuple, (-np.sort(-points, axis=1)).tolist()))
+    seed = frozenset(map(canonical_rep, _seed_tuples(seed, box, drop_outside)))
     members, trace, h = set(seed), [], n + 1
 
     def in_cube(p):
@@ -647,8 +658,7 @@ def close_seed(seed, n: int, k: int, margin: int | None):
         state, missing = close_orbits(seed, n, k, margin)
         if missing:
             return state, missing
-        # read once: the smaller boxes drop rows of the accepted array
-        seed, requested = _seed_array(seed, state.box), -state.box.lo
+        requested = -state.box.lo
         covering = (
             m for m in range(requested) if not close_orbits(seed, n, k, m, drop_outside=True)[1]
         )
@@ -736,6 +746,7 @@ def _generation_verdict(orbits, n: int, k: int, margin: int | None) -> Verdict:
             if not replayed.issuperset(_cube_reps(n, k)):
                 raise ValueError("orbit closure certificate does not replay to the cube")
     else:
+        np = _numpy()
         _refuse_above_limit(expected)
         rows = np.array(list(itertools.chain.from_iterable(size)), np.int64).reshape(-1, k)
         # every permutation of every rep, repeats and all

@@ -697,14 +697,15 @@ def test_oversized_collections_refused_before_building(capsys, tmp_path, monkeyp
     path = tmp_path / "coll.json"
     path.write_text(json.dumps({"schema": "lefkit/1", "k": 40, "n": 1,
                                 "blocks": [["(" + ",".join(["1"] * 20 + ["0"] * 20) + ")"]]}))
-    for argv in (
-        ("verify", "--builtin", "xk1", "--k", "30"),
-        ("search", "--k", "20", "--n", "1", "--target", "minimal"),
-        ("verify", "--collection", str(path)),
-    ):
-        rc, out, err = run(capsys, *argv)
-        assert (rc, out) == (2, ""), argv
-        assert err.startswith("error: S_k-stable set of") and "limit" in err
+    rc, out, err = run(capsys, "search", "--k", "20", "--n", "1", "--target", "minimal")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: S_k-stable set of") and "limit" in err
+    # from k = 4 on a nested collection is decided on reps: C(40, 20) bundles are
+    # counted, never listed, and are not the 2^40 that generating needs
+    rc, out, err = run(capsys, "verify", "--collection", str(path))
+    assert (rc, err) == (1, "")
+    assert "exceptional: ok\n" in out
+    assert f"fullness: NOT_FULL_BY_RANK ({comb(40, 20)} bundles, expected {2 ** 40})\n" in out
 
 
 def test_oversized_flattened_collection_refused_before_flattening(capsys, monkeypatch):
@@ -742,9 +743,10 @@ def test_collections_built_and_dumped_from_reps_alone(capsys, monkeypatch):
     rc, out, err = run(capsys, "verify", "--builtin", "xk1", "--k", "30", "--dump")
     assert (rc, err) == (0, "")
     assert collection_from_json(out) == coll
+    # exceptionality and fullness are decided on reps too
     rc, out, err = run(capsys, "verify", "--builtin", "xk1", "--k", "30")
-    assert (rc, out) == (2, "")
-    assert err == "error: S_k-stable set of 1073741824 bundles is more than the limit of 4194304\n"
+    assert (rc, err) == (0, "")
+    assert "exceptional: ok\n" in out and "fullness: FULL (margin 2, trace length 20153)\n" in out
 
 
 def test_verify_builds_only_the_violations_it_shows(capsys, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+from array import array
 from math import comb
 from unittest import mock
 
@@ -13,7 +14,7 @@ from lefkit.ext import (
     line_cohomology,
     nonorthogonal_below,
 )
-from lefkit.lattice import orbit_set, twist
+from lefkit.lattice import ORBIT_MIN_K, canonical_rep, orbit_set, twist
 
 
 def test_line_cohomology_known_values():
@@ -97,8 +98,58 @@ def test_first_failing_twists_refuses_bad_input():
     with mock.patch.object(ext, "_points", side_effect=AssertionError("points read")):
         with pytest.raises(ValueError, match="twist table of 2049 x 2048 cells"):
             first_failing_twists(1, many, [*range(2048), 2049])
-    assert first_failing_twists(1, (), [0, 0]).shape == (0, 1)
-    assert first_failing_twists(1, one, [0]).shape == (1, 0)
+    assert first_failing_twists(1, (), [0, 0]) == []
+    assert first_failing_twists(1, one, [0]) == [array("q")]
+
+
+def test_the_orbit_table_refuses_bad_input_before_reading_a_rep():
+    one = orbit_set(4, [(0,) * 4]).orbits
+    with pytest.raises(ValueError, match="2\\^60"):
+        first_failing_twists(1, orbit_set(4, [(0, 0, 0, -2 ** 60)]).orbits, [0, 1])
+    with pytest.raises(ValueError, match="2\\^60"):
+        first_failing_twists(2 ** 60, one, [0, 1])
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        first_failing_twists(0, one, [0, 1])
+    # no bundle limit: orbits of C(40, 20) bundles each, and only the table is sized
+    many = orbit_set(40, [(i,) * 20 + (0,) * 20 for i in range(1, 2050)]).orbits
+    with mock.patch.object(ext, "_orbit_table", side_effect=AssertionError("reps read")):
+        with pytest.raises(ValueError, match="twist table of 2049 x 2048 cells"):
+            first_failing_twists(1, many, [*range(2048), 2049])
+    assert first_failing_twists(1, one, [0]) == [array("q")]
+
+
+def test_the_table_form_follows_the_arity():
+    # from ORBIT_MIN_K on no bundle is listed and numpy is not called
+    listing = mock.patch.object(ext, "_multiset_permutations", side_effect=AssertionError)
+    arrays = mock.patch.object(ext, "_numpy", side_effect=AssertionError)
+    orbits = orbit_set(6, [(1, 1, 1, 0, 0, 0), (0,) * 6]).orbits
+    want = ext._element_table(1, orbits, [0, 1, 2])
+    assert want == [array("q", [2, 3]), array("q", [2, 1])]
+    with listing, arrays:
+        assert first_failing_twists(1, orbits, [0, 1, 2]) == want
+    with mock.patch.object(ext, "_orbit_table", side_effect=AssertionError("orbit table")):
+        for k in range(1, ORBIT_MIN_K):
+            first_failing_twists(1, orbit_set(k, [(1,) + (0,) * (k - 1)]).orbits, [0, 1])
+
+
+@given(k=st.integers(1, 6), n=st.integers(1, 4), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_orbit_table_matches_the_element_table(k, n, data):
+    # reps of any span and sign, with ties; some are twists of others, so twisted
+    # points coincide; any grouping of them, or no orbit at all
+    rep = st.tuples(*[st.integers(-3, n + 3)] * k).map(canonical_rep)
+    reps = data.draw(st.lists(rep, max_size=5))
+    moved = data.draw(
+        st.lists(st.tuples(st.sampled_from(reps), st.integers(-2, k * n + 1)), max_size=3)
+    ) if reps else []
+    orbits = orbit_set(k, reps + [twist(r, t) for r, t in moved]).orbits
+    m = len(orbits)
+    cuts = data.draw(st.sets(st.integers(1, m - 1))) if m > 1 else set()
+    for groups in ([0, m], [0, *sorted(cuts), m], range(m + 1)):
+        want = ext._element_table(n, orbits, groups)
+        got = ext._orbit_table(n, orbits, groups)
+        assert all(type(row) is array and row.typecode == "q" for row in want + got)
+        assert got == want, ([o.rep for o in orbits], list(groups))
 
 
 def test_is_orthogonal_pair_known_values():

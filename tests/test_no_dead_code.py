@@ -1,7 +1,7 @@
 """Lint: no module imports a name it never uses, no private function is unreferenced,
 no defaulted parameter goes unpassed, no unexported default is passed by every call,
-and no module calls a BLAS routine or imports numpy past `lefkit._numpy` (which
-loads OpenBLAS with one thread)."""
+no module calls a BLAS routine or imports numpy past `lefkit._numpy` (which
+loads OpenBLAS with one thread), and none calls `_numpy()` when it is imported."""
 
 import ast
 from pathlib import Path
@@ -198,3 +198,42 @@ def test_only_the_package_imports_numpy():
             if any(m == "numpy" or m.startswith("numpy.") for m in modules):
                 imports.append(f"{name}:{node.lineno}")
     assert imports == []
+
+
+def import_time_calls(tree, name):
+    """Line numbers of the calls to `name` that run when the module is imported.
+
+    Those are all calls outside function bodies: at module level, in class
+    bodies, and in decorators and parameter defaults.
+    """
+    lines, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            todo += args.defaults + [d for d in args.kw_defaults if d is not None]
+            todo += getattr(node, "decorator_list", [])
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
+            lines.append(node.lineno)
+        todo += ast.iter_child_nodes(node)
+    return sorted(lines)
+
+
+def test_no_module_loads_numpy_when_imported():
+    # numpy costs each process about 0.1 s; it loads in the functions that build arrays
+    calls = [
+        f"{name}:{line}"
+        for name, tree in parsed_modules().items()
+        for line in import_time_calls(tree, "_numpy")
+    ]
+    assert calls == []
+
+
+def test_a_planted_import_time_numpy_call_is_caught():
+    planted = ast.parse(
+        "np = _numpy()\n\n\n"
+        "class Table:\n    np = _numpy()\n\n    def rows(self):\n        return _numpy()\n\n\n"
+        "def kernel(np=_numpy()):\n    np = _numpy()\n    return lambda: _numpy()\n"
+    )
+    assert import_time_calls(planted, "_numpy") == [1, 5, 11]

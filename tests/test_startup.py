@@ -1,7 +1,9 @@
-"""Start-up contract: importing lefkit loads none of its submodules and no numpy;
+"""Start-up contract: importing lefkit, or any of its modules, loads no numpy;
 each public name loads its submodule on first access, numpy loads with its
-OpenBLAS on one thread when a kernel or a module built on arrays first needs it,
-and the caller's environment is left as it was.
+OpenBLAS on one thread when an array kernel first needs it (the grid closure,
+the k <= 3 twist table, the witness scans), and the caller's environment is
+left as it was.  From k = 4 on, verdicts on nested collections and S_k-stable
+seeds run on orbit reps and load no numpy at all.
 
 Each case runs in a fresh interpreter, because pytest has already imported
 numpy in this one, and OpenBLAS reads its thread count only when it loads.
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import lefkit
+from lefkit import lattice, lefschetz, saturation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -37,9 +40,9 @@ print(json.dumps(report))
 # what each case runs in its interpreter, and whether numpy is loaded after it
 CASES = {
     "lefkit": ("import lefkit", False),
-    "lefkit.cli": ("import lefkit.cli", True),
-    "lefkit.saturation": ("import lefkit.saturation", True),
-    "lefkit.explorer": ("import lefkit.explorer", True),
+    "lefkit.cli": ("import lefkit.cli", False),
+    "lefkit.saturation": ("import lefkit.saturation", False),
+    "lefkit.explorer": ("import lefkit.explorer", False),
     "lefkit-kernel": ("import lefkit; lefkit.is_exceptional(lefkit.xk1(3))", True),
 }
 
@@ -88,8 +91,38 @@ def test_a_callers_thread_count_is_kept(case):
 
 
 def test_a_fullness_check_leaves_numpy_ma_unloaded():
-    report = probe('from lefkit import cli; cli.main(["verify", "--builtin", "xk1", "--k", "7"])')
+    report = probe('from lefkit import cli; cli.main(["verify", "--builtin", "x32-minimal"])')
     assert "numpy" in report["loaded"] and "numpy.ma" not in report["loaded"]
+
+
+def run_cli(rc, *argv):
+    """Probe code running `lefkit` with argv and checking that it exits with rc."""
+    return f"from lefkit import cli\nassert cli.main({list(argv)!r}) == {rc}"
+
+
+def test_verdicts_from_k_4_on_load_no_numpy(tmp_path):
+    # the seed holds whole S_8-orbits but too few points to generate
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"k": 8, "points": ["(0,0,0,0,0,0,0,0)", "(1,1,1,1,1,1,1,1)"]}))
+    for code in (
+        run_cli(0, "verify", "--builtin", "xk1", "--k", "7"),
+        run_cli(3, "closure", "--seed-file", str(seed), "--n", "1"),  # INCONCLUSIVE
+        run_cli(0, "search", "--k", "7", "--n", "1", "--target", "rectangular"),
+    ):
+        assert probe(code)["loaded"] == ["lefkit.saturation", "lefkit.explorer"], code
+
+
+def test_replaying_a_certificate_loads_no_numpy():
+    seed = lefschetz.flatten_bundles(lefschetz.xk1(3))
+    state, missing = saturation.close_cube(seed, 1, 3)
+    assert not missing
+    trace = state.certificate(lattice.Box(lo=0, hi=1, k=3)).trace
+    code = "\n".join([
+        "from lefkit import Box, RuleApplication, replay_trace",
+        f"members = replay_trace({seed!r}, 1, Box(lo=-2, hi=3, k=3), {trace!r})",
+        "assert all(p in members for p in Box(lo=0, hi=1, k=3).points())",
+    ])
+    assert probe(code)["loaded"] == ["lefkit.saturation"]
 
 
 # the public names as the package exported them eagerly, by defining submodule

@@ -137,6 +137,8 @@ def is_rectangular(coll: LefschetzCollection) -> bool:
 def check_lefschetz(coll: LefschetzCollection):
     """None if blocks are weakly decreasing; else a nesting Violation."""
     for i in range(len(coll.blocks) - 1):
+        if coll.blocks[i + 1] == coll.blocks[i]:
+            continue
         prev = set(coll.blocks[i].reps())
         for rep in coll.blocks[i + 1].reps():
             if rep not in prev:
@@ -198,8 +200,14 @@ def is_exceptional(coll: LefschetzCollection) -> bool:
     n, first = coll.n, coll.blocks[0]
     if check_lefschetz(coll) is not None:
         return next(nonorthogonal_below(n, flatten_bundles(coll)), None) is None
-    bad = first_failing_twists(n, first.orbits, [0, len(first.orbits)])
-    last = {rep: t for t, block in enumerate(coll.blocks) for rep in block.reps()}
+    # B_0 as one group, or no group when B_0 is empty
+    groups = [0, len(first.orbits)] if first.orbits else [0]
+    bad = first_failing_twists(n, first.orbits, groups)
+    # the last block holding each rep; a run of equal blocks is read once, at its end
+    last = {}
+    for t, block in enumerate(coll.blocks):
+        if t + 1 == len(coll.blocks) or coll.blocks[t + 1] != block:
+            last.update(dict.fromkeys(block.reps(), t))
     return all(row[0] > last[rep] for rep, row in zip(first.reps(), bad))
 
 
@@ -219,17 +227,24 @@ def ext_violations(n: int, sources, targets):
 def check_theorem_semiorthogonality(k: int, n: int):
     """Every bundle of build_E twisted by 1..n is Ext-orthogonal into build_Ehat.
 
-    Only orbit representatives of build_E are scanned: the vanishing
-    predicate is unchanged when both sides are permuted at once, and
-    build_Ehat is S_k-stable, so a representative stands for its orbit.
-    Returns None on success, else the first Violation in scan order
-    (ascending twist, then representatives ascending lex, then build_Ehat
-    in flatten order).
+    The yes/no is is_exceptional of the nested collection (Ehat, E, ..., E),
+    n copies of E: with E in Ehat it tests each rep of E twisted by 1..n
+    against all of Ehat, which is the grid, plus twist-0 pairs inside Ehat,
+    which never fail inside the cube [0, n]^k.  A yes is the grid holding
+    whatever Ehat is, as those pairs are part of the collection; only a no
+    draws the witness, from a scan of orbit representatives of build_E
+    against every bundle of build_Ehat (the vanishing predicate is
+    unchanged when both sides are permuted at once, and build_Ehat is
+    S_k-stable, so a representative stands for its orbit).  Returns None on
+    success, else the first Violation in scan order (ascending twist, then
+    representatives ascending lex, then build_Ehat in flatten order), or
+    None when the scan finds none.
     """
-    reps = build_E(k, n).reps()
-    ehat_bundles = build_Ehat(k, n).bundles()
-    twisted = [twist(rep, i) for i in range(1, n + 1) for rep in reps]
-    return next(ext_violations(n, twisted, ehat_bundles), None)
+    e, ehat = build_E(k, n), build_Ehat(k, n)
+    if is_exceptional(LefschetzCollection(k=k, n=n, blocks=(ehat,) + (e,) * n)):
+        return None
+    twisted = [twist(rep, i) for i in range(1, n + 1) for rep in e.reps()]
+    return next(ext_violations(n, twisted, ehat.bundles()), None)
 
 
 def staircase_rectangular(k: int, n: int) -> LefschetzCollection:

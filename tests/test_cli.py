@@ -697,15 +697,26 @@ def test_oversized_collections_refused_before_building(capsys, tmp_path, monkeyp
     path = tmp_path / "coll.json"
     path.write_text(json.dumps({"schema": "lefkit/1", "k": 40, "n": 1,
                                 "blocks": [["(" + ",".join(["1"] * 20 + ["0"] * 20) + ")"]]}))
-    rc, out, err = run(capsys, "search", "--k", "20", "--n", "1", "--target", "minimal")
-    assert (rc, out) == (2, "")
-    assert err.startswith("error: S_k-stable set of") and "limit" in err
     # from k = 4 on a nested collection is decided on reps: C(40, 20) bundles are
     # counted, never listed, and are not the 2^40 that generating needs
     rc, out, err = run(capsys, "verify", "--collection", str(path))
     assert (rc, err) == (1, "")
     assert "exceptional: ok\n" in out
     assert f"fullness: NOT_FULL_BY_RANK ({comb(40, 20)} bundles, expected {2 ** 40})\n" in out
+
+
+def test_a_k_20_search_pool_is_sized_by_its_twist_table_alone(capsys, monkeypatch):
+    # 210 pool orbits of 3.5e9 bundles, none listed: the first candidate is a certified hit
+    def boom(values):
+        raise AssertionError("orbit elements generated")
+
+    monkeypatch.setattr(lattice, "_multiset_permutations", boom)
+    rc, out, err = run(capsys, "search", "--k", "20", "--n", "1", "--target", "minimal",
+                       "--budget", "1")
+    assert (rc, err) == (3, "")
+    hit, summary = out.splitlines()
+    assert hit.startswith("hit ranks=(616666, 431910) blocks (0,0,")
+    assert summary == "hits: 1, inconclusive: 0, nodes: 1, exhausted: no"
 
 
 def test_oversized_flattened_collection_refused_before_flattening(capsys, monkeypatch):
@@ -725,12 +736,20 @@ def test_oversized_search_pools_refused_before_drawing_reps(capsys, monkeypatch)
         raise AssertionError("pool reps drawn before the size check")
 
     monkeypatch.setattr(explorer, "normalised_reps", boom)
-    for k, n, target in ((14, 14, "rectangular"), (12, 12, "minimal")):
+    # below k = 4 the twist table lists the pool's bundles, and they are counted
+    for k, n, target in ((3, 1200, "minimal"), (2, 2 ** 21, "rectangular")):
         rc, out, err = run(capsys, "search", "--k", str(k), "--n", str(n), "--target", target)
         assert (rc, out) == (2, ""), target
         bundles = (n + 2) ** k - (n + 1) ** k
         assert err == (f"error: S_k-stable set of {bundles} bundles is more than the limit of "
                        "4194304\n")
+    # from k = 4 on only the table of one cell per pair of pool orbits is
+    for k, n, target in ((14, 14, "rectangular"), (12, 12, "minimal")):
+        rc, out, err = run(capsys, "search", "--k", str(k), "--n", str(n), "--target", target)
+        assert (rc, out) == (2, ""), target
+        orbits = comb(n + k, k - 1)
+        assert err == (f"error: twist table of {orbits} x {orbits} cells is more than the "
+                       "limit of 4194304\n")
 
 
 def test_collections_built_and_dumped_from_reps_alone(capsys, monkeypatch):

@@ -304,8 +304,15 @@ def test_every_collection_check_goes_through_the_one_scan(monkeypatch):
     monkeypatch.setattr(lefschetz, "first_failing_twists", refusing("twist kernel"))
     not_nested = LefschetzCollection(k=3, n=2, blocks=(build_E(3, 2), build_Ehat(3, 2)))
     assert check_lefschetz(not_nested) is not None
+
+    def grid_without_e():
+        # an Ehat that misses E makes the grid's collection not nested: it is flattened
+        with mock.patch.object(lefschetz, "build_Ehat", lambda k, n: orbit_set(k, [(3, 0)])):
+            return check_theorem_semiorthogonality(2, 1)
+
     checks = [
-        (lambda: check_theorem_semiorthogonality(2, 1), "pair scan"),
+        (lambda: check_theorem_semiorthogonality(2, 1), "twist kernel"),
+        (grid_without_e, "pair scan"),
         (lambda: residual_check(x32_rectangular_part(), x32_residual()), "pair scan"),
         (lambda: check_exceptional(xk1(3)), "pair scan"),
         (lambda: is_exceptional(not_nested), "pair scan"),
@@ -413,7 +420,8 @@ def test_first_failing_twists_match_scalar_predicate(n, k, chunk, data):
     orbits = orbit_set(k, reps + [twist(r, t) for r, t in moved]).orbits
     m = len(orbits)
     cuts = data.draw(st.sets(st.integers(1, m - 1))) if m > 1 else set()
-    for groups in ([0, m], [0, *sorted(cuts), m]):
+    # with no orbit at all, [0, 0] would be one empty group, which is refused
+    for groups in ([0, m], [0, *sorted(cuts), m]) if m else ():
         assert_first_failing_twists_match_scalar_predicate(n, orbits, groups, chunk)
     table = assert_first_failing_twists_match_scalar_predicate(n, orbits, range(m + 1), chunk)
     # one group per orbit: twist 0 fails against the rest of the rep's own
@@ -440,6 +448,31 @@ def test_theorem_semiorthogonality_small_grid():
     for k in (1, 2, 3):
         for n in (1, 2, 3):
             assert check_theorem_semiorthogonality(k, n) is None, (k, n)
+
+
+def reference_grid(k, n):
+    """The theorem grid as one scan: E's reps twisted by 1..n against every bundle of Ehat."""
+    twisted = [twist(rep, i) for i in range(1, n + 1) for rep in lefschetz.build_E(k, n).reps()]
+    return next(ext_violations(n, twisted, lefschetz.build_Ehat(k, n).bundles()), None)
+
+
+def test_theorem_grid_matches_the_reference_scan(monkeypatch):
+    for k in range(1, 6):
+        for n in range(1, 6):
+            assert check_theorem_semiorthogonality(k, n) == reference_grid(k, n) is None, (k, n)
+    # Ehat enlarged by an orbit inside the cube, or past it, or by E twisted by 1:
+    # nested all the same, failing or not, and the first witness is the scan's
+    real = lefschetz.build_Ehat
+    for k in range(1, 5):
+        for n in range(1, 5):
+            for extra in ((n,) * k, (n + 1,) + (0,) * (k - 1), (1,) * k):
+                monkeypatch.setattr(
+                    lefschetz, "build_Ehat", lambda k, n, extra=extra: adjust(
+                        real(k, n), add=[extra] if extra not in real(k, n) else []
+                    )
+                )
+                assert check_theorem_semiorthogonality(k, n) == reference_grid(k, n), (k, n, extra)
+            monkeypatch.setattr(lefschetz, "build_Ehat", real)
 
 
 def test_theorem_check_catches_broken_variant():
@@ -473,6 +506,8 @@ def test_theorem_check_catches_enlarged_ehat(monkeypatch):
     assert v.detail == ext_graded(n, a, b) and any(v.detail)
     assert canonical_rep(b) == (3, 0)
     assert any(twist(a, -i) in build_E(k, n).reps() for i in range(1, n + 1))
+    # the first witness of the scan over E's reps against the enlarged Ehat
+    assert v.witness == ((3, 2), (0, 3)) and v == reference_grid(k, n)
 
 
 def test_json_roundtrip_bit_exact():

@@ -3,7 +3,8 @@ each public name loads its submodule on first access, numpy loads with its
 OpenBLAS on one thread when an array kernel first needs it (the grid closure,
 the k <= 3 twist table, the witness scans), and the caller's environment is
 left as it was.  From k = 4 on, verdicts on nested collections and S_k-stable
-seeds run on orbit reps and load no numpy at all.
+seeds, and the theorem's semiorthogonality grid, run on orbit reps and load
+no numpy at all.
 
 Each case runs in a fresh interpreter, because pytest has already imported
 numpy in this one, and OpenBLAS reads its thread count only when it loads.
@@ -110,6 +111,11 @@ def test_verdicts_from_k_4_on_load_no_numpy(tmp_path):
         run_cli(0, "search", "--k", "7", "--n", "1", "--target", "rectangular"),
     ):
         assert probe(code)["loaded"] == ["lefkit.saturation", "lefkit.explorer"], code
+
+
+def test_the_theorem_grid_from_k_4_on_loads_no_numpy():
+    code = "import lefkit\nassert lefkit.check_theorem_semiorthogonality(4, 6) is None"
+    assert probe(code)["loaded"] == []
 
 
 def test_replaying_a_certificate_loads_no_numpy():

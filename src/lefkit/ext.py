@@ -15,23 +15,15 @@ is involved anywhere.  The vanishing predicate comes in three forms:
   same inequality solved for t over S_k-orbits: each rep a and group of
   orbits give the least twist t at which O(a + t*1) fails against some
   bundle of the group, twist 0 counting against the bundles listed before
-  a.  It has three forms:
-  - the element table, below k = ORBIT_MIN_K: it lists every bundle and
-    solves per element (O(a + t*1) is orthogonal to O(b) exactly when t
-    lies in (b_i - a_i, b_i - a_i + n] for some i);
-  - the dominance sweep, below ORBIT_MIN_K for one group inside a
-    translate of [0, n]^k whose 2^k grids of V^k cells (V distinct
-    values) are fewer than reps x bundles: there O(a + t*1), t >= 1,
-    fails against b exactly when b_i >= a_i on the axes where a_i <= n
-    and b_i <= a_i - n - 1 on the others, and cumulative ORs of the
-    group's grid along the axes answer that for every a at once;
-  - the orbit table, from ORBIT_MIN_K on: each (rep, orbit) pair in
-    closed form, with no bundle listed.  Some permutation of b fails
-    against a + t exactly when the rows i can be matched to positions j
-    with b_j outside [a_i + t - n, a_i + t - 1], and by Hall's theorem
-    (P. Hall, J. London Math. Soc. 1935) that matching exists unless the
-    a_i in some value interval [lo, hi], hi - lo < n, number more than k
-    minus the b_j in [hi - n + t, lo - 1 + t].
+  a.  Below k = ORBIT_MIN_K it lists every bundle and solves per element
+  (O(a + t*1) is orthogonal to O(b) exactly when t lies in
+  (b_i - a_i, b_i - a_i + n] for some i).  From ORBIT_MIN_K on it takes
+  each (rep, orbit) pair in closed form, with no bundle listed: some
+  permutation of b fails against a + t exactly when the rows i can be
+  matched to positions j with b_j outside [a_i + t - n, a_i + t - 1], and
+  by Hall's theorem (P. Hall, J. London Math. Soc. 1935) that matching
+  exists unless the a_i in some value interval [lo, hi], hi - lo < n,
+  number more than k minus the b_j in [hi - n + t, lo - 1 + t].
 """
 
 from __future__ import annotations
@@ -42,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from math import comb, inf
 
 from . import _numpy
-from .lattice import MAX_BOX_CELLS, ORBIT_MIN_K, _multiset_permutations, _refuse_above_limit
+from .lattice import ORBIT_MIN_K, _multiset_permutations, _refuse_above_limit
 
 GradedDims = tuple[int, ...]
 
@@ -216,28 +208,21 @@ def first_failing_twists(n: int, orbits, groups):
     every bundle.
 
     The table is a list of array("q") rows, one per orbit, one cell per
-    group, in one of three forms.  From k = ORBIT_MIN_K on it comes from
-    _orbit_table, which lists no bundle.  Below that, a single group whose
-    reps lie in a translate of [0, n]^k goes to _sweep_table when its 2^k
-    grids of V^k cells, V the distinct coordinate values, are fewer than
-    reps x bundles, the pairs _element_table would solve; every other
-    input goes to _element_table.  n below 1 and an empty group are
-    refused, then (on the element path) more than MAX_ORBIT_BUNDLES
-    bundles, then a table above MAX_TWIST_TABLE cells, all before any point
-    is read, then a coordinate or n at or beyond 2^60, and (on the sweep
-    path) grids above MAX_BOX_CELLS cells.
+    group.  Below k = ORBIT_MIN_K it comes from _element_table, from there
+    on from _orbit_table, which lists no bundle.  n below 1 and an empty
+    group are refused, then (on the element path) more than
+    MAX_ORBIT_BUNDLES bundles, then a table above MAX_TWIST_TABLE cells, all
+    before any point is read, and then a coordinate or n at or beyond 2^60.
     """
     _check_n(n)
     for g, (lo, hi) in enumerate(zip(groups, groups[1:])):
         if hi <= lo:
             raise ValueError(f"group {g} of the twist table, orbits {lo} to {hi}, is empty")
-    if orbits and len(orbits[0].rep) >= ORBIT_MIN_K:
-        _refuse_twist_table(len(orbits), len(groups) - 1)
-        _refuse_far(n, min(o.rep[-1] for o in orbits), max(o.rep[0] for o in orbits))
-        return _orbit_table(n, orbits, groups)
-    if len(groups) == 2 and _sweep_pays(n, orbits):
-        return _sweep_table(n, orbits)
-    return _element_table(n, orbits, groups)
+    if not orbits or len(orbits[0].rep) < ORBIT_MIN_K:
+        return _element_table(n, orbits, groups)
+    _refuse_twist_table(len(orbits), len(groups) - 1)
+    _refuse_far(n, min(o.rep[-1] for o in orbits), max(o.rep[0] for o in orbits))
+    return _orbit_table(n, orbits, groups)
 
 
 def _element_table(n: int, orbits, groups):
@@ -276,98 +261,6 @@ def _element_table(n: int, orbits, groups):
             np.add(e[:, :, i], n, out=t, where=(t - e[:, :, i]).view(np.uint64) < n)
         block = np.minimum.reduceat(t, offsets, axis=1)
         table += [array("q", row.tobytes()) for row in block]
-    return table
-
-
-def _sweep_pays(n: int, orbits) -> bool:
-    """True when the reps lie in a translate of [0, n]^k and _sweep_table's cells are the fewer.
-
-    The sweep fills 2^k grids of V^k cells, V the distinct coordinate values
-    of the reps; _element_table solves reps x bundles pairs.
-    """
-    if not orbits or max(o.rep[0] for o in orbits) - min(o.rep[-1] for o in orbits) > n:
-        return False
-    values = len({c for o in orbits for c in o.rep})
-    return (2 * values) ** len(orbits[0].rep) < len(orbits) * sum(o.size for o in orbits)
-
-
-def _sweep_table(n: int, orbits):
-    """first_failing_twists of one group in a translate of [0, n]^k, by a dominance sweep.
-
-    Shifted into [0, n]^k, twist 0 never fails between distinct bundles (a
-    failure needs b >= a componentwise, and the order lists such a b after
-    a), and the rep fails against itself at n + 1, so every cell lies in
-    [1, n + 1].  For t >= 1, O(a), a = p + t*1, fails against b exactly
-    when each axis has b_i >= a_i where a_i <= n, or b_i <= a_i - n - 1
-    where a_i > n.  The group's grid over its V values per axis holds every
-    transpose of every rep, so no bundle is listed; one cumulative OR along
-    each axis, reversed on the axes sigma where a_i <= n, turns it into a
-    grid that answers that query for every a at once, one per sigma.  As in
-    _element_table the least failing twist is 1 or some v - p_i + n + 1, v
-    a value of the group; only those below n + 1, v < p_i, are gathered.
-    """
-    k = len(orbits[0].rep)
-    lo, hi = min(o.rep[-1] for o in orbits), max(o.rep[0] for o in orbits)
-    _refuse_twist_table(len(orbits), 1)
-    _refuse_far(n, lo, hi)
-    values = sorted({c - lo for o in orbits for c in o.rep})
-    width = len(values)
-    if 2 ** k * width ** k > MAX_BOX_CELLS:
-        raise ValueError(
-            f"twist sweep of {2 ** k} grids of {width}^{k} cells is more than the limit of "
-            f"{MAX_BOX_CELLS}"
-        )
-    np = _numpy()
-    index = {v: i for i, v in enumerate(values)}
-    vals = np.array(values, dtype=np.int64)
-    pts = np.array([[c - lo for c in o.rep] for o in orbits], dtype=np.int64)
-    cells = np.array([[index[c - lo] for c in o.rep] for o in orbits], dtype=np.intp)
-    grid = np.zeros((width,) * k, dtype=bool)
-    for perm in itertools.permutations(range(k)):
-        grid[tuple(cells[:, perm].T)] = True
-    # grid s, swept in reverse on the axes i with bit k-1-i of s set (a_i <= n there)
-    fails = np.empty((2 ** k,) + grid.shape, dtype=bool)
-    for s in range(2 ** k):
-        fails[s] = grid
-        for axis in range(k):
-            swept = np.flip(fails[s], axis) if s >> (k - 1 - axis) & 1 else fails[s]
-            np.logical_or.accumulate(swept, axis=axis, out=swept)
-    fails = fails.ravel()
-    # reps are weakly decreasing: a repeated coordinate adds no candidate
-    fresh = np.ones(pts.shape, dtype=bool)
-    fresh[:, 1:] = pts[:, 1:] != pts[:, :-1]
-    candidates = 1 + k * width
-    step = max(1, _TWIST_CHUNK_CELLS // (k * candidates))
-    table = []
-    for start in range(0, len(pts), step):
-        p = pts[start : start + step]
-        twists = np.ones((len(p), candidates), dtype=np.int64)
-        twists[:, 1:] = (vals + (n + 1) - p[:, :, None]).reshape(len(p), -1)
-        live = np.ones(twists.shape, dtype=bool)
-        live[:, 1:] = ((vals < p[:, :, None]) & fresh[start : start + step, :, None]).reshape(
-            len(p), -1
-        )
-        row, col = np.nonzero(live)
-        t = twists[row, col]
-        sweep = np.zeros(len(t), dtype=np.int64)
-        cell = np.zeros(len(t), dtype=np.int64)
-        inside = np.ones(len(t), dtype=bool)
-        for i in range(k):
-            a = p[row, i] + t
-            below = a <= n
-            # reversed: the least value >= a_i; forward: the largest <= a_i - n - 1
-            y = np.where(
-                below,
-                np.searchsorted(vals, a),
-                np.searchsorted(vals, a - (n + 1), side="right") - 1,
-            )
-            inside &= (y >= 0) & (y < width)
-            sweep = sweep * 2 + below
-            cell = cell * width + np.clip(y, 0, width - 1)
-        hit = inside & fails[sweep * width ** k + cell]
-        best = np.full(len(p), n + 1, dtype=np.int64)
-        np.minimum.at(best, row[hit], t[hit])
-        table += [array("q", (b,)) for b in best.tolist()]
     return table
 
 

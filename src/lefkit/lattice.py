@@ -25,11 +25,6 @@ Multidegree = tuple[int, ...]
 # the largest collection the tests and benchmarks flatten, has 16,384.
 MAX_ORBIT_BUNDLES = 2 ** 22
 
-# Largest working box, in cells (one byte each in the grid, a few times that
-# in the sweep temporaries): the closure's grid box, and the 2^k grids of the
-# twist table's dominance sweep.  (P^1)^10 at margin 2 needs 6^10 ~ 6.0e7.
-MAX_BOX_CELLS = 2 ** 29
-
 # Smallest k at which S_k-orbits are handled by their reps alone, with no bundle
 # enumerated: the closure of an S_k-stable seed and the twist table.  Below it an
 # orbit holds at most 3! = 6 bundles, and the array forms are as fast or faster.

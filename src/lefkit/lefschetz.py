@@ -137,8 +137,6 @@ def is_rectangular(coll: LefschetzCollection) -> bool:
 def check_lefschetz(coll: LefschetzCollection):
     """None if blocks are weakly decreasing; else a nesting Violation."""
     for i in range(len(coll.blocks) - 1):
-        if coll.blocks[i + 1] == coll.blocks[i]:
-            continue
         prev = set(coll.blocks[i].reps())
         for rep in coll.blocks[i + 1].reps():
             if rep not in prev:
@@ -203,11 +201,7 @@ def is_exceptional(coll: LefschetzCollection) -> bool:
     # B_0 as one group, or no group when B_0 is empty
     groups = [0, len(first.orbits)] if first.orbits else [0]
     bad = first_failing_twists(n, first.orbits, groups)
-    # the last block holding each rep; a run of equal blocks is read once, at its end
-    last = {}
-    for t, block in enumerate(coll.blocks):
-        if t + 1 == len(coll.blocks) or coll.blocks[t + 1] != block:
-            last.update(dict.fromkeys(block.reps(), t))
+    last = {rep: t for t, block in enumerate(coll.blocks) for rep in block.reps()}
     return all(row[0] > last[rep] for rep, row in zip(first.reps(), bad))
 
 

@@ -40,7 +40,6 @@ from math import comb
 
 from . import _numpy
 from .lattice import (
-    MAX_BOX_CELLS,
     ORBIT_MIN_K,
     Box,
     Multidegree,
@@ -64,6 +63,10 @@ from .lefschetz import (
 FULL = "FULL"
 NOT_FULL_BY_RANK = "NOT_FULL_BY_RANK"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+# Largest working box, in cells (one byte each in the grid, a few times that
+# in the sweep temporaries).  (P^1)^10 at margin 2 needs 6^10 ~ 6.0e7.
+MAX_BOX_CELLS = 2 ** 29
 
 # Most orbit lines in a close_orbits box, C(W+k-2, k-1) for box width W; the
 # reps it may hold are about W/k times as many.  xk1(13) at margin 2 has 6,188.

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lefkit import ext, lefschetz
+from lefkit import ext
 from lefkit.ext import (
     ext_graded,
     first_failing_twists,
@@ -102,25 +102,22 @@ def test_first_failing_twists_refuses_bad_input():
     assert first_failing_twists(1, one, [0]) == [array("q")]
 
 
-def test_an_empty_group_is_refused_in_every_form():
+def test_an_empty_group_is_refused_in_both_forms():
     # equal consecutive entries of groups are an empty group, refused before any
     # form is chosen or any point read
     forms = [
         mock.patch.object(ext, name, side_effect=AssertionError(name))
-        for name in ("_element_table", "_sweep_table", "_orbit_table", "_points")
+        for name in ("_element_table", "_orbit_table", "_points")
     ]
     element = orbit_set(2, [(0, 0), (1, 0)]).orbits
-    sweep = orbit_set(3, [(i, j, 0) for i in range(6) for j in range(i + 1)]).orbits
-    assert ext._sweep_pays(5, sweep)
     orbit = orbit_set(4, [(0,) * 4, (1, 0, 0, 0)]).orbits
     for n, orbits, groups in (
         (1, element, [0, 0, 2]),  # the element form read the next group's value
         (1, element, [0, 2, 2]),
-        (5, sweep, [len(sweep), len(sweep)]),
         (5, (), [0, 0]),
         (1, orbit, [0, 1, 1, 2]),  # the orbit form appended inf to an array("q")
     ):
-        with forms[0], forms[1], forms[2], forms[3]:
+        with forms[0], forms[1], forms[2]:
             with pytest.raises(ValueError, match="is empty"):
                 first_failing_twists(n, orbits, groups)
 
@@ -153,48 +150,6 @@ def test_the_table_form_follows_the_arity():
     with mock.patch.object(ext, "_orbit_table", side_effect=AssertionError("orbit table")):
         for k in range(1, ORBIT_MIN_K):
             first_failing_twists(1, orbit_set(k, [(1,) + (0,) * (k - 1)]).orbits, [0, 1])
-
-
-def test_one_group_in_a_shifted_cube_goes_to_the_sweep_when_its_grids_are_smaller():
-    sweeping = mock.patch.object(ext, "_sweep_table", side_effect=AssertionError("sweep"))
-    listing = mock.patch.object(ext, "_element_table", side_effect=AssertionError("element"))
-    # E(3, 20) twisted by -7: 77 reps of 400 bundles over 14 values, 8 * 14^3 < 77 * 400
-    big = orbit_set(3, [twist(r, -7) for r in lefschetz.build_E(3, 20).reps()]).orbits
-    assert ext._sweep_pays(20, big)
-    with listing:
-        table = first_failing_twists(20, big, [0, len(big)])
-    assert table == ext._element_table(20, big, [0, len(big)])
-    # E(3, 9): 8 * 7^3 is not below 22 * 100
-    small = lefschetz.build_E(3, 9).orbits
-    assert not ext._sweep_pays(9, small)
-    with sweeping:
-        first_failing_twists(9, small, [0, len(small)])
-    # the same reps with a span past n, or in two groups, keep the element form
-    with sweeping:
-        first_failing_twists(12, big, [0, len(big)])
-        first_failing_twists(20, big, [0, 1, len(big)])
-    # the grids are sized before numpy is loaded
-    arrays = mock.patch.object(ext, "_numpy", side_effect=AssertionError("numpy"))
-    with arrays, mock.patch.object(ext, "MAX_BOX_CELLS", 8 * 14 ** 3 - 1):
-        with pytest.raises(ValueError, match="twist sweep of 8 grids of 14\\^3 cells"):
-            first_failing_twists(20, big, [0, len(big)])
-
-
-@given(k=st.integers(1, 3), n=st.integers(1, 5), shift=st.integers(-4, 4), data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_the_sweep_matches_the_element_table(k, n, shift, data):
-    # one group of reps inside [shift, shift + n]^k, with repeated values, twisted copies
-    # of each other and exceptional or not; the sweep is called whatever it costs
-    value = st.integers(shift, shift + n)
-    rep = st.tuples(*[value] * k).map(canonical_rep)
-    reps = data.draw(st.lists(rep, min_size=1, max_size=8))
-    orbits = orbit_set(k, reps).orbits
-    chunk = data.draw(st.sampled_from([1, 7, ext._TWIST_CHUNK_CELLS]))
-    with mock.patch.object(ext, "_TWIST_CHUNK_CELLS", chunk):
-        got = ext._sweep_table(n, orbits)
-    want = ext._element_table(n, orbits, [0, len(orbits)])
-    assert all(type(row) is array and row.typecode == "q" for row in got)
-    assert got == want, [o.rep for o in orbits]
 
 
 @given(k=st.integers(1, 6), n=st.integers(1, 4), data=st.data())

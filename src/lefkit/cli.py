@@ -183,8 +183,9 @@ def cmd_verify(args) -> int:
         dump = collection_to_json(coll).splitlines()
         return _render(args, EXIT_OK, text=dump, json=dump)
 
-    # below ORBIT_MIN_K the twist table and the grid closure list every bundle:
-    # sized as flattened, so a refusal does not depend on the verdict
+    # below ORBIT_MIN_K a twist table or closure above REPS_MAX_CELLS lists every
+    # bundle: any such collection is sized as flattened, so a refusal depends
+    # neither on the verdict nor on the form that decides it
     if coll.k < ORBIT_MIN_K:
         _refuse_above_limit(sum(ranks(coll)))
     if is_exceptional(coll):

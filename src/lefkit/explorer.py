@@ -83,7 +83,8 @@ def _pool(spec: SearchSpec) -> tuple[Orbit, ...]:
     pool is counted before any rep is drawn: its orbits partition the points
     of [0, hi]^k with a zero coordinate, one per weakly decreasing (k-1)-tuple
     of [0, hi].  Too large a twist table is refused, and below ORBIT_MIN_K,
-    where the table lists the pool's bundles, too many bundles.
+    where a table above REPS_MAX_CELLS lists the pool's bundles, too many
+    bundles.
     """
     hi = spec.n + 1 if spec.pool_hi is None else spec.pool_hi
     if spec.k < ORBIT_MIN_K:

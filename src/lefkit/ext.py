@@ -15,15 +15,18 @@ is involved anywhere.  The vanishing predicate comes in three forms:
   same inequality solved for t over S_k-orbits: each rep a and group of
   orbits give the least twist t at which O(a + t*1) fails against some
   bundle of the group, twist 0 counting against the bundles listed before
-  a.  Below k = ORBIT_MIN_K it lists every bundle and solves per element
-  (O(a + t*1) is orthogonal to O(b) exactly when t lies in
-  (b_i - a_i, b_i - a_i + n] for some i).  From ORBIT_MIN_K on it takes
-  each (rep, orbit) pair in closed form, with no bundle listed: some
+  a.  Its element form lists every bundle and solves per element in
+  numpy (O(a + t*1) is orthogonal to O(b) exactly when t lies in
+  (b_i - a_i, b_i - a_i + n] for some i).  Its closed form takes each
+  (rep, orbit) pair in pure Python, with no bundle listed: some
   permutation of b fails against a + t exactly when the rows i can be
   matched to positions j with b_j outside [a_i + t - n, a_i + t - 1], and
   by Hall's theorem (P. Hall, J. London Math. Soc. 1935) that matching
   exists unless the a_i in some value interval [lo, hi], hi - lo < n,
   number more than k minus the b_j in [hi - n + t, lo - 1 + t].
+  lattice.on_reps picks the form: the closed form from k = ORBIT_MIN_K on,
+  and below that while the rows times the listed bundles stay within
+  REPS_MAX_CELLS, where it costs less than loading numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from bisect import bisect_left, bisect_right
 from math import comb, inf
 
 from . import _numpy
-from .lattice import ORBIT_MIN_K, _multiset_permutations, _refuse_above_limit
+from .lattice import _multiset_permutations, _refuse_above_limit, on_reps
 
 GradedDims = tuple[int, ...]
 
@@ -208,20 +211,24 @@ def first_failing_twists(n: int, orbits, groups):
     every bundle.
 
     The table is a list of array("q") rows, one per orbit, one cell per
-    group.  Below k = ORBIT_MIN_K it comes from _element_table, from there
-    on from _orbit_table, which lists no bundle.  n below 1 and an empty
-    group are refused, then (on the element path) more than
-    MAX_ORBIT_BUNDLES bundles, then a table above MAX_TWIST_TABLE cells, all
-    before any point is read, and then a coordinate or n at or beyond 2^60.
+    group.  It comes from _orbit_table, which lists no bundle, when
+    lattice.on_reps(k, rows * bundles) holds: from k = ORBIT_MIN_K on, and
+    below that for tables of at most REPS_MAX_CELLS rows times listed
+    bundles.  Larger k < ORBIT_MIN_K tables come from _element_table.  n
+    below 1 and an empty group are refused, then (on the element path) more
+    than MAX_ORBIT_BUNDLES bundles, then a table above MAX_TWIST_TABLE
+    cells, all before any point is read, and then a coordinate or n at or
+    beyond 2^60.
     """
     _check_n(n)
     for g, (lo, hi) in enumerate(zip(groups, groups[1:])):
         if hi <= lo:
             raise ValueError(f"group {g} of the twist table, orbits {lo} to {hi}, is empty")
-    if not orbits or len(orbits[0].rep) < ORBIT_MIN_K:
+    if orbits and not on_reps(len(orbits[0].rep), len(orbits) * sum(o.size for o in orbits)):
         return _element_table(n, orbits, groups)
     _refuse_twist_table(len(orbits), len(groups) - 1)
-    _refuse_far(n, min(o.rep[-1] for o in orbits), max(o.rep[0] for o in orbits))
+    if orbits:
+        _refuse_far(n, min(o.rep[-1] for o in orbits), max(o.rep[0] for o in orbits))
     return _orbit_table(n, orbits, groups)
 
 

@@ -27,8 +27,21 @@ MAX_ORBIT_BUNDLES = 2 ** 22
 
 # Smallest k at which S_k-orbits are handled by their reps alone, with no bundle
 # enumerated: the closure of an S_k-stable seed and the twist table.  Below it an
-# orbit holds at most 3! = 6 bundles, and the array forms are as fast or faster.
+# orbit holds at most 3! = 6 bundles, and on large inputs the array forms are about
+# ten times faster once numpy is loaded.
 ORBIT_MIN_K = 4
+
+# Most cells of a k < ORBIT_MIN_K input still decided on reps: a twist table's rows
+# times the bundles it lists, or a fullness closure's box.  Importing numpy costs
+# 55-90 ms, which a small run pays in full.  The dearest reps form per cell, a
+# k <= 2 search's per-orbit table, takes about 2 us a cell: about 33 ms at this
+# size, more than the import at twice it (the crossover table of BENCH_32.json).
+REPS_MAX_CELLS = 2 ** 14
+
+
+def on_reps(k: int, cells: int) -> bool:
+    """Whether an input of k-tuples and `cells` cells is decided on S_k-orbit reps alone."""
+    return k >= ORBIT_MIN_K or cells <= REPS_MAX_CELLS
 
 
 def canonical_rep(a) -> Multidegree:

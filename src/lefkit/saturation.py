@@ -20,9 +20,11 @@ subset of what its line gained.
 The rule commutes with permuting coordinates, so the closure of an
 S_k-stable seed is S_k-stable and is decided on weakly decreasing reps
 alone: close_orbits floods orbit lines, the points sort(M + (z,)) of a
-weakly decreasing (k-1)-tuple M.  From k = ORBIT_MIN_K on, where it visits
-C(W+k-2, k-1) lines of W points instead of the grid's W^k cells, fullness
-verdicts use it, and close_seed uses it for every S_k-stable seed: its
+weakly decreasing (k-1)-tuple M.  It visits C(W+k-2, k-1) lines of W
+points instead of the grid's W^k cells, in pure Python.  Fullness verdicts
+use it where lattice.on_reps holds: from k = ORBIT_MIN_K on, and on boxes
+small enough that it costs less than loading numpy below that.  close_seed
+uses it from k = ORBIT_MIN_K on for every S_k-stable seed: its
 INCONCLUSIVE answers stand, and a FULL one is redone on the grid, whose
 state certificate slices, in the least box that covers the cube: the
 closure grows with the box, so the orbit engine finds that box by trying
@@ -50,6 +52,7 @@ from .lattice import (
     _refuse_above_limit,
     canonical_rep,
     format_multidegree,
+    on_reps,
 )
 from .lefschetz import (
     LefschetzCollection,
@@ -262,8 +265,9 @@ class OrbitClosureState:
 class Verdict:
     """Outcome of a fullness check; certificate data depends on status.
 
-    FULL carries the closure state (a ClosureState, or an OrbitClosureState
-    from k = ORBIT_MIN_K on) whose trace replays to cover [0, n]^k.
+    FULL carries the closure state (an OrbitClosureState where
+    _generation_verdict decides on reps, else a ClosureState) whose trace
+    replays to cover [0, n]^k.
     NOT_FULL_BY_RANK carries the offending counts.  INCONCLUSIVE carries a
     sample of unreached points (enlarging the box may still succeed).
     """
@@ -723,14 +727,17 @@ def _generation_verdict(orbits, n: int, k: int, margin: int | None) -> Verdict:
     Generating with exactly (n+1)^k bundles needs that many distinct ones;
     any other count, taken from the orbit sizes, is NOT_FULL_BY_RANK before
     any closure runs.  With the count right, the orbits seed a closure over
-    [-margin, n+margin]^k (close_cube's margin rule): close_orbits from
-    k = ORBIT_MIN_K on, and the grid below that.  Covering the
-    cube [0, n]^k certifies FULL (the cube generates everything), and an
-    orbit certificate is replayed by replay_orbit_trace first; otherwise the
-    verdict is INCONCLUSIVE for this margin.  A negative margin is refused
-    even when the count decides.
+    [-margin, n+margin]^k (close_cube's margin rule): close_orbits when
+    lattice.on_reps(k, box cells) holds, from k = ORBIT_MIN_K on and for
+    boxes of at most REPS_MAX_CELLS cells below it; the grid otherwise.
+    Both reach the same fixed point, so the status, margin and missing
+    sample do not depend on the engine; the state and its trace do.
+    Covering the cube [0, n]^k certifies FULL (the cube generates
+    everything), and an orbit certificate is replayed by replay_orbit_trace
+    first; otherwise the verdict is INCONCLUSIVE for this margin.  A
+    negative margin is refused even when the count decides.
     """
-    _margin(n, margin)
+    box = _cube_box(n, k, margin)
     expected = (n + 1) ** k
     # one pass over orbits: a repeated rep counts again in total, once in size
     size = {}
@@ -739,7 +746,7 @@ def _generation_verdict(orbits, n: int, k: int, margin: int | None) -> Verdict:
     if count != expected or total != expected:
         detail = {"bundles": count, "expected": expected}
         return Verdict(status=NOT_FULL_BY_RANK, state=None, detail=detail)
-    if k >= ORBIT_MIN_K:
+    if on_reps(k, box.size):
         state, missing = close_orbits(size, n, k, margin, drop_outside=True)
         if not missing:
             replayed = replay_orbit_trace(state.seed, n, state.box, state.trace)

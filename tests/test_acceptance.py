@@ -38,7 +38,7 @@ from lefkit.reptheory import (
     partitions_of,
     schur_weyl_table,
 )
-from lefkit.saturation import FULL, close, residual_check, verify_fullness
+from lefkit.saturation import FULL, close, expand_orbit_trace, residual_check, verify_fullness
 
 
 def _done(name: str, start: float, budget: float):
@@ -107,8 +107,9 @@ def test_criterion_03_three_plane_minimal_collection():
     assert check_lefschetz(coll) is None
     verdict = verify_fullness(coll, margin=2)
     assert verdict.status == FULL
+    # decided on orbit reps: its rules, expanded, are the grid rules they stand for
     derived = set()
-    for app in verdict.state.trace:
+    for app in expand_orbit_trace(verdict.state.trace):
         derived.update(app.added)
     for point in [(2, 2, 0), (1, 2, 3), (3, 2, 0), (2, 0, 0)]:
         assert point in derived, point

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lefkit import ext
+from lefkit import ext, lattice
 from lefkit.ext import (
     ext_graded,
     first_failing_twists,
@@ -14,7 +14,7 @@ from lefkit.ext import (
     line_cohomology,
     nonorthogonal_below,
 )
-from lefkit.lattice import ORBIT_MIN_K, canonical_rep, orbit_set, twist
+from lefkit.lattice import ORBIT_MIN_K, canonical_rep, normalised_reps, orbit_set, twist
 
 
 def test_line_cohomology_known_values():
@@ -138,8 +138,9 @@ def test_the_orbit_table_refuses_bad_input_before_reading_a_rep():
     assert first_failing_twists(1, one, [0]) == [array("q")]
 
 
-def test_the_table_form_follows_the_arity():
-    # from ORBIT_MIN_K on no bundle is listed and numpy is not called
+def test_the_table_form_follows_the_arity_and_the_size():
+    # on reps, listing no bundle and calling no numpy: from ORBIT_MIN_K on whatever
+    # the size, and below it up to REPS_MAX_CELLS rows times listed bundles
     listing = mock.patch.object(ext, "_multiset_permutations", side_effect=AssertionError)
     arrays = mock.patch.object(ext, "_numpy", side_effect=AssertionError)
     orbits = orbit_set(6, [(1, 1, 1, 0, 0, 0), (0,) * 6]).orbits
@@ -147,9 +148,29 @@ def test_the_table_form_follows_the_arity():
     assert want == [array("q", [2, 3]), array("q", [2, 1])]
     with listing, arrays:
         assert first_failing_twists(1, orbits, [0, 1, 2]) == want
+    # the largest benchmarked search pool, k = 3 and pool_hi = 4: 15 rows x 61 bundles
+    pools = {k: orbit_set(k, normalised_reps(k, 4)).orbits for k in range(1, ORBIT_MIN_K)}
+    assert len(pools[3]) * sum(o.size for o in pools[3]) == 915
+    with listing, arrays:
+        for pool in pools.values():
+            first_failing_twists(2, pool, range(len(pool) + 1))
+    # above it a k < ORBIT_MIN_K table is the element table
+    large = [  # 257 x 257, 201 x 401 and 136 x 721 cells
+        orbit_set(1, [(i,) for i in range(257)]).orbits,
+        orbit_set(2, normalised_reps(2, 200)).orbits,
+        orbit_set(3, normalised_reps(3, 15)).orbits,
+    ]
     with mock.patch.object(ext, "_orbit_table", side_effect=AssertionError("orbit table")):
-        for k in range(1, ORBIT_MIN_K):
-            first_failing_twists(1, orbit_set(k, [(1,) + (0,) * (k - 1)]).orbits, [0, 1])
+        for orbits in large:
+            assert len(orbits) * sum(o.size for o in orbits) > lattice.REPS_MAX_CELLS
+            first_failing_twists(1, orbits, [0, len(orbits)])
+    # the bound is inclusive
+    cells = len(pools[3]) * 61
+    for limit, form in ((cells, "_orbit_table"), (cells - 1, "_element_table")):
+        with mock.patch.object(lattice, "REPS_MAX_CELLS", limit):
+            with mock.patch.object(ext, form, side_effect=AssertionError(form)):
+                with pytest.raises(AssertionError, match=form):
+                    first_failing_twists(1, pools[3], [0, len(pools[3])])
 
 
 @given(k=st.integers(1, 6), n=st.integers(1, 4), data=st.data())

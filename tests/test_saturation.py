@@ -2,6 +2,7 @@ import itertools
 import random
 from dataclasses import replace
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from lefkit import lattice, saturation
-from lefkit.lattice import Box, canonical_rep, orbit_of, orbit_set
+from lefkit.lattice import Box, canonical_rep, orbit_of, orbit_set, twist
 from lefkit.lefschetz import (
     LefschetzCollection,
     flatten_bundles,
@@ -17,6 +18,7 @@ from lefkit.lefschetz import (
     x32_minimal,
     x32_rectangular_part,
     x32_residual,
+    x3n_rectangular,
     xk1,
 )
 from lefkit.saturation import (
@@ -26,6 +28,7 @@ from lefkit.saturation import (
     MAX_ORBIT_LINES,
     MISSING_SAMPLE,
     NOT_FULL_BY_RANK,
+    ClosureState,
     OrbitClosureState,
     OrbitRule,
     RuleApplication,
@@ -244,9 +247,14 @@ def test_verify_fullness_x32():
     verdict = verify_fullness(x32_minimal(), margin=2)
     assert verdict.status == FULL
     assert verdict.detail["margin"] == 2
+    # decided on orbit reps: the rules replay on reps, and expanded on points
     state = verdict.state
-    assert replay_trace(state.seed, 2, state.box, state.trace) == state.members
-    assert set(Box(lo=0, hi=2, k=3).points()) <= state.members
+    assert replay_orbit_trace(state.seed, 2, state.box, state.trace) == state.members
+    assert set(map(canonical_rep, Box(lo=0, hi=2, k=3).points())) <= state.members
+    seed = [p for r in state.seed for p in orbit_of(r).elements]
+    points = replay_trace(seed, 2, state.box, expand_orbit_trace(state.trace))
+    assert points == {p for r in state.members for p in orbit_of(r).elements}
+    assert set(Box(lo=0, hi=2, k=3).points()) <= points
 
 
 def test_verify_fullness_rank_mismatch():
@@ -866,6 +874,55 @@ def test_expanded_orbit_trace_replays_to_the_cube(coll):
     assert len(trace) == sum(coll.k * orbit_of(r.line).size for r in state.trace)
     members = replay_trace(seed, coll.n, state.box, trace)
     assert set(Box(lo=0, hi=coll.n, k=coll.k).points()) <= members
+
+
+@st.composite
+def counted_seeds(draw):
+    """(rep, size) of each orbit of the cube [0, n]^k, k <= 3, twisted by its own random t.
+
+    (n+1)^k bundles unless two twisted reps meet; margins 0..n+1.
+    """
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    margin = draw(st.integers(0, n + 1))
+    spread, rng = draw(st.integers(0, 2)), draw(st.randoms(use_true_random=False))
+    reps = itertools.combinations_with_replacement(range(n, -1, -1), k)
+    orbits = [(twist(r, rng.randint(-spread, spread)), orbit_of(r).size) for r in reps]
+    return orbits, n, k, margin
+
+
+@settings(max_examples=150, deadline=None)
+@given(counted_seeds())
+def test_a_generation_verdict_is_the_same_on_reps_and_on_the_grid(case):
+    orbits, n, k, margin = case
+    verdicts = []
+    for limit in (0, 2 ** 62):  # every box on the grid, then every box on reps
+        with mock.patch.object(lattice, "REPS_MAX_CELLS", limit):
+            verdicts.append(saturation._generation_verdict(orbits, n, k, margin))
+    grid, reps = verdicts
+    assert (reps.status, reps.detail) == (grid.status, grid.detail)
+    if reps.status == NOT_FULL_BY_RANK:
+        return
+    assert isinstance(grid.state, ClosureState) and isinstance(reps.state, OrbitClosureState)
+    if reps.status == FULL:
+        state, cube = reps.state, Box(lo=0, hi=n, k=k)
+        replayed = replay_orbit_trace(state.seed, n, state.box, state.trace)
+        assert set(map(canonical_rep, cube.points())) <= replayed
+        seed = orbit_elements(state.seed)
+        points = replay_trace(seed, n, state.box, expand_orbit_trace(state.trace))
+        assert set(cube.points()) <= points
+
+
+def test_the_closure_engine_follows_the_arity_and_the_size():
+    # x3n(7) closes in a box of 24^3 cells, at most REPS_MAX_CELLS: on reps, with
+    # no numpy; x3n(9) and x3n(13), in boxes of 30^3 and 42^3, on the grid
+    assert 24 ** 3 <= lattice.REPS_MAX_CELLS < 30 ** 3
+    grid = mock.patch.object(saturation, "close_cube", side_effect=AssertionError("grid"))
+    arrays = mock.patch.object(saturation, "_numpy", side_effect=AssertionError("numpy"))
+    with grid, arrays:
+        assert verify_fullness(x3n_rectangular(7)).status == FULL
+    with mock.patch.object(saturation, "close_orbits", side_effect=AssertionError("reps")):
+        for n in (9, 13):
+            assert isinstance(verify_fullness(x3n_rectangular(n)).state, ClosureState)
 
 
 def test_orbit_replay_rejects_corrupt_traces():

@@ -1,10 +1,11 @@
 """Start-up contract: importing lefkit, or any of its modules, loads no numpy;
 each public name loads its submodule on first access, numpy loads with its
-OpenBLAS on one thread when an array kernel first needs it (the grid closure,
-the k <= 3 twist table, the witness scans), and the caller's environment is
-left as it was.  From k = 4 on, verdicts on nested collections and S_k-stable
+OpenBLAS on one thread when an array kernel first needs it (a k <= 3 twist
+table or fullness closure above lattice.REPS_MAX_CELLS cells, the grid
+closure of `lefkit closure`, the witness scans), and the caller's environment
+is left as it was.  From k = 4 on, verdicts on nested collections and S_k-stable
 seeds, and the theorem's semiorthogonality grid, run on orbit reps and load
-no numpy at all.
+no numpy at all; so do k <= 3 verdicts and searches on inputs within that size.
 
 Each case runs in a fresh interpreter, because pytest has already imported
 numpy in this one, and OpenBLAS reads its thread count only when it loads.
@@ -44,7 +45,8 @@ CASES = {
     "lefkit.cli": ("import lefkit.cli", False),
     "lefkit.saturation": ("import lefkit.saturation", False),
     "lefkit.explorer": ("import lefkit.explorer", False),
-    "lefkit-kernel": ("import lefkit; lefkit.is_exceptional(lefkit.xk1(3))", True),
+    # a B_0 table of 176 rows x 961 bundles, above lattice.REPS_MAX_CELLS
+    "lefkit-kernel": ("import lefkit; lefkit.is_exceptional(lefkit.x3n_rectangular(30))", True),
 }
 
 
@@ -91,14 +93,15 @@ def test_a_callers_thread_count_is_kept(case):
     assert probe(CASES[case][0], OPENBLAS_NUM_THREADS="2")["blas"] == "2"
 
 
-def test_a_fullness_check_leaves_numpy_ma_unloaded():
-    report = probe('from lefkit import cli; cli.main(["verify", "--builtin", "x32-minimal"])')
-    assert "numpy" in report["loaded"] and "numpy.ma" not in report["loaded"]
-
-
 def run_cli(rc, *argv):
     """Probe code running `lefkit` with argv and checking that it exits with rc."""
     return f"from lefkit import cli\nassert cli.main({list(argv)!r}) == {rc}"
+
+
+def test_a_fullness_check_leaves_numpy_ma_unloaded():
+    # x3n(13) closes on the grid: its box of 42^3 cells is above lattice.REPS_MAX_CELLS
+    report = probe(run_cli(0, "verify", "--builtin", "x3n-rectangular", "--n", "13"))
+    assert "numpy" in report["loaded"] and "numpy.ma" not in report["loaded"]
 
 
 def test_verdicts_from_k_4_on_load_no_numpy(tmp_path):
@@ -109,6 +112,20 @@ def test_verdicts_from_k_4_on_load_no_numpy(tmp_path):
         run_cli(0, "verify", "--builtin", "xk1", "--k", "7"),
         run_cli(3, "closure", "--seed-file", str(seed), "--n", "1"),  # INCONCLUSIVE
         run_cli(0, "search", "--k", "7", "--n", "1", "--target", "rectangular"),
+    ):
+        assert probe(code)["loaded"] == ["lefkit.saturation", "lefkit.explorer"], code
+
+
+def test_small_k_3_verdicts_and_searches_load_no_numpy():
+    # twist tables of at most 915 cells and closure boxes of at most 24^3
+    for code in (
+        run_cli(0, "search", "--k", "3", "--n", "2", "--target", "minimal"),
+        run_cli(0, "search", "--k", "3", "--n", "2", "--target", "minimal", "--pool-hi", "4"),
+        run_cli(0, "search", "--k", "2", "--n", "5", "--target", "minimal"),
+        run_cli(0, "search", "--k", "3", "--n", "3", "--target", "rectangular"),
+        run_cli(0, "search", "--k", "3", "--n", "2", "--target", "rectangular", "--no-prune"),
+        run_cli(3, "verify", "--builtin", "x32-minimal", "--margin", "0"),  # INCONCLUSIVE
+        run_cli(0, "verify", "--builtin", "x3n-rectangular", "--n", "7"),
     ):
         assert probe(code)["loaded"] == ["lefkit.saturation", "lefkit.explorer"], code
 

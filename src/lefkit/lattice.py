@@ -27,8 +27,8 @@ MAX_ORBIT_BUNDLES = 2 ** 22
 
 # Smallest k at which S_k-orbits are handled by their reps alone, with no bundle
 # enumerated: the closure of an S_k-stable seed and the twist table.  Below it an
-# orbit holds at most 3! = 6 bundles, and on large inputs the array forms are about
-# ten times faster once numpy is loaded.
+# orbit holds at most 3! = 6 bundles, and on large inputs the array forms are ten to
+# twenty times faster once numpy is loaded.
 ORBIT_MIN_K = 4
 
 # Most cells of a k < ORBIT_MIN_K input still decided on reps: a twist table's rows

@@ -165,8 +165,7 @@ def test_the_table_form_follows_the_arity_and_the_size():
             assert len(orbits) * sum(o.size for o in orbits) > lattice.REPS_MAX_CELLS
             first_failing_twists(1, orbits, [0, len(orbits)])
     # the bound is inclusive
-    cells = len(pools[3]) * 61
-    for limit, form in ((cells, "_orbit_table"), (cells - 1, "_element_table")):
+    for limit, form in ((915, "_orbit_table"), (914, "_element_table")):
         with mock.patch.object(lattice, "REPS_MAX_CELLS", limit):
             with mock.patch.object(ext, form, side_effect=AssertionError(form)):
                 with pytest.raises(AssertionError, match=form):

@@ -251,9 +251,8 @@ def test_verify_fullness_x32():
     state = verdict.state
     assert replay_orbit_trace(state.seed, 2, state.box, state.trace) == state.members
     assert set(map(canonical_rep, Box(lo=0, hi=2, k=3).points())) <= state.members
-    seed = [p for r in state.seed for p in orbit_of(r).elements]
-    points = replay_trace(seed, 2, state.box, expand_orbit_trace(state.trace))
-    assert points == {p for r in state.members for p in orbit_of(r).elements}
+    points = replay_trace(orbit_elements(state.seed), 2, state.box, expand_orbit_trace(state.trace))
+    assert points == orbit_elements(state.members)
     assert set(Box(lo=0, hi=2, k=3).points()) <= points
 
 

@@ -28,7 +28,6 @@ from .lattice import (
 from .lefschetz import (
     JSON_SCHEMA,
     _shown,
-    check_exceptional,
     check_lefschetz,
     check_theorem_semiorthogonality,
     collection_from_json,
@@ -183,9 +182,10 @@ def cmd_verify(args) -> int:
         dump = collection_to_json(coll).splitlines()
         return _render(args, EXIT_OK, text=dump, json=dump)
 
-    # below ORBIT_MIN_K a twist table or closure above REPS_MAX_CELLS lists every
-    # bundle: any such collection is sized as flattened, so a refusal depends
-    # neither on the verdict nor on the form that decides it
+    # below ORBIT_MIN_K a closure above REPS_MAX_CELLS seeds the grid with every
+    # bundle (no twist table lists one): any such collection is sized as
+    # flattened, so a refusal depends neither on the verdict nor on the form
+    # that decides it
     if coll.k < ORBIT_MIN_K:
         _refuse_above_limit(sum(ranks(coll)))
     if is_exceptional(coll):
@@ -412,7 +412,7 @@ def cmd_report(args) -> int:
         (
             "x32-minimal",
             f"ranks {_ranks_text(coll)}, "
-            f"exceptional {'ok' if not check_exceptional(coll) else 'FAIL'}, "
+            f"exceptional {'ok' if is_exceptional(coll) else 'FAIL'}, "
             f"fullness {verdict.status} at margin 2, "
             f"residual {'ok' if res_ok else 'FAIL'}",
         )

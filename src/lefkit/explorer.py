@@ -21,14 +21,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .ext import _refuse_twist_table, first_failing_twists
-from .lattice import (
-    ORBIT_MIN_K,
-    Orbit,
-    OrbitSet,
-    _refuse_above_limit,
-    normalised_reps,
-    orbit_set,
-)
+from .lattice import Orbit, OrbitSet, normalised_reps, orbit_set
 from .lefschetz import LefschetzCollection
 from .reptheory import content_orbit_count, decreasing_tuples, partitions_of, perm_module_dim
 from .saturation import FULL, INCONCLUSIVE, _margin, verify_fullness
@@ -82,13 +75,10 @@ def _pool(spec: SearchSpec) -> tuple[Orbit, ...]:
     Their positions are the pool indices that candidates are made of.  The
     pool is counted before any rep is drawn: its orbits partition the points
     of [0, hi]^k with a zero coordinate, one per weakly decreasing (k-1)-tuple
-    of [0, hi].  Too large a twist table is refused, and below ORBIT_MIN_K,
-    where a table above REPS_MAX_CELLS lists the pool's bundles, too many
-    bundles.
+    of [0, hi].  Too large a twist table is refused; no form of the table
+    lists the pool's bundles, so their number is not bounded.
     """
     hi = spec.n + 1 if spec.pool_hi is None else spec.pool_hi
-    if spec.k < ORBIT_MIN_K:
-        _refuse_above_limit((hi + 1) ** spec.k - hi ** spec.k)
     m = comb(hi + spec.k - 1, spec.k - 1)
     _refuse_twist_table(m, m)
     return orbit_set(spec.k, normalised_reps(spec.k, hi)).orbits

@@ -15,29 +15,26 @@ is involved anywhere.  The vanishing predicate comes in three forms:
   same inequality solved for t over S_k-orbits: each rep a and group of
   orbits give the least twist t at which O(a + t*1) fails against some
   bundle of the group, twist 0 counting against the bundles listed before
-  a.  Its element form lists every bundle and solves per element in
-  numpy (O(a + t*1) is orthogonal to O(b) exactly when t lies in
-  (b_i - a_i, b_i - a_i + n] for some i).  Its closed form takes each
-  (rep, orbit) pair in pure Python, with no bundle listed: some
-  permutation of b fails against a + t exactly when the rows i can be
-  matched to positions j with b_j outside [a_i + t - n, a_i + t - 1], and
-  by Hall's theorem (P. Hall, J. London Math. Soc. 1935) that matching
-  exists unless the a_i in some value interval [lo, hi], hi - lo < n,
-  number more than k minus the b_j in [hi - n + t, lo - 1 + t].
-  lattice.on_reps picks the form: the closed form from k = ORBIT_MIN_K on,
-  and below that while the rows times the listed bundles stay within
-  REPS_MAX_CELLS, where it costs less than loading numpy.
+  a.  It lists no bundle.  Against an orbit with rep b, some permutation
+  of b fails against a + t exactly when, both sorted, for some split s
+  the s smallest b_j lie below the windows [a_i + t - n, a_i + t - 1] of
+  the s largest a_i and the other b_j above the windows of the other a_i,
+  each part matched in sorted order: swapping two pairs that cross keeps
+  a failing matching failing.  So the least failing t is a bound of the
+  first split that fits.  The rule comes in two forms, chosen by
+  lattice.on_reps: in pure Python one orbit pair at a time from k =
+  ORBIT_MIN_K on, and below that while the rows times the orbits' bundles
+  stay within REPS_MAX_CELLS, where it costs less than loading numpy; in
+  numpy over a block of rows at once otherwise.
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
-from bisect import bisect_left, bisect_right
 from math import comb, inf
 
 from . import _numpy
-from .lattice import _multiset_permutations, _refuse_above_limit, on_reps
+from .lattice import on_reps
 
 GradedDims = tuple[int, ...]
 
@@ -52,8 +49,8 @@ _COORD_LIMIT = 2 ** 62
 # bound no sum wraps either.
 _TWIST_LIMIT = 2 ** 60
 
-# Offsets per twist-table block: the (rows, bundles, k) int64 array of b - a
-# stays near 3 MB.
+# Coordinates per twist-table block: each (k, rows, orbits) int64 array of
+# b - a stays near 3 MB.
 _TWIST_CHUNK_CELLS = 3 * 2 ** 17
 
 # Most cells of a twist table, one int64 per (rep, target group): 32 MB.  A
@@ -210,108 +207,69 @@ def first_failing_twists(n: int, orbits, groups):
     exceeds an element differs by at most n.  Twists t >= 1 count against
     every bundle.
 
-    The table is a list of array("q") rows, one per orbit, one cell per
-    group.  It comes from _orbit_table, which lists no bundle, when
-    lattice.on_reps(k, rows * bundles) holds: from k = ORBIT_MIN_K on, and
-    below that for tables of at most REPS_MAX_CELLS rows times listed
-    bundles.  Larger k < ORBIT_MIN_K tables come from _element_table.  n
-    below 1 and an empty group are refused, then (on the element path) more
-    than MAX_ORBIT_BUNDLES bundles, then a table above MAX_TWIST_TABLE
-    cells, all before any point is read, and then a coordinate or n at or
-    beyond 2^60.
+    Against one orbit the least twist comes from the split rule of
+    _least_failing_twist, on the two reps alone.  The table is a list of
+    array("q") rows, one per orbit, one cell per group.  It comes from
+    _orbit_table, in pure Python, when lattice.on_reps(k, rows * bundles)
+    holds: from k = ORBIT_MIN_K on, and below that for tables of at most
+    REPS_MAX_CELLS rows times the orbits' bundles.  Larger k < ORBIT_MIN_K
+    tables come from _array_table, the same rule in numpy.  Neither lists a
+    bundle.  n below 1, an empty group, a
+    table above MAX_TWIST_TABLE cells and a coordinate or n at or beyond
+    2^60 are refused in that order, the first three before any rep is read.
     """
     _check_n(n)
     for g, (lo, hi) in enumerate(zip(groups, groups[1:])):
         if hi <= lo:
             raise ValueError(f"group {g} of the twist table, orbits {lo} to {hi}, is empty")
-    if orbits and not on_reps(len(orbits[0].rep), len(orbits) * sum(o.size for o in orbits)):
-        return _element_table(n, orbits, groups)
     _refuse_twist_table(len(orbits), len(groups) - 1)
-    if orbits:
-        _refuse_far(n, min(o.rep[-1] for o in orbits), max(o.rep[0] for o in orbits))
-    return _orbit_table(n, orbits, groups)
+    if not orbits:
+        return []
+    _refuse_far(n, min(o.rep[-1] for o in orbits), max(o.rep[0] for o in orbits))
+    if on_reps(len(orbits[0].rep), len(orbits) * sum(o.size for o in orbits)):
+        return _orbit_table(n, orbits, groups)
+    return _array_table(n, orbits, groups)
 
 
-def _element_table(n: int, orbits, groups):
-    """first_failing_twists over every bundle of `orbits`, in numpy blocks of rows.
-
-    O(a + t*1) is orthogonal to O(b) exactly when t lies in one of the k
-    intervals (d_i, d_i + n], d = b - a.  Scanning the d_i in ascending
-    order from the least twist that counts, an interval holding t moves t
-    past its end d_i + n; the first that does not leaves t uncovered, and
-    so do all later ones.  The answer is 0, 1 or some d_i + n + 1, at most
-    k*n + 1.  Rows are taken a block at a time and reduced onto the groups
-    at once.
-    """
-    np = _numpy()
-    starts = list(itertools.accumulate((o.size for o in orbits), initial=0))
-    _refuse_above_limit(starts[-1])
-    _refuse_twist_table(len(orbits), len(groups) - 1)
-    pts = _points([o.rep for o in orbits])
-    if not (len(orbits) and len(groups) > 1):
-        return [array("q") for _ in orbits]
-    # the bundles are permutations of the reps, so the reps bound them too
-    _refuse_far(n, int(pts.min()), int(pts.max()))
-    tgt = _points([el for o in orbits for el in _multiset_permutations(o.rep)])
-    # each rep is the last bundle of its orbit
-    bound = np.asarray(starts[1:], dtype=np.int64) - 1
-    offsets = [starts[g] for g in groups[:-1]]
-    step = max(1, _TWIST_CHUNK_CELLS // tgt.size)
-    table = []
-    for start in range(0, len(pts), step):
-        # e = d + 1, each pair's offsets ascending
-        e = tgt[None, :, :] - (pts[start : start + step, None, :] - 1)
-        e.sort(axis=2)
-        t = (np.arange(len(tgt)) >= bound[start : start + step, None]).astype(np.int64)
-        for i in range(e.shape[2]):
-            # d_i < t <= d_i + n exactly when t - e_i, read unsigned, is below n
-            np.add(e[:, :, i], n, out=t, where=(t - e[:, :, i]).view(np.uint64) < n)
-        block = np.minimum.reduceat(t, offsets, axis=1)
-        table += [array("q", row.tobytes()) for row in block]
-    return table
-
-
-def _hall_triples(n: int, a):
-    """(hi - n, lo - 1, count) for each pair of values lo <= hi of a with hi - lo < n.
-
-    a is ascending; count is how many a_i lie in [lo, hi].  These are the
-    Hall sets of _least_failing_twist: rows whose windows all hold
-    [hi - n + t, lo - 1 + t].
-    """
-    values = sorted(set(a))
-    triples = []
-    for x, lo in enumerate(values):
-        for hi in values[x:]:
-            if hi - lo >= n:
-                break
-            triples.append((hi - n, lo - 1, bisect_right(a, hi) - bisect_left(a, lo)))
-    return triples
-
-
-def _least_failing_twist(k, triples, shifts, b, t0, best):
+def _least_failing_twist(n: int, runs, b, t0: int, best):
     """The least t in [t0, best) at which some permutation of b fails against a + t*1, or best.
 
-    b is ascending.  Rows i and positions j pair up when b_j lies outside
-    a_i's window [a_i + t - n, a_i + t - 1]; some permutation fails exactly
-    when they pair up perfectly, which by Hall's theorem fails exactly when
-    some triple (u, w, count) has count + #{b_j in [u + t, w + t]} > k.  A
-    pair (i, j) joins only as t reaches b_j - a_i + n + 1, so the least such
-    t is t0 or one of those: a value of b plus a shift n + 1 - a_i.
+    a and b are ascending, and runs holds (value, first, last) for each run
+    of equal a_i.  A permutation fails when each b_j lies outside the
+    window [a_i + t - n, a_i + t - 1] of the a_i it meets: below it, for
+    t >= b_j - a_i + n + 1, or above it, for t <= b_j - a_i.  Crossing
+    pairs exchange: two pairs below, or two above, still fail matched in
+    sorted order, and a pair below with a larger b_j or a smaller a_i than
+    a pair above still fails with those swapped.  So some permutation fails
+    at t exactly when, for some split s, the s smallest b_j lie below the
+    windows of the s largest a_i, in order, which needs
+    t >= L_s = max_{j<s} (b_j - a_{k-s+j}) + n + 1, and the other b_j lie
+    above the windows of the other a_i, in order, which needs
+    t <= U_s = min_{j<k-s} (b_{s+j} - a_j).  L_s and U_s rise with s and
+    U_k is unbounded, so the least t is max(t0, L_s) at the first s where
+    that is at most U_s.  Each run takes one step per s: the pairs below
+    are bounded by its last b_j, those above by its first.
     """
     if t0 >= best:
         return best
-    later = sorted(t for t in {v + s for v in b for s in shifts} if t0 < t < best)
-    for t in (t0, *later):
-        for u, w, c in triples:
-            if c + bisect_right(b, w + t) - bisect_left(b, u + t) > k:
+    k = len(b)
+    for s in range(k + 1):
+        low, high = t0, inf
+        for v, first, last in runs:
+            if last >= k - s and b[last - k + s] - v + n >= low:
+                low = b[last - k + s] - v + n + 1
+                if low >= best:
+                    return best
+            if first < k - s and b[s + first] - v < high:
+                high = b[s + first] - v
+            if low > high:
                 break
         else:
-            return t
-    return best
+            return low
 
 
 def _orbit_table(n: int, orbits, groups):
-    """first_failing_twists on reps alone, one closed-form _least_failing_twist per orbit pair.
+    """first_failing_twists by _least_failing_twist, one orbit pair at a time, in pure Python.
 
     The rep against an orbit listed before it starts at twist 0, and
     against one listed after it at 1.  Against its own orbit it fails at 0
@@ -320,10 +278,9 @@ def _orbit_table(n: int, orbits, groups):
     an orbit only tries the twists below the best so far.
     """
     reps = [o.rep[::-1] for o in orbits]
-    triples = [_hall_triples(n, a) for a in reps]
-    shifts = [{n + 1 - v for v in set(a)} for a in reps]
     table = []
     for p, a in enumerate(reps):
+        runs = [(v, i, i + a.count(v) - 1) for i, v in enumerate(a) if a.index(v) == i]
         row = array("q")
         for lo, hi in zip(groups, groups[1:]):
             best = inf
@@ -331,8 +288,42 @@ def _orbit_table(n: int, orbits, groups):
                 if q == p and a[-1] - a[0] > n:
                     best = 0
                 else:
-                    t0 = 0 if q < p else 1
-                    best = _least_failing_twist(len(a), triples[p], shifts[p], reps[q], t0, best)
+                    best = _least_failing_twist(n, runs, reps[q], 0 if q < p else 1, best)
             row.append(best)
         table.append(row)
+    return table
+
+
+def _array_table(n: int, orbits, groups):
+    """first_failing_twists by the rule of _least_failing_twist, a block of rows at once, in numpy.
+
+    For each split s one reduction gives L_s and one U_s over every (rep,
+    orbit) pair of the block; from s = k down, a pair takes max(t0, L_s)
+    wherever that is at most U_s, so the first s that fits is the one
+    kept.  t0 is 0 against the orbits listed before the rep and 1 from its
+    own on, and the own orbit's cell is 0 where the rep spans more than n.
+    The cells are then reduced onto the groups in numpy.
+    """
+    np = _numpy()
+    if not (orbits and len(groups) > 1):
+        return [array("q") for _ in orbits]
+    # coordinate-major, so that each reduction runs over the first axis
+    b = _points([o.rep[::-1] for o in orbits]).T.copy()
+    k, m = b.shape
+    wide = b[-1] - b[0] > n
+    offsets = list(groups[:-1])
+    step = max(1, _TWIST_CHUNK_CELLS // b.size)
+    table = []
+    for start in range(0, m, step):
+        a = b[:, start : start + step, None]
+        rows = np.arange(start, start + a.shape[1])
+        t0 = (np.arange(m) >= rows[:, None]).astype(np.int64)
+        t = np.maximum(t0, (b[:, None] - a).max(axis=0) + (n + 1))
+        for s in range(k - 1, -1, -1):
+            low = np.maximum(t0, (b[:s, None] - a[k - s :]).max(axis=0) + (n + 1)) if s else t0
+            np.copyto(t, low, where=low <= (b[s:, None] - a[: k - s]).min(axis=0))
+        own = rows[wide[rows]]
+        t[own - start, own] = 0
+        block = np.minimum.reduceat(t, offsets, axis=1)
+        table += [array("q", row.tobytes()) for row in block]
     return table

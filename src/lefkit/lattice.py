@@ -25,17 +25,21 @@ Multidegree = tuple[int, ...]
 # the largest collection the tests and benchmarks flatten, has 16,384.
 MAX_ORBIT_BUNDLES = 2 ** 22
 
-# Smallest k at which S_k-orbits are handled by their reps alone, with no bundle
-# enumerated: the closure of an S_k-stable seed and the twist table.  Below it an
-# orbit holds at most 3! = 6 bundles, and on large inputs the array forms are ten to
-# twenty times faster once numpy is loaded.
+# Smallest k at which S_k-orbits are handled by their reps alone in pure Python:
+# the closure of an S_k-stable seed and the twist table.  Below it an orbit holds
+# at most 3! = 6 bundles, and on large inputs the array forms are ten to twenty
+# times faster once numpy is loaded.  Those figures were measured against the
+# Hall's-theorem table and the bundle-listing element kernel, which the split-rule
+# forms replaced; the routing is kept as it was, not measured again.
 ORBIT_MIN_K = 4
 
 # Most cells of a k < ORBIT_MIN_K input still decided on reps: a twist table's rows
-# times the bundles it lists, or a fullness closure's box.  Importing numpy costs
+# times its orbits' bundles, or a fullness closure's box.  Importing numpy costs
 # 55-90 ms, which a small run pays in full.  The dearest reps form per cell, a
-# k <= 2 search's per-orbit table, takes about 2 us a cell: about 33 ms at this
-# size, more than the import at twice it (the crossover table of BENCH_32.json).
+# k <= 2 search's per-orbit table, took about 2 us a cell on the Hall's-theorem
+# table: about 33 ms at this size, more than the import at twice it (the
+# crossover table of BENCH_32.json).  The split-rule table costs less a cell;
+# the bound is kept, not measured again.
 REPS_MAX_CELLS = 2 ** 14
 
 

@@ -736,15 +736,13 @@ def test_oversized_search_pools_refused_before_drawing_reps(capsys, monkeypatch)
         raise AssertionError("pool reps drawn before the size check")
 
     monkeypatch.setattr(explorer, "normalised_reps", boom)
-    # below k = 4 the twist table lists the pool's bundles, and they are counted
-    for k, n, target in ((3, 1200, "minimal"), (2, 2 ** 21, "rectangular")):
-        rc, out, err = run(capsys, "search", "--k", str(k), "--n", str(n), "--target", target)
-        assert (rc, out) == (2, ""), target
-        bundles = (n + 2) ** k - (n + 1) ** k
-        assert err == (f"error: S_k-stable set of {bundles} bundles is more than the limit of "
-                       "4194304\n")
-    # from k = 4 on only the table of one cell per pair of pool orbits is
-    for k, n, target in ((14, 14, "rectangular"), (12, 12, "minimal")):
+    # only the table of one cell per pair of pool orbits is sized, at every k
+    for k, n, target in (
+        (3, 1200, "minimal"),
+        (2, 2 ** 21, "rectangular"),
+        (14, 14, "rectangular"),
+        (12, 12, "minimal"),
+    ):
         rc, out, err = run(capsys, "search", "--k", str(k), "--n", str(n), "--target", target)
         assert (rc, out) == (2, ""), target
         orbits = comb(n + k, k - 1)

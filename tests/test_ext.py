@@ -107,12 +107,12 @@ def test_an_empty_group_is_refused_in_both_forms():
     # form is chosen or any point read
     forms = [
         mock.patch.object(ext, name, side_effect=AssertionError(name))
-        for name in ("_element_table", "_orbit_table", "_points")
+        for name in ("_array_table", "_orbit_table", "_points")
     ]
     element = orbit_set(2, [(0, 0), (1, 0)]).orbits
     orbit = orbit_set(4, [(0,) * 4, (1, 0, 0, 0)]).orbits
     for n, orbits, groups in (
-        (1, element, [0, 0, 2]),  # the element form read the next group's value
+        (1, element, [0, 0, 2]),  # a numpy form read the next group's value
         (1, element, [0, 2, 2]),
         (5, (), [0, 0]),
         (1, orbit, [0, 1, 1, 2]),  # the orbit form appended inf to an array("q")
@@ -139,22 +139,21 @@ def test_the_orbit_table_refuses_bad_input_before_reading_a_rep():
 
 
 def test_the_table_form_follows_the_arity_and_the_size():
-    # on reps, listing no bundle and calling no numpy: from ORBIT_MIN_K on whatever
-    # the size, and below it up to REPS_MAX_CELLS rows times listed bundles
-    listing = mock.patch.object(ext, "_multiset_permutations", side_effect=AssertionError)
+    # on reps in pure Python, calling no numpy: from ORBIT_MIN_K on whatever the
+    # size, and below it up to REPS_MAX_CELLS rows times the orbits' bundles
     arrays = mock.patch.object(ext, "_numpy", side_effect=AssertionError)
     orbits = orbit_set(6, [(1, 1, 1, 0, 0, 0), (0,) * 6]).orbits
-    want = ext._element_table(1, orbits, [0, 1, 2])
+    want = ext._array_table(1, orbits, [0, 1, 2])
     assert want == [array("q", [2, 3]), array("q", [2, 1])]
-    with listing, arrays:
+    with arrays:
         assert first_failing_twists(1, orbits, [0, 1, 2]) == want
     # the largest benchmarked search pool, k = 3 and pool_hi = 4: 15 rows x 61 bundles
     pools = {k: orbit_set(k, normalised_reps(k, 4)).orbits for k in range(1, ORBIT_MIN_K)}
     assert len(pools[3]) * sum(o.size for o in pools[3]) == 915
-    with listing, arrays:
+    with arrays:
         for pool in pools.values():
             first_failing_twists(2, pool, range(len(pool) + 1))
-    # above it a k < ORBIT_MIN_K table is the element table
+    # above it a k < ORBIT_MIN_K table is the array table
     large = [  # 257 x 257, 201 x 401 and 136 x 721 cells
         orbit_set(1, [(i,) for i in range(257)]).orbits,
         orbit_set(2, normalised_reps(2, 200)).orbits,
@@ -165,31 +164,67 @@ def test_the_table_form_follows_the_arity_and_the_size():
             assert len(orbits) * sum(o.size for o in orbits) > lattice.REPS_MAX_CELLS
             first_failing_twists(1, orbits, [0, len(orbits)])
     # the bound is inclusive
-    for limit, form in ((915, "_orbit_table"), (914, "_element_table")):
+    for limit, form in ((915, "_orbit_table"), (914, "_array_table")):
         with mock.patch.object(lattice, "REPS_MAX_CELLS", limit):
             with mock.patch.object(ext, form, side_effect=AssertionError(form)):
                 with pytest.raises(AssertionError, match=form):
                     first_failing_twists(1, pools[3], [0, len(pools[3])])
 
 
+def test_the_array_table_enumerates_no_orbit_element():
+    # a k = 3 table of 136 rows x 721 bundles, above REPS_MAX_CELLS: neither the
+    # lattice's enumerator nor one of ext's own may list a bundle
+    orbits = orbit_set(3, normalised_reps(3, 15)).orbits
+    assert len(orbits) * sum(o.size for o in orbits) == 136 * 721
+    groups = [0, 40, len(orbits)]
+    want = ext._orbit_table(2, orbits, groups)
+    with mock.patch.object(lattice, "_multiset_permutations", side_effect=AssertionError):
+        with mock.patch.object(ext, "_multiset_permutations", create=True,
+                               side_effect=AssertionError("bundle listed")):
+            with mock.patch.object(ext, "_orbit_table", side_effect=AssertionError):
+                assert first_failing_twists(2, orbits, groups) == want
+
+
+def brute_force_table(n, orbits, groups):
+    """first_failing_twists by scanning t upward over every element of every orbit.
+
+    Twist 0 counts only against the bundles listed before the rep: the
+    orbits before it and the rest of its own (the rep is listed last).
+    """
+    elements = [set(itertools.permutations(o.rep)) for o in orbits]
+    table = []
+    for p, o in enumerate(orbits):
+        row = array("q")
+        for lo, hi in zip(groups, groups[1:]):
+            group = [(q, b) for q in range(lo, hi) for b in elements[q]]
+            listed = [b for q, b in group if q < p or (q == p and b != o.rep)]
+            t = 0
+            while all(is_orthogonal_pair(n, twist(o.rep, t), b) for b in listed):
+                t, listed = t + 1, [b for _, b in group]
+            row.append(t)
+        table.append(row)
+    return table
+
+
 @given(k=st.integers(1, 6), n=st.integers(1, 4), data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_the_orbit_table_matches_the_element_table(k, n, data):
+def test_both_table_forms_match_a_brute_force_oracle(k, n, data):
     # reps of any span and sign, with ties; some are twists of others, so twisted
     # points coincide; any grouping of them, or no orbit at all
     rep = st.tuples(*[st.integers(-3, n + 3)] * k).map(canonical_rep)
-    reps = data.draw(st.lists(rep, max_size=5))
+    reps = data.draw(st.lists(rep, max_size=4))
     moved = data.draw(
-        st.lists(st.tuples(st.sampled_from(reps), st.integers(-2, k * n + 1)), max_size=3)
+        st.lists(st.tuples(st.sampled_from(reps), st.integers(-2, k * n + 1)), max_size=2)
     ) if reps else []
     orbits = orbit_set(k, reps + [twist(r, t) for r, t in moved]).orbits
     m = len(orbits)
     cuts = data.draw(st.sets(st.integers(1, m - 1))) if m > 1 else set()
     for groups in ([0, m], [0, *sorted(cuts), m], range(m + 1)):
-        want = ext._element_table(n, orbits, groups)
-        got = ext._orbit_table(n, orbits, groups)
-        assert all(type(row) is array and row.typecode == "q" for row in want + got)
-        assert got == want, ([o.rep for o in orbits], list(groups))
+        want = brute_force_table(n, orbits, groups)
+        for form in (ext._orbit_table, ext._array_table):
+            got = form(n, orbits, groups)
+            assert all(type(row) is array and row.typecode == "q" for row in got)
+            assert got == want, (form.__name__, [o.rep for o in orbits], list(groups))
 
 
 def test_is_orthogonal_pair_known_values():

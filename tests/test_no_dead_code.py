@@ -237,3 +237,31 @@ def test_a_planted_import_time_numpy_call_is_caught():
         "def kernel(np=_numpy()):\n    np = _numpy()\n    return lambda: _numpy()\n"
     )
     assert import_time_calls(planted, "_numpy") == [1, 5, 11]
+
+
+BUNDLE_LISTING_NAMES = {"_multiset_permutations", "elements", "bundles", "bisect"}
+
+
+def bundle_listing_names(tree):
+    """The names among BUNDLE_LISTING_NAMES that `tree` reads or imports."""
+    names = referenced_names([tree])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names & BUNDLE_LISTING_NAMES
+
+
+def test_no_twist_table_form_lists_a_bundle():
+    # both forms of ext.first_failing_twists work on orbit reps alone
+    assert bundle_listing_names(parsed_modules()["ext.py"]) == set()
+
+
+def test_a_planted_bundle_listing_is_caught():
+    planted = ast.parse(
+        "import bisect\n"
+        "from .lattice import _multiset_permutations\n\n\n"
+        "def table(orbit, orbits):\n    return orbit.elements, orbits.bundles()\n"
+    )
+    assert bundle_listing_names(planted) == BUNDLE_LISTING_NAMES

@@ -1,8 +1,9 @@
 """Start-up contract: importing lefkit, or any of its modules, loads no numpy;
 each public name loads its submodule on first access, numpy loads with its
-OpenBLAS on one thread when an array kernel first needs it (a k <= 3 twist
-table or fullness closure above lattice.REPS_MAX_CELLS cells, the grid
-closure of `lefkit closure`, the witness scans), and the caller's environment
+OpenBLAS on one thread when an array kernel first needs it (the array form
+of a k <= 3 twist table of more than lattice.REPS_MAX_CELLS rows times its
+orbits' bundles, a k <= 3 fullness closure of a box above that many cells,
+the grid closure of `lefkit closure`, the witness scans), and the caller's environment
 is left as it was.  From k = 4 on, verdicts on nested collections and S_k-stable
 seeds, and the theorem's semiorthogonality grid, run on orbit reps and load
 no numpy at all; so do k <= 3 verdicts and searches on inputs within that size.

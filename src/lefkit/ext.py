@@ -214,9 +214,9 @@ def first_failing_twists(n: int, orbits, groups):
     holds: from k = ORBIT_MIN_K on, and below that for tables of at most
     REPS_MAX_CELLS rows times the orbits' bundles.  Larger k < ORBIT_MIN_K
     tables come from _array_table, the same rule in numpy.  Neither lists a
-    bundle.  n below 1, an empty group, a
-    table above MAX_TWIST_TABLE cells and a coordinate or n at or beyond
-    2^60 are refused in that order, the first three before any rep is read.
+    bundle.  n below 1, an empty group, a table above MAX_TWIST_TABLE cells
+    and a coordinate or n at or beyond 2^60 are refused in that order,
+    before either form runs and the first three before any rep is read.
     """
     _check_n(n)
     for g, (lo, hi) in enumerate(zip(groups, groups[1:])):

@@ -38,8 +38,9 @@ ORBIT_MIN_K = 4
 # 55-90 ms, which a small run pays in full.  The dearest reps form per cell, a
 # k <= 2 search's per-orbit table, took about 2 us a cell on the Hall's-theorem
 # table: about 33 ms at this size, more than the import at twice it (the
-# crossover table of BENCH_32.json).  The split-rule table costs less a cell;
-# the bound is kept, not measured again.
+# crossover table of BENCH_32.json).  The routing is kept, not measured again as
+# a crossover; the split-rule table that replaced Hall's costs about the same
+# there (32 against 36 ms at 16,110 cells, BENCH_33.json).
 REPS_MAX_CELLS = 2 ** 14
 
 

@@ -197,10 +197,11 @@ def brute_force_table(n, orbits, groups):
         row = array("q")
         for lo, hi in zip(groups, groups[1:]):
             group = [(q, b) for q in range(lo, hi) for b in elements[q]]
-            listed = [b for q, b in group if q < p or (q == p and b != o.rep)]
+            before = [b for q, b in group if q < p or (q == p and b != o.rep)]
             t = 0
-            while all(is_orthogonal_pair(n, twist(o.rep, t), b) for b in listed):
-                t, listed = t + 1, [b for _, b in group]
+            while all(is_orthogonal_pair(n, twist(o.rep, t), b)
+                      for b in (before if t == 0 else [b for _, b in group])):
+                t += 1
             row.append(t)
         table.append(row)
     return table

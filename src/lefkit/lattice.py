@@ -25,22 +25,20 @@ Multidegree = tuple[int, ...]
 # the largest collection the tests and benchmarks flatten, has 16,384.
 MAX_ORBIT_BUNDLES = 2 ** 22
 
-# Smallest k at which S_k-orbits are handled by their reps alone in pure Python:
-# the closure of an S_k-stable seed and the twist table.  Below it an orbit holds
-# at most 3! = 6 bundles, and on large inputs the array forms are ten to twenty
-# times faster once numpy is loaded.  Those figures were measured against the
-# Hall's-theorem table and the bundle-listing element kernel, which the split-rule
-# forms replaced; the routing is kept as it was, not measured again.
+# Smallest k at which S_k-orbits are handled by their reps alone in pure Python,
+# whatever the input's size: the closure of an S_k-stable seed (for fullness and
+# for `lefkit closure`) and the twist table.  Below it an orbit holds at most
+# 3! = 6 bundles, and once numpy is loaded the array forms are six to forty times
+# faster near REPS_MAX_CELLS cells (BENCH_34.json).
 ORBIT_MIN_K = 4
 
 # Most cells of a k < ORBIT_MIN_K input still decided on reps: a twist table's rows
-# times its orbits' bundles, or a fullness closure's box.  Importing numpy costs
-# 55-90 ms, which a small run pays in full.  The dearest reps form per cell, a
-# k <= 2 search's per-orbit table, took about 2 us a cell on the Hall's-theorem
-# table: about 33 ms at this size, more than the import at twice it (the
-# crossover table of BENCH_32.json).  The routing is kept, not measured again as
-# a crossover; the split-rule table that replaced Hall's costs about the same
-# there (32 against 36 ms at 16,110 cells, BENCH_33.json).
+# times its orbits' bundles, or the box of a fullness closure or of a `lefkit
+# closure` seed.  Near this size the reps forms take 8-12 ms in-process: the
+# split-rule table 10 ms at 16,110 cells, close_orbits plus replay_orbit_trace
+# 8 ms on a FULL k = 3 box of 24^3 cells and close_orbits 12 ms on an
+# INCONCLUSIVE one, against 57-64 ms for importing numpy, which a small run
+# pays in full (BENCH_34.json).
 REPS_MAX_CELLS = 2 ** 14
 
 
@@ -242,7 +240,7 @@ class Box:
             raise ValueError("k must be at least 1")
 
     def __contains__(self, a) -> bool:
-        return len(a) == self.k and all(self.lo <= c <= self.hi for c in a)
+        return len(a) == self.k and self.lo <= min(a) and max(a) <= self.hi
 
     def points(self):
         """Iterate all lattice points, ascending lex."""

@@ -22,13 +22,13 @@ S_k-stable seed is S_k-stable and is decided on weakly decreasing reps
 alone: close_orbits floods orbit lines, the points sort(M + (z,)) of a
 weakly decreasing (k-1)-tuple M.  It visits C(W+k-2, k-1) lines of W
 points instead of the grid's W^k cells, in pure Python.  Fullness verdicts
-use it where lattice.on_reps holds: from k = ORBIT_MIN_K on, and on boxes
-small enough that it costs less than loading numpy below that.  close_seed
-uses it from k = ORBIT_MIN_K on for every S_k-stable seed: its
-INCONCLUSIVE answers stand, and a FULL one is redone on the grid, whose
-state certificate slices, in the least box that covers the cube: the
-closure grows with the box, so the orbit engine finds that box by trying
-the margins in ascending order.  replay_orbit_trace checks its rules, and
+and close_seed use it where lattice.on_reps holds for the box: from k =
+ORBIT_MIN_K on, and on boxes small enough that it costs less than loading
+numpy below that.  close_seed's INCONCLUSIVE answers on reps stand, and a
+FULL one is redone on the grid, whose state certificate slices, in the
+least box that covers the cube: the closure grows with the box, so the
+orbit engine finds that box by trying the margins in ascending order, on
+the reps it has already read.  replay_orbit_trace checks its rules, and
 expand_orbit_trace turns them into the RuleApplications replay_trace reads.
 """
 
@@ -42,7 +42,6 @@ from math import comb
 
 from . import _numpy
 from .lattice import (
-    ORBIT_MIN_K,
     Box,
     Multidegree,
     Orbit,
@@ -643,28 +642,31 @@ def _is_symmetric(seed) -> bool:
 def close_seed(seed, n: int, k: int, margin: int | None):
     """close_cube's answer, decided on orbit reps where the seed allows it.
 
-    From k = ORBIT_MIN_K on, an S_k-stable seed goes to close_orbits first.
-    Both engines reach the same least fixed point, so when the cube is not
-    covered the OrbitClosureState stands, with close_cube's member count and
-    missing sample.  When it is covered, close_orbits tries the margins 0,
-    1, ... up to the requested one, dropping the seed points outside each
-    box, and close_cube runs with drop_outside at the first that covers the
-    cube, for the grid state that ClosureState.certificate slices.  The
-    closure grows with the box, so that is the least box whose grid covers
-    the cube, and a certificate built in it replays unchanged in the
-    requested box.  Other seeds, and all of k < ORBIT_MIN_K, go to
-    close_cube alone.  Refusals are close_cube's, except that an orbit box
-    is sized by MAX_ORBIT_LINES and a FULL seed's grid box is sized at the
-    least margin.
+    An S_k-stable seed goes to close_orbits first where lattice.on_reps(k,
+    box cells) holds for the requested box (_generation_verdict's rule):
+    from k = ORBIT_MIN_K on, and for boxes of at most REPS_MAX_CELLS cells
+    below it.  Both engines reach the same least fixed point, so when the
+    cube is not covered the OrbitClosureState stands, with close_cube's
+    member count and missing sample.  When it is covered, close_orbits
+    tries the margins 0, 1, ... up to the requested one on the state's
+    reps, all inside the requested cube box, so dropping those outside a
+    smaller one drops whole orbits of seed points; close_cube runs with
+    drop_outside on the seed at the first margin that covers the cube,
+    for the grid state that ClosureState.certificate slices.  The closure
+    grows with the box, so that is the least box whose grid covers the
+    cube, and a certificate built in it replays unchanged in the requested
+    box.  Other seeds go to close_cube alone.  Refusals are close_cube's,
+    except that an orbit box is sized by MAX_ORBIT_LINES and a FULL seed's
+    grid box is sized at the least margin.
     """
     seed = list(seed)
-    if k >= ORBIT_MIN_K and _is_symmetric(seed):
+    if on_reps(k, _cube_box(n, k, margin).size) and _is_symmetric(seed):
         state, missing = close_orbits(seed, n, k, margin)
         if missing:
             return state, missing
-        requested = -state.box.lo
+        reps, requested = state.seed, -state.box.lo
         covering = (
-            m for m in range(requested) if not close_orbits(seed, n, k, m, drop_outside=True)[1]
+            m for m in range(requested) if not close_orbits(reps, n, k, m, drop_outside=True)[1]
         )
         least = next(covering, requested)
         advice = f"it is the least box whose closure covers [0, {n}]^{k}"

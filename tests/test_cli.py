@@ -318,18 +318,38 @@ def test_full_closure_certificate_replays_to_what_it_prints(capsys, tmp_path, co
     assert set(lattice.Box(lo=0, hi=coll.n, k=coll.k).points()) <= replayed
 
 
+def orbit_rules(docs, k):
+    """The OrbitRules of orbit trace documents, parsed as an outside reader would."""
+    return tuple(
+        saturation.OrbitRule(
+            line=tuple(doc["line"]),
+            window_start=doc["window_start"],
+            added=tuple(lattice.parse_multidegree(p, k) for p in doc["added"]),
+        )
+        for doc in docs
+    )
+
+
 def test_inconclusive_closure_writes_the_engine_trace(capsys, tmp_path):
     seed_path, trace_path = tmp_path / "seed.json", tmp_path / "trace.jsonl"
     seed = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     seed_path.write_text(json.dumps({"k": 3, "points": [format_multidegree(p) for p in seed]}))
-    rc, out, _ = run(
-        capsys, "closure", "--seed-file", str(seed_path), "--n", "1", "--trace-out", str(trace_path)
-    )
-    assert rc == 3
-    state, missing = saturation.close_cube(seed, 1, 3)
-    assert missing and state.trace
-    assert read_trace(trace_path, 3) == state.trace
-    assert f"members: {state.member_count} of {state.box.size}" in out
+    argv = ["closure", "--seed-file", str(seed_path), "--n", "1", "--trace-out", str(trace_path)]
+    # the default box of 6^3 cells is at most REPS_MAX_CELLS, the box of 26^3 above it
+    for margin, engine, read in [
+        (None, saturation.close_orbits, orbit_rules),
+        (12, saturation.close_cube, rule_applications),
+    ]:
+        rc, out, _ = run(capsys, *argv, *(["--margin", str(margin)] if margin else []))
+        assert rc == 3
+        state, missing = engine(seed, 1, 3, margin)
+        assert lattice.on_reps(3, state.box.size) == (engine is saturation.close_orbits)
+        assert missing and state.trace
+        docs = list(map(json.loads, trace_path.read_text().splitlines()))
+        assert all(("axis" in doc) == (engine is saturation.close_cube) for doc in docs)
+        assert read(docs, 3) == state.trace
+        assert f"members: {state.member_count} of {state.box.size}" in out
+        assert "missing: " + cli._missing_text(missing) in out
 
 
 def test_trace_docs_match_the_rule_applications():
@@ -393,8 +413,8 @@ def xk1_without_weight(k, weight):
 
 @st.composite
 def stable_seeds(draw):
-    """Whole orbits of a random share of the reps of a k = 4..5 box, n <= 2, margin <= n+1."""
-    k, n = draw(st.integers(4, 5)), draw(st.integers(1, 2))
+    """Whole orbits of a random share of the reps of a k = 2..5 box, n <= 2, margin <= n+1."""
+    k, n = draw(st.integers(2, 5)), draw(st.integers(1, 2))
     margin = draw(st.integers(0, n + 1))
     box = range(n + margin, -margin - 1, -1)
     share, rng = draw(st.floats(0.05, 0.9)), draw(st.randoms(use_true_random=False))
@@ -416,41 +436,54 @@ def least_grid_margin(seed, n, k, margin):
 @given(stable_seeds())
 def test_stable_closures_on_orbit_reps_answer_as_the_grid(case):
     seed, n, k, margin = case
-    argv = ["--n", str(n), "--margin", str(margin)]
+    text, argv = points_doc(k, seed), ["--n", str(n), "--margin", str(margin)]
     least = least_grid_margin(seed, n, k, margin)
+    box = lattice.Box(lo=-margin, hi=n + margin, k=k)
 
     def least_grid(seed, n, k, margin):
         return saturation.close_cube(seed, n, k, least, drop_outside=True)
 
-    for fmt in ("text", "json"):
-        text = points_doc(k, seed)
-        got = run_closure(text, *argv, "--format", fmt)
-        want = run_closure(text, *argv, "--format", fmt, engine=saturation.close_cube)
-        assert got[0] == want[0] and got[0] in (0, 3)
-        assert (got[0] == 0) == (least is not None)
-        if got[0] == 0:
-            # a FULL closure writes, byte for byte, the grid certificate of the
-            # least box whose grid covers the cube, with the requested margin and box
-            assert got == run_closure(text, *argv, "--format", fmt, engine=least_grid)
-            if fmt == "json":
-                doc, box = json.loads(got[1]), lattice.Box(lo=-margin, hi=n + margin, k=k)
-                assert (doc["margin"], doc["box_size"]) == (margin, box.size)
-                trace = rule_applications(doc["trace"], k)
-                replayed = saturation.replay_trace(seed, n, box, trace)
-                assert doc["members"] == len(replayed)
-                assert set(lattice.Box(lo=0, hi=n, k=k).points()) <= replayed
-        elif fmt == "text":
-            fields = [
-                dict(line.split(": ", 1) for line in out.splitlines()) for _, out, _ in (got, want)
-            ]
-            for key in ("status", "members", "missing"):
-                assert fields[0][key] == fields[1][key]
-            orbit_state, _ = saturation.close_orbits(seed, n, k, margin)
-            assert fields[0]["trace entries"] == str(orbit_state.trace_length)
-        else:
-            docs = [json.loads(out) for _, out, _ in (got, want)]
-            for key in ("status", "margin", "members", "box_size", "missing_sample"):
-                assert docs[0][key] == docs[1][key]
+    wants = {
+        fmt: run_closure(text, *argv, "--format", fmt, engine=saturation.close_cube)
+        for fmt in ("text", "json")
+    }
+    # routed, then with every k <= 3 closure on the grid
+    for limit in (lattice.REPS_MAX_CELLS, 0) if k < 4 else (lattice.REPS_MAX_CELLS,):
+        with mock.patch.object(lattice, "REPS_MAX_CELLS", limit):
+            reps = lattice.on_reps(k, box.size)
+            answers = {fmt: run_closure(text, *argv, "--format", fmt) for fmt in ("text", "json")}
+        assert reps == (limit > 0)
+        for fmt, got in answers.items():
+            want = wants[fmt]
+            assert got[0] == want[0] and got[0] in (0, 3)
+            assert (got[0] == 0) == (least is not None)
+            if got[0] == 0:
+                # a FULL closure writes, byte for byte, the grid certificate of the least
+                # box whose grid covers the cube when it runs on reps, of the requested
+                # box otherwise; either way with the requested margin and box
+                grid = least_grid if reps else saturation.close_cube
+                assert got == run_closure(text, *argv, "--format", fmt, engine=grid)
+                if fmt == "json":
+                    doc = json.loads(got[1])
+                    assert (doc["margin"], doc["box_size"]) == (margin, box.size)
+                    trace = rule_applications(doc["trace"], k)
+                    replayed = saturation.replay_trace(seed, n, box, trace)
+                    assert doc["members"] == len(replayed)
+                    assert set(lattice.Box(lo=0, hi=n, k=k).points()) <= replayed
+            elif fmt == "text":
+                fields = [
+                    dict(line.split(": ", 1) for line in out.splitlines())
+                    for _, out, _ in (got, want)
+                ]
+                for key in ("status", "members", "missing"):
+                    assert fields[0][key] == fields[1][key]
+                engine = saturation.close_orbits if reps else saturation.close_cube
+                trace_length = engine(seed, n, k, margin)[0].trace_length
+                assert fields[0]["trace entries"] == str(trace_length)
+            else:
+                docs = [json.loads(out) for _, out, _ in (got, want)]
+                for key in ("status", "margin", "members", "box_size", "missing_sample"):
+                    assert docs[0][key] == docs[1][key]
 
 
 def test_orbit_trace_out_replays_to_the_members_it_counts(tmp_path):
@@ -464,14 +497,7 @@ def test_orbit_trace_out_replays_to_the_members_it_counts(tmp_path):
     fields = dict(line.split(": ", 1) for line in out.splitlines())
     docs = list(map(json.loads, trace_path.read_text().splitlines()))
     assert docs and all(set(doc) == {"line", "window_start", "added"} for doc in docs)
-    rules = [
-        saturation.OrbitRule(
-            line=tuple(doc["line"]),
-            window_start=doc["window_start"],
-            added=tuple(lattice.parse_multidegree(p, k) for p in doc["added"]),
-        )
-        for doc in docs
-    ]
+    rules = orbit_rules(docs, k)
     assert fields["trace entries"] == str(len(rules))
     box = lattice.Box(lo=-margin, hi=n + margin, k=k)
     members = saturation.replay_orbit_trace(seed, n, box, rules)

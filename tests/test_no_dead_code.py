@@ -1,7 +1,8 @@
 """Lint: no module imports a name it never uses, no private function is unreferenced,
 no defaulted parameter goes unpassed, no unexported default is passed by every call,
 no module calls a BLAS routine or imports numpy past `lefkit._numpy` (which
-loads OpenBLAS with one thread), and none calls `_numpy()` when it is imported."""
+loads OpenBLAS with one thread), none calls `_numpy()` when it is imported, and
+every choice between orbit reps and the array forms goes through `lattice.on_reps`."""
 
 import ast
 from pathlib import Path
@@ -265,3 +266,48 @@ def test_a_planted_bundle_listing_is_caught():
         "def table(orbit, orbits):\n    return orbit.elements, orbits.bundles()\n"
     )
     assert bundle_listing_names(planted) == BUNDLE_LISTING_NAMES
+
+
+# the modules that may name each constant of lattice.on_reps; cli keeps ORBIT_MIN_K
+# for its fail-fast size of a flattened k < ORBIT_MIN_K collection
+ROUTING_CONSTANTS = {"ORBIT_MIN_K": {"lattice.py", "cli.py"}, "REPS_MAX_CELLS": {"lattice.py"}}
+
+
+def routing_constants_outside_the_router(modules):
+    """`module: name` of each constant of ROUTING_CONSTANTS that a module outside its
+    set reads, assigns or imports; docstrings and comments are no names."""
+    found = []
+    for module, tree in modules.items():
+        names = referenced_names([tree])
+        names.update(
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        )
+        found += [
+            f"{module}: {name}"
+            for name, allowed in ROUTING_CONSTANTS.items()
+            if name in names and module not in allowed
+        ]
+    return found
+
+
+def test_every_engine_choice_goes_through_the_router():
+    # close_seed, _generation_verdict and the twist table pick their engine by on_reps
+    assert routing_constants_outside_the_router(parsed_modules()) == []
+
+
+def test_a_planted_engine_choice_is_caught():
+    planted = ast.parse(
+        '"""Routed by ORBIT_MIN_K and REPS_MAX_CELLS, as docstrings may say."""\n'
+        "from .lattice import ORBIT_MIN_K\n\n\n"
+        "def engine(k, cells):\n"
+        "    return k >= ORBIT_MIN_K or cells <= lattice.REPS_MAX_CELLS\n"
+    )
+    cli = ast.parse("from .lattice import ORBIT_MIN_K, REPS_MAX_CELLS\n")
+    assert routing_constants_outside_the_router({"cli.py": cli, "planted.py": planted}) == [
+        "cli.py: REPS_MAX_CELLS",
+        "planted.py: ORBIT_MIN_K",
+        "planted.py: REPS_MAX_CELLS",
+    ]

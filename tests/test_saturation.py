@@ -706,6 +706,23 @@ def test_full_stable_seeds_close_in_the_least_box_that_covers_the_cube():
     assert missing and state.box == Box(lo=-3, hi=4, k=6)
 
 
+def test_the_margin_climb_closes_the_reps_already_read():
+    seed, calls = flatten_bundles(xk1(8)), []
+
+    def recording(seed, *args, **kwargs):
+        out = close_orbits(seed, *args, **kwargs)
+        calls.append((seed, out[0]))
+        return out
+
+    with mock.patch.object(saturation, "close_orbits", recording):
+        state, missing = saturation.close_seed(seed, 1, 8, None)
+    assert missing == () and state.box == Box(lo=-1, hi=2, k=8)
+    (first, read), climb = calls[0], calls[1:]
+    assert len(first) == 256 and len(read.seed) == 9
+    # margins 0 and 1 of the requested 2, each given the 9 reps alone
+    assert [seed for seed, _ in climb] == [read.seed] * 2
+
+
 def test_missing_points_refuses_target_outside_box():
     state = close([(0, 0)], 1, Box(lo=0, hi=2, k=2))
     with pytest.raises(ValueError, match="not inside box"):

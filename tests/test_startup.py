@@ -3,10 +3,12 @@ each public name loads its submodule on first access, numpy loads with its
 OpenBLAS on one thread when an array kernel first needs it (the array form
 of a k <= 3 twist table of more than lattice.REPS_MAX_CELLS rows times its
 orbits' bundles, a k <= 3 fullness closure of a box above that many cells,
-the grid closure of `lefkit closure`, the witness scans), and the caller's environment
-is left as it was.  From k = 4 on, verdicts on nested collections and S_k-stable
-seeds, and the theorem's semiorthogonality grid, run on orbit reps and load
-no numpy at all; so do k <= 3 verdicts and searches on inputs within that size.
+the grid closure of `lefkit closure` behind a FULL certificate and for any seed
+not decided on reps, the witness scans), and the caller's environment is left
+as it was.  From k = 4 on, verdicts on nested collections and S_k-stable seeds,
+and the theorem's semiorthogonality grid, run on orbit reps and load no numpy
+at all; so do k <= 3 verdicts, searches and INCONCLUSIVE closures of S_k-stable
+seeds on inputs within that size.
 
 Each case runs in a fresh interpreter, because pytest has already imported
 numpy in this one, and OpenBLAS reads its thread count only when it loads.
@@ -129,6 +131,14 @@ def test_small_k_3_verdicts_and_searches_load_no_numpy():
         run_cli(0, "verify", "--builtin", "x3n-rectangular", "--n", "7"),
     ):
         assert probe(code)["loaded"] == ["lefkit.saturation", "lefkit.explorer"], code
+
+
+def test_a_small_k_3_closure_loads_no_numpy(tmp_path):
+    # four whole S_3-orbits that do not generate, closed on reps in a box of 6^3 cells
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"k": 3, "points": ["(0,0,0)", "(1,0,0)", "(0,1,0)", "(0,0,1)"]}))
+    code = run_cli(3, "closure", "--seed-file", str(seed), "--n", "1")  # INCONCLUSIVE
+    assert probe(code)["loaded"] == ["lefkit.saturation", "lefkit.explorer"]
 
 
 def test_the_theorem_grid_from_k_4_on_loads_no_numpy():

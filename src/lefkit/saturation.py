@@ -24,12 +24,20 @@ weakly decreasing (k-1)-tuple M.  It visits C(W+k-2, k-1) lines of W
 points instead of the grid's W^k cells, in pure Python.  Fullness verdicts
 and close_seed use it where lattice.on_reps holds for the box: from k =
 ORBIT_MIN_K on, and on boxes small enough that it costs less than loading
-numpy below that.  close_seed's INCONCLUSIVE answers on reps stand, and a
-FULL one is redone on the grid, whose state certificate slices, in the
-least box that covers the cube: the closure grows with the box, so the
-orbit engine finds that box by trying the margins in ascending order, on
-the reps it has already read.  replay_orbit_trace checks its rules, and
-expand_orbit_trace turns them into the RuleApplications replay_trace reads.
+numpy below that.  close_seed reads its seed once, decides there whether
+it is S_k-stable, and hands close_orbits its reps.  Its INCONCLUSIVE
+answers on reps stand, and a FULL one is redone on the grid, whose state
+certificate slices, in the least box that covers the cube: the closure
+grows with the box, so the orbit engine finds that box by trying the
+margins in ascending order, on the same reps.  replay_orbit_trace checks
+its rules, and expand_orbit_trace turns them into the RuleApplications
+replay_trace reads.
+
+A seed of points has one reader, _seed_tuples: it takes each coordinate
+through lattice._integer_point and refuses a point of another arity than
+k or outside the box.  An integer array seed is checked vectorised, and
+read by _seed_tuples only to name a refused point.  The two replayers
+alone read points on their own, so that they check a trace independently.
 """
 
 from __future__ import annotations
@@ -381,43 +389,38 @@ def _axis_pass(grid, axis, h):
     return _Pass(axis=axis, lines=lines, starts=starts, added=added)
 
 
-def _seed_points(seed, k: int) -> frozenset:
-    """The distinct seed points (tuples); a point of another arity than k raises ValueError."""
+def _seed_tuples(seed, box: Box, drop_outside: bool) -> list[Multidegree]:
+    """The seed points as tuples of ints, in the order given, repeats kept.
+
+    The one reader of a seed given as points: close_seed, close_orbits and
+    _seed_array read them here alone.  seed is an iterable of points.  A
+    point with a coordinate that is no integer raises ValueError, dropped
+    or not.  A point outside `box` is dropped with drop_outside; then the
+    first of the distinct points kept, in set order, of another arity than
+    k raises ValueError, and without the drop so does the first outside
+    the box.  A coordinate of any size is read, so one no int64 holds is
+    outside the box.
+    """
+    k = box.k
+    # points of another arity are kept by the drop, to be refused below
+    seed = [_integer_point(p, "seed point") for p in seed]
+    seed = [p for p in seed if not drop_outside or len(p) != k or p in box]
     points = frozenset(seed)
     for p in points:
         if len(p) != k:
             raise ValueError(f"seed point {format_multidegree(p)} has arity {len(p)}, not k={k}")
-    return points
-
-
-def _refuse_outside(points, box: Box):
-    """ValueError naming the first of `points` outside `box`, if any."""
-    for p in points:
+    for p in () if drop_outside else points:
         if p not in box:
             raise ValueError(
                 f"seed point {format_multidegree(p)} outside box [{box.lo}, {box.hi}]^{box.k}"
             )
-
-
-def _seed_tuples(seed, box: Box, drop_outside: bool) -> list[Multidegree]:
-    """The seed points as tuples of ints, in the order given, repeats kept.
-
-    seed is an iterable of points.  A point with a coordinate that is no
-    integer, or of another arity than k, raises ValueError, dropped or
-    not.  A point outside `box` is dropped with drop_outside and raises
-    ValueError otherwise.  Each refusal names the first offending point of
-    the distinct points kept, in set order, as _seed_points and
-    _refuse_outside do.  A coordinate of any size is read, so one no int64
-    holds is outside the box.
-    """
-    k = box.k
-    # points of another arity are kept by the drop, for _seed_points to refuse
-    seed = [_integer_point(p, "seed point") for p in seed]
-    seed = [p for p in seed if not drop_outside or len(p) != k or p in box]
-    points = _seed_points(seed, k)
-    if not drop_outside:
-        _refuse_outside(points, box)
     return seed
+
+
+def _rows(points, k: int) -> np.ndarray:
+    """An int64 array of k columns, one row per point of `points` (tuples of k ints)."""
+    np = _numpy()
+    return np.array(list(itertools.chain.from_iterable(points)), np.int64).reshape(-1, k)
 
 
 def _seed_array(seed, box: Box, drop_outside: bool = False) -> np.ndarray:
@@ -425,7 +428,8 @@ def _seed_array(seed, box: Box, drop_outside: bool = False) -> np.ndarray:
 
     seed is an iterable of points or already such an array, read as
     _seed_tuples reads it.  A signed integer array is checked and dropped
-    vectorised; any other seed goes point by point through _seed_tuples.
+    vectorised, and a refused one is read by _seed_tuples for the message;
+    any other seed goes point by point through _seed_tuples.
     """
     np = _numpy()
     k = box.k
@@ -436,11 +440,10 @@ def _seed_array(seed, box: Box, drop_outside: bool = False) -> np.ndarray:
             if drop_outside:
                 return points[inside]
             if not inside.all():
-                _refuse_outside(_seed_points(map(tuple, points.tolist()), k), box)
+                _seed_tuples(points.tolist(), box, False)
             return points
         seed = seed.tolist()
-    seed = _seed_tuples(seed, box, drop_outside)
-    return np.array(list(itertools.chain.from_iterable(seed)), np.int64).reshape(-1, k)
+    return _rows(_seed_tuples(seed, box, drop_outside), k)
 
 
 def _grid_of(points: np.ndarray, box: Box) -> np.ndarray:
@@ -569,10 +572,11 @@ def close_orbits(seed, n: int, k: int, margin: int | None = None, drop_outside: 
     """close_cube for an S_k-stable seed, given by any points of its orbits.
 
     Members are the weakly decreasing reps in [-margin, n+margin]^k.  The
-    box is close_cube's and the seed goes through its intake, so n below
-    1, seed points outside the box and seed points of another arity than k
-    are refused alike; with drop_outside, points outside the box are
-    dropped instead.
+    box is close_cube's, and the seed is read by _seed_tuples, as
+    close_cube's is unless it is an integer array, so n below 1, seed
+    points outside the box and seed points of another arity than k are
+    refused alike; with drop_outside, points outside the box are dropped
+    instead.  No array is built.
     A pass visits the orbit lines in ascending lex order and floods each line
     holding n+1 consecutive member points at once; lines that gained no
     member since their last visit are skipped, as they would flood nothing.
@@ -633,46 +637,50 @@ def close_orbits(seed, n: int, k: int, margin: int | None = None, drop_outside: 
     return state, tuple(sample)
 
 
-def _is_symmetric(seed) -> bool:
-    """Whether the distinct points of `seed` are whole S_k-orbits."""
-    points = {_integer_point(p, "seed point") for p in seed}
-    return len(points) == sum(Orbit(r).size for r in {canonical_rep(p) for p in points})
-
-
 def close_seed(seed, n: int, k: int, margin: int | None):
     """close_cube's answer, decided on orbit reps where the seed allows it.
 
-    An S_k-stable seed goes to close_orbits first where lattice.on_reps(k,
-    box cells) holds for the requested box (_generation_verdict's rule):
-    from k = ORBIT_MIN_K on, and for boxes of at most REPS_MAX_CELLS cells
-    below it.  Both engines reach the same least fixed point, so when the
-    cube is not covered the OrbitClosureState stands, with close_cube's
-    member count and missing sample.  When it is covered, close_orbits
-    tries the margins 0, 1, ... up to the requested one on the state's
-    reps, all inside the requested cube box, so dropping those outside a
-    smaller one drops whole orbits of seed points; close_cube runs with
-    drop_outside on the seed at the first margin that covers the cube,
-    for the grid state that ClosureState.certificate slices.  The closure
+    Where lattice.on_reps(k, box cells) holds for the requested box
+    (_generation_verdict's rule: from k = ORBIT_MIN_K on, and for boxes of
+    at most REPS_MAX_CELLS cells below it), _seed_tuples reads the seed
+    once, refusing as close_cube would.  The seed is S_k-stable when its
+    distinct points number the orbit sizes summed over their reps; then
+    close_orbits closes the reps.  Both engines reach the same least fixed
+    point, so when the cube is not covered the OrbitClosureState stands,
+    with close_cube's member count and missing sample.  When it is
+    covered, close_orbits tries the margins 0, 1, ... up to the requested
+    one on the reps, all inside the requested cube box, so dropping those
+    outside a smaller one drops whole orbits of seed points; close_cube
+    runs with drop_outside at the first margin that covers the cube, for
+    the grid state that ClosureState.certificate slices.  The closure
     grows with the box, so that is the least box whose grid covers the
     cube, and a certificate built in it replays unchanged in the requested
-    box.  Other seeds go to close_cube alone.  Refusals are close_cube's,
-    except that an orbit box is sized by MAX_ORBIT_LINES and a FULL seed's
-    grid box is sized at the least margin.
+    box.  An unstable seed is closed by close_cube in the requested box.
+    The grid closes one int64 array of the points read, built after its
+    box has passed MAX_BOX_CELLS, so a refused seed loads no numpy.  A
+    seed point is refused before any box size, an orbit box is sized by
+    MAX_ORBIT_LINES, and a FULL seed's grid box at the least margin.
+    Where on_reps does not hold, close_cube alone reads the seed.
     """
-    seed = list(seed)
-    if on_reps(k, _cube_box(n, k, margin).size) and _is_symmetric(seed):
-        state, missing = close_orbits(seed, n, k, margin)
+    box = _cube_box(n, k, margin)
+    if not on_reps(k, box.size):
+        return close_cube(seed, n, k, margin)
+    seed = _seed_tuples(seed, box, False)
+    points = frozenset(seed)
+    reps = frozenset(map(canonical_rep, points))
+    least, advice = margin, "use a smaller margin"
+    if len(points) == sum(Orbit(r).size for r in reps):
+        state, missing = close_orbits(reps, n, k, margin)
         if missing:
             return state, missing
-        reps, requested = state.seed, -state.box.lo
+        requested = -box.lo
         covering = (
             m for m in range(requested) if not close_orbits(reps, n, k, m, drop_outside=True)[1]
         )
         least = next(covering, requested)
         advice = f"it is the least box whose closure covers [0, {n}]^{k}"
-        _refuse_large_box(_cube_box(n, k, least), advice)
-        return close_cube(seed, n, k, least, drop_outside=True)
-    return close_cube(seed, n, k, margin)
+    _refuse_large_box(_cube_box(n, k, least), advice)
+    return close_cube(_rows(seed, k), n, k, least, drop_outside=True)
 
 
 def replay_orbit_trace(seed, n: int, box: Box, trace) -> frozenset:
@@ -757,7 +765,7 @@ def _generation_verdict(orbits, n: int, k: int, margin: int | None) -> Verdict:
     else:
         np = _numpy()
         _refuse_above_limit(expected)
-        rows = np.array(list(itertools.chain.from_iterable(size)), np.int64).reshape(-1, k)
+        rows = _rows(size, k)
         # every permutation of every rep, repeats and all
         seed = np.concatenate([rows[:, list(p)] for p in itertools.permutations(range(k))])
         state, missing = close_cube(seed, n, k, margin, drop_outside=True)

@@ -641,6 +641,17 @@ def test_closure_inconclusive_exits_3(capsys, tmp_path):
     assert "status: INCONCLUSIVE" in out
 
 
+def test_closure_seed_is_read_as_seed_file(capsys, tmp_path):
+    # --seed reads as --seed-file, whether as its alias or as its argparse prefix
+    seed_path = tmp_path / "seed.json"
+    for points, rc in ((["(0,0)"], 3), (["(0,0)", "(1,0)", "(0,1)", "(1,1)"], 0)):
+        seed_path.write_text(json.dumps({"k": 2, "points": points}))
+        for argv in (["--n", "1"], ["--n", "1", "--format", "json"]):
+            got = run(capsys, "closure", "--seed", str(seed_path), *argv)
+            assert got == run(capsys, "closure", "--seed-file", str(seed_path), *argv)
+            assert got[0] == rc
+
+
 def test_closure_n_conflict(capsys, tmp_path):
     coll_path = tmp_path / "coll.json"
     run(capsys, "verify", "--builtin", "xk1", "--k", "2", "--dump",

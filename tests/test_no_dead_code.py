@@ -1,8 +1,9 @@
 """Lint: no module imports a name it never uses, no private function is unreferenced,
 no defaulted parameter goes unpassed, no unexported default is passed by every call,
 no module calls a BLAS routine or imports numpy past `lefkit._numpy` (which
-loads OpenBLAS with one thread), none calls `_numpy()` when it is imported, and
-every choice between orbit reps and the array forms goes through `lattice.on_reps`."""
+loads OpenBLAS with one thread), none calls `_numpy()` when it is imported,
+every choice between orbit reps and the array forms goes through `lattice.on_reps`,
+and in `saturation` only the seed reader and the two replayers read points."""
 
 import ast
 from pathlib import Path
@@ -311,3 +312,39 @@ def test_a_planted_engine_choice_is_caught():
         "planted.py: ORBIT_MIN_K",
         "planted.py: REPS_MAX_CELLS",
     ]
+
+
+# the one reader of seed points, and the two replayers, which check a trace
+# independently of the engines that wrote it
+POINT_READERS = {"_seed_tuples", "replay_trace", "replay_orbit_trace"}
+
+
+def point_readers_outside(tree, allowed):
+    """Each top-level definition of `tree` not in `allowed` that names `_integer_point`.
+
+    A top-level statement other than an import counts as `<module>`.
+    """
+    return [
+        getattr(node, "name", "<module>")
+        for node in tree.body
+        if not isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "name", None) not in allowed
+        and "_integer_point" in referenced_names([node])
+    ]
+
+
+def test_seed_points_have_one_reader_in_saturation():
+    assert point_readers_outside(parsed_modules()["saturation.py"], POINT_READERS) == []
+
+
+def test_a_planted_second_point_reader_is_caught():
+    planted = ast.parse(
+        '"""Points are read by _integer_point, as docstrings may say."""\n'
+        "from .lattice import _integer_point\n\n\n"
+        "def _seed_tuples(seed):\n    return [_integer_point(p, 'seed point') for p in seed]\n\n\n"
+        "def _is_symmetric(seed):\n    return {_integer_point(p, 'seed point') for p in seed}\n\n\n"
+        "class Reader:\n    def read(self, p):\n"
+        "        return lattice._integer_point(p, 'point')\n\n\n"
+        "ORIGIN = _integer_point((0, 0), 'origin')\n"
+    )
+    assert point_readers_outside(planted, POINT_READERS) == ["_is_symmetric", "Reader", "<module>"]

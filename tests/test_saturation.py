@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from dataclasses import replace
@@ -559,9 +560,14 @@ def test_symmetry_test_refuses_seed_coordinates_that_are_no_integers():
     # int() would read these four points as the one point (0, 0, 0, 0), a whole orbit
     seed = [(0.5, 0, 0, 0), (0, 0.5, 0, 0), (0, 0, 0.5, 0), (0, 0, 0, 0.5)]
     with pytest.raises(ValueError, match=r"seed point .* is not a sequence of integers"):
-        saturation._is_symmetric(seed)
-    assert saturation._is_symmetric([(1, 0), (0, 1)])
-    assert not saturation._is_symmetric([(1, 0)])
+        saturation.close_seed(seed, 1, 4, 0)
+    # a whole S_2-orbit goes to the orbit engine, half of one to the grid alone
+    for seed, engine in (([(1, 0), (0, 1)], "close_orbits"), ([(1, 0)], "close_cube")):
+        with mock.patch.object(saturation, "close_orbits", wraps=close_orbits) as orbits, \
+                mock.patch.object(saturation, "close_cube", wraps=close_cube) as cube:
+            _, missing = saturation.close_seed(seed, 1, 2, 0)
+        calls = [name for name, m in (("close_orbits", orbits), ("close_cube", cube)) if m.called]
+        assert missing and calls == [engine]
 
 
 def test_integer_seed_coordinates_of_any_integer_type_are_read():
@@ -717,10 +723,33 @@ def test_the_margin_climb_closes_the_reps_already_read():
     with mock.patch.object(saturation, "close_orbits", recording):
         state, missing = saturation.close_seed(seed, 1, 8, None)
     assert missing == () and state.box == Box(lo=-1, hi=2, k=8)
-    (first, read), climb = calls[0], calls[1:]
-    assert len(first) == 256 and len(read.seed) == 9
-    # margins 0 and 1 of the requested 2, each given the 9 reps alone
-    assert [seed for seed, _ in climb] == [read.seed] * 2
+    reps = calls[0][1].seed
+    assert len(reps) == 9
+    # the requested margin 2, then margins 0 and 1, each given the 9 reps alone
+    assert [seed for seed, _ in calls] == [reps] * 3
+
+
+@pytest.mark.parametrize(
+    "weight, points, calls", [(None, 256, 3), (0, 255, 1)], ids=["full", "inconclusive"]
+)
+def test_close_seed_reads_each_seed_point_once(weight, points, calls):
+    # xk1(8), or xk1(8) without its weight-0 orbit, which does not generate
+    first, second = xk1(8).blocks
+    seed = [p for p in first.bundles() if sum(p) != weight]
+    seed += [twist(p, 1) for p in second.bundles()]
+    reads = []
+
+    def counting(p, what):
+        reads.append(p)
+        return lattice._integer_point(p, what)
+
+    with mock.patch.object(saturation, "_integer_point", counting):
+        _, missing = saturation.close_seed(seed, 1, 8, None)
+    assert (missing == ()) == (weight is None)
+    assert len(seed) == points and reads[:points] == seed
+    # then only the reps, once in each close_orbits call
+    reps = {canonical_rep(p) for p in seed}
+    assert collections.Counter(reads[points:]) == {r: calls for r in reps}
 
 
 def test_missing_points_refuses_target_outside_box():

@@ -141,6 +141,14 @@ def test_a_small_k_3_closure_loads_no_numpy(tmp_path):
     assert probe(code)["loaded"] == ["lefkit.saturation", "lefkit.explorer"]
 
 
+def test_a_refused_full_closure_loads_no_numpy(tmp_path):
+    # xk1(16) covers the cube from margin 1 on, and [-1, 2]^16 is above MAX_BOX_CELLS
+    seed = tmp_path / "xk1_16.json"
+    seed.write_text(lefschetz.collection_to_json(lefschetz.xk1(16)), encoding="utf-8")
+    code = run_cli(2, "closure", "--seed-file", str(seed))
+    assert probe(code)["loaded"] == ["lefkit.saturation", "lefkit.explorer"]
+
+
 def test_the_theorem_grid_from_k_4_on_loads_no_numpy():
     code = "import lefkit\nassert lefkit.check_theorem_semiorthogonality(4, 6) is None"
     assert probe(code)["loaded"] == []

@@ -18,10 +18,10 @@ import sys
 
 from .ext import ext_graded, is_orthogonal_pair
 from .lattice import (
-    ORBIT_MIN_K,
     Box,
     _refuse_above_limit,
     format_multidegree,
+    on_reps,
     orbit_set,
     parse_multidegree,
 )
@@ -182,11 +182,11 @@ def cmd_verify(args) -> int:
         dump = collection_to_json(coll).splitlines()
         return _render(args, EXIT_OK, text=dump, json=dump)
 
-    # below ORBIT_MIN_K a closure above REPS_MAX_CELLS seeds the grid with every
-    # bundle (no twist table lists one): any such collection is sized as
-    # flattened, so a refusal depends neither on the verdict nor on the form
-    # that decides it
-    if coll.k < ORBIT_MIN_K:
+    # where on_reps does not hold for the fullness box, the closure seeds the
+    # grid with every bundle (no twist table lists one): such a collection is
+    # sized as flattened first, so a refusal depends neither on the verdict
+    # nor on the form that decides it, and comes before any Ext check
+    if not on_reps(coll.k, _cube_box(coll.n, coll.k, args.margin).size):
         _refuse_above_limit(sum(ranks(coll)))
     if is_exceptional(coll):
         violation_count, violations = 0, []
@@ -492,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("closure", help="window-generation closure from a seed file")
-    p.add_argument("--seed-file", "--seed", dest="seed_file", required=True)
+    p.add_argument("--seed-file", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--margin", type=int)
     p.add_argument("--trace-out", help="write the rule trace as JSON lines")

@@ -29,7 +29,8 @@ MAX_ORBIT_BUNDLES = 2 ** 22
 # whatever the input's size: the closure of an S_k-stable seed (for fullness and
 # for `lefkit closure`) and the twist table.  Below it an orbit holds at most
 # 3! = 6 bundles, and once numpy is loaded the array forms are six to forty times
-# faster near REPS_MAX_CELLS cells (BENCH_34.json).
+# faster near REPS_MAX_CELLS cells (BENCH_34.json).  Only on_reps reads it: every
+# engine choice, and the CLI's fail-fast size of a flattened collection, asks on_reps.
 ORBIT_MIN_K = 4
 
 # Most cells of a k < ORBIT_MIN_K input still decided on reps: a twist table's rows
@@ -66,6 +67,15 @@ def stabilizer_shape(a) -> tuple[int, ...]:
     This partition of k names the Young subgroup fixing the point.
     """
     return tuple(sorted(Counter(a).values(), reverse=True))
+
+
+def _multinomial(counts) -> int:
+    """k! over the factorials of counts, k = sum(counts).
+
+    The one orbit-size formula: an S_k-orbit whose coordinate values occur
+    counts times has this many points, and C[S_k / S_counts] this dimension.
+    """
+    return factorial(sum(counts)) // prod(map(factorial, counts))
 
 
 def parse_multidegree(text: str, k: int | None = None) -> Multidegree:
@@ -125,8 +135,8 @@ class Orbit:
 
     @cached_property
     def size(self) -> int:
-        """Orbit-stabilizer: k! over the order of the Young subgroup fixing rep."""
-        return factorial(len(self.rep)) // prod(map(factorial, self.stabilizer_shape))
+        """Orbit-stabilizer: k! over the order of the Young subgroup fixing rep (_multinomial)."""
+        return _multinomial(self.stabilizer_shape)
 
     @cached_property
     def elements(self) -> tuple[Multidegree, ...]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
 
-from .lattice import OrbitSet
+from .lattice import OrbitSet, _multinomial
 
 Partition = tuple[int, ...]
 
@@ -174,9 +174,13 @@ def kostka(mu, lam) -> int:
 
 
 def perm_module_dim(lam) -> int:
-    """Dimension of the permutation module C[S_k / S_lam] (a multinomial)."""
-    lam = _check_partition(lam)
-    return factorial(sum(lam)) // prod(factorial(p) for p in lam)
+    """Dimension of the permutation module C[S_k / S_lam] (a multinomial).
+
+    lam is checked as a partition, then sized by lattice._multinomial, the
+    formula of every orbit size: an S_k-orbit of stabilizer shape lam has
+    this many points.
+    """
+    return _multinomial(_check_partition(lam))
 
 
 def content_orbit_count(h: int, lam) -> int:

@@ -36,7 +36,7 @@ replay_trace reads.
 A seed of points has one reader, _seed_tuples: it takes each coordinate
 through lattice._integer_point and refuses a point of another arity than
 k or outside the box.  An integer array seed is checked vectorised, and
-read by _seed_tuples only to name a refused point.  The two replayers
+read by _seed_tuples only when it is refused, to name the point.  The two replayers
 alone read points on their own, so that they check a trace independently.
 """
 
@@ -55,11 +55,13 @@ from .lattice import (
     Orbit,
     OrbitSet,
     _integer_point,
+    _multinomial,
     _multiset_permutations,
     _refuse_above_limit,
     canonical_rep,
     format_multidegree,
     on_reps,
+    stabilizer_shape,
 )
 from .lefschetz import (
     LefschetzCollection,
@@ -261,7 +263,7 @@ class OrbitClosureState:
 
     @functools.cached_property
     def member_count(self) -> int:
-        return sum(Orbit(r).size for r in self.members)
+        return sum(_multinomial(stabilizer_shape(r)) for r in self.members)
 
     @property
     def trace_length(self) -> int:
@@ -428,8 +430,9 @@ def _seed_array(seed, box: Box, drop_outside: bool = False) -> np.ndarray:
 
     seed is an iterable of points or already such an array, read as
     _seed_tuples reads it.  A signed integer array is checked and dropped
-    vectorised, and a refused one is read by _seed_tuples for the message;
-    any other seed goes point by point through _seed_tuples.
+    vectorised; one with a point outside the box and nothing dropped, like
+    any other seed, goes point by point through _seed_tuples, which names
+    the refused point.
     """
     np = _numpy()
     k = box.k
@@ -439,9 +442,8 @@ def _seed_array(seed, box: Box, drop_outside: bool = False) -> np.ndarray:
             inside = ((points >= box.lo) & (points <= box.hi)).all(axis=1)
             if drop_outside:
                 return points[inside]
-            if not inside.all():
-                _seed_tuples(points.tolist(), box, False)
-            return points
+            if inside.all():
+                return points
         seed = seed.tolist()
     return _rows(_seed_tuples(seed, box, drop_outside), k)
 
@@ -669,7 +671,7 @@ def close_seed(seed, n: int, k: int, margin: int | None):
     points = frozenset(seed)
     reps = frozenset(map(canonical_rep, points))
     least, advice = margin, "use a smaller margin"
-    if len(points) == sum(Orbit(r).size for r in reps):
+    if len(points) == sum(_multinomial(stabilizer_shape(r)) for r in reps):
         state, missing = close_orbits(reps, n, k, margin)
         if missing:
             return state, missing

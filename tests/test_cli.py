@@ -642,7 +642,7 @@ def test_closure_inconclusive_exits_3(capsys, tmp_path):
 
 
 def test_closure_seed_is_read_as_seed_file(capsys, tmp_path):
-    # --seed reads as --seed-file, whether as its alias or as its argparse prefix
+    # --seed reads as --seed-file, as its argparse prefix
     seed_path = tmp_path / "seed.json"
     for points, rc in ((["(0,0)"], 3), (["(0,0)", "(1,0)", "(0,1)", "(1,1)"], 0)):
         seed_path.write_text(json.dumps({"k": 2, "points": points}))
@@ -765,6 +765,19 @@ def test_oversized_flattened_collection_refused_before_flattening(capsys, monkey
     rc, out, err = run(capsys, "verify", "--builtin", "x3n-rectangular", "--n", "300")
     assert (rc, out) == (2, "")
     assert err == "error: S_k-stable set of 27270901 bundles is more than the limit of 4194304\n"
+
+
+def test_the_flattened_pre_size_follows_the_router(capsys, monkeypatch):
+    # a collection is sized as flattened only where its fullness closes on the grid, which
+    # lists every bundle: x32-minimal's box of 9^3 cells closes on reps, x3n(9)'s 30^3 not
+    unpatched = run(capsys, "verify", "--builtin", "x32-minimal")
+    assert unpatched[0] == 0 and sum(lefschetz.ranks(x32_minimal())) > 10
+    monkeypatch.setattr(lattice, "MAX_ORBIT_BUNDLES", 10)
+    assert run(capsys, "verify", "--builtin", "x32-minimal") == unpatched
+    bundles = sum(lefschetz.ranks(lefschetz.x3n_rectangular(9)))
+    rc, out, err = run(capsys, "verify", "--builtin", "x3n-rectangular", "--n", "9")
+    assert (rc, out) == (2, "")
+    assert err == f"error: S_k-stable set of {bundles} bundles is more than the limit of 10\n"
 
 
 def test_oversized_search_pools_refused_before_drawing_reps(capsys, monkeypatch):

@@ -3,7 +3,8 @@ no defaulted parameter goes unpassed, no unexported default is passed by every c
 no module calls a BLAS routine or imports numpy past `lefkit._numpy` (which
 loads OpenBLAS with one thread), none calls `_numpy()` when it is imported,
 every choice between orbit reps and the array forms goes through `lattice.on_reps`,
-and in `saturation` only the seed reader and the two replayers read points."""
+in `saturation` only the seed reader and the two replayers read points, and no
+orbit is built only to read its size."""
 
 import ast
 from pathlib import Path
@@ -269,9 +270,9 @@ def test_a_planted_bundle_listing_is_caught():
     assert bundle_listing_names(planted) == BUNDLE_LISTING_NAMES
 
 
-# the modules that may name each constant of lattice.on_reps; cli keeps ORBIT_MIN_K
-# for its fail-fast size of a flattened k < ORBIT_MIN_K collection
-ROUTING_CONSTANTS = {"ORBIT_MIN_K": {"lattice.py", "cli.py"}, "REPS_MAX_CELLS": {"lattice.py"}}
+# the modules that may name each constant of lattice.on_reps: none but lattice, since
+# cli's fail-fast size of a flattened collection asks on_reps too
+ROUTING_CONSTANTS = {"ORBIT_MIN_K": {"lattice.py"}, "REPS_MAX_CELLS": {"lattice.py"}}
 
 
 def routing_constants_outside_the_router(modules):
@@ -308,6 +309,7 @@ def test_a_planted_engine_choice_is_caught():
     )
     cli = ast.parse("from .lattice import ORBIT_MIN_K, REPS_MAX_CELLS\n")
     assert routing_constants_outside_the_router({"cli.py": cli, "planted.py": planted}) == [
+        "cli.py: ORBIT_MIN_K",
         "cli.py: REPS_MAX_CELLS",
         "planted.py: ORBIT_MIN_K",
         "planted.py: REPS_MAX_CELLS",
@@ -348,3 +350,34 @@ def test_a_planted_second_point_reader_is_caught():
         "ORIGIN = _integer_point((0, 0), 'origin')\n"
     )
     assert point_readers_outside(planted, POINT_READERS) == ["_is_symmetric", "Reader", "<module>"]
+
+
+def orbits_built_to_be_sized(tree):
+    """Line of each `Orbit(...).size` or `orbit_of(...).size` in `tree`, ascending."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "size"
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", getattr(node.value.func, "attr", None))
+        in {"Orbit", "orbit_of"}
+    )
+
+
+def test_no_orbit_is_built_only_to_read_its_size():
+    # every orbit size is lattice._multinomial of a stabilizer shape, so a rep is sized as it is
+    found = {name: orbits_built_to_be_sized(tree) for name, tree in parsed_modules().items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_a_planted_orbit_built_to_be_sized_is_caught():
+    planted = ast.parse(
+        '"""Orbit(r).size is what docstrings may say."""\n\n\n'
+        "def count(reps, orbits):\n"
+        "    sizes = [Orbit(r).size for r in reps]\n"
+        "    sizes.append(lattice.orbit_of(reps[0]).size)\n"
+        "    sizes.append(lattice.Orbit(reps[0]).size)\n"
+        "    return sum(sizes) + sum(o.size for o in orbits) + len(Orbit(reps[0]).elements)\n"
+    )
+    assert orbits_built_to_be_sized(planted) == [5, 6, 7]

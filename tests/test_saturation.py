@@ -623,6 +623,8 @@ def test_seed_intake_refuses_as_point_by_point(seed, drop_outside):
     ]
     if not drop_outside:
         closers.append(lambda: close(seed, 1, box))
+    if seed and len(set(map(len, seed))) == 1:  # an integer array is checked vectorised
+        closers.append(lambda: close_cube(np.array(seed), 1, 3, 1, drop_outside=drop_outside))
     for closer in closers:
         with pytest.raises(ValueError) as info:
             closer()

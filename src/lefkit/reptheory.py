@@ -8,12 +8,12 @@ collections on products of h-1 dimensional projective spaces.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
 
-from .lattice import OrbitSet, _multinomial
+from .lattice import OrbitSet, _multinomial, stabilizer_shape
 
 Partition = tuple[int, ...]
 
@@ -184,14 +184,15 @@ def perm_module_dim(lam) -> int:
 
 
 def content_orbit_count(h: int, lam) -> int:
-    """Multisets of size |lam| drawn from h values whose multiplicities sort to lam."""
+    """Multisets of size |lam| drawn from h values whose multiplicities sort to lam.
+
+    That is the S_h-orbit of the multiplicity vector, lam padded with zeros to
+    h values, sized by lattice._multinomial.
+    """
     lam = _check_partition(lam)
-    r = len(lam)
-    if r > h:
+    if len(lam) > h:
         return 0
-    falling = prod(range(h - r + 1, h + 1))
-    rep_counts = Counter(lam)
-    return falling // prod(factorial(c) for c in rep_counts.values())
+    return _multinomial(stabilizer_shape(lam + (0,) * (h - len(lam))))
 
 
 def divisibility_criterion(h: int, k: int):

@@ -24,7 +24,7 @@ from .ext import _refuse_twist_table, first_failing_twists
 from .lattice import Orbit, OrbitSet, normalised_reps, orbit_set
 from .lefschetz import LefschetzCollection
 from .reptheory import content_orbit_count, decreasing_tuples, partitions_of, perm_module_dim
-from .saturation import FULL, INCONCLUSIVE, _margin, verify_fullness
+from .saturation import FULL, INCONCLUSIVE, _cube_box, verify_fullness
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class SearchSpec:
             raise ValueError("budget must be positive")
         if self.pool_hi is not None and self.pool_hi < 0:
             raise ValueError("pool_hi must be nonnegative")
-        _margin(self.n, self.margin)
+        _cube_box(self.n, self.k, self.margin)
 
 
 @dataclass

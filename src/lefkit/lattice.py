@@ -21,8 +21,8 @@ from math import factorial, prod
 Multidegree = tuple[int, ...]
 
 # Most bundles enumerated at once: Orbit.elements, OrbitSet.bundles and a flattened
-# collection are sized by rep and refused above it before any bundle exists.  xk1(14),
-# the largest collection the tests and benchmarks flatten, has 16,384.
+# collection are sized by rep and refused above it before any bundle exists.  xk1(16),
+# the largest collection the tests and benchmarks flatten, has 65,536.
 MAX_ORBIT_BUNDLES = 2 ** 22
 
 # Smallest k at which S_k-orbits are handled by their reps alone in pure Python,

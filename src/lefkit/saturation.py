@@ -24,14 +24,15 @@ weakly decreasing (k-1)-tuple M.  It visits C(W+k-2, k-1) lines of W
 points instead of the grid's W^k cells, in pure Python.  Fullness verdicts
 and close_seed use it where lattice.on_reps holds for the box: from k =
 ORBIT_MIN_K on, and on boxes small enough that it costs less than loading
-numpy below that.  close_seed reads its seed once, decides there whether
-it is S_k-stable, and hands close_orbits its reps.  Its INCONCLUSIVE
-answers on reps stand, and a FULL one is redone on the grid, whose state
-certificate slices, in the least box that covers the cube: the closure
-grows with the box, so the orbit engine finds that box by trying the
-margins in ascending order, on the same reps.  replay_orbit_trace checks
-its rules, and expand_orbit_trace turns them into the RuleApplications
-replay_trace reads.
+numpy below that.  close_seed reads its seed once on every route, before
+any box is sized, and hands close_orbits the reps of an S_k-stable seed
+where on_reps holds.  Its INCONCLUSIVE answers on reps stand; every other
+seed goes to the grid once, a FULL one in the least box that covers the
+cube, for the certificate a ClosureState slices: the closure grows with
+the box, so the orbit engine finds that box by trying the margins in
+ascending order, on the same reps.  replay_orbit_trace checks its rules,
+and expand_orbit_trace turns them into the RuleApplications replay_trace
+reads.  _cube_box alone turns a margin into a box.
 
 A seed of points has one reader, _seed_tuples: it takes each coordinate
 through lattice._integer_point and refuses a point of another arity than
@@ -302,19 +303,16 @@ def _refuse_small_n(n: int):
         raise ValueError(f"n must be at least 1, got {n}")
 
 
-def _margin(n: int, margin: int | None) -> int:
-    """The closure margin around the cube [0, n]^k: n + 1 by default, never negative."""
-    if margin is None:
-        return n + 1
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    return margin
-
-
 def _cube_box(n: int, k: int, margin: int | None) -> Box:
-    """The working box [-m, n+m]^k around the cube [0, n]^k, m by _margin; n below 1 is refused."""
-    m = _margin(n, margin)
+    """The working box [-m, n+m]^k around the cube [0, n]^k, for the margin m.
+
+    The one reader of a closure margin: m defaults to n + 1.  A negative
+    margin is refused, then n below 1.
+    """
+    if margin is not None and margin < 0:
+        raise ValueError("margin must be nonnegative")
     _refuse_small_n(n)
+    m = n + 1 if margin is None else margin
     return Box(lo=-m, hi=n + m, k=k)
 
 
@@ -642,36 +640,31 @@ def close_orbits(seed, n: int, k: int, margin: int | None = None, drop_outside: 
 def close_seed(seed, n: int, k: int, margin: int | None):
     """close_cube's answer, decided on orbit reps where the seed allows it.
 
-    Where lattice.on_reps(k, box cells) holds for the requested box
-    (_generation_verdict's rule: from k = ORBIT_MIN_K on, and for boxes of
-    at most REPS_MAX_CELLS cells below it), _seed_tuples reads the seed
-    once, refusing as close_cube would.  The seed is S_k-stable when its
-    distinct points number the orbit sizes summed over their reps; then
-    close_orbits closes the reps.  Both engines reach the same least fixed
-    point, so when the cube is not covered the OrbitClosureState stands,
-    with close_cube's member count and missing sample.  When it is
-    covered, close_orbits tries the margins 0, 1, ... up to the requested
-    one on the reps, all inside the requested cube box, so dropping those
-    outside a smaller one drops whole orbits of seed points; close_cube
-    runs with drop_outside at the first margin that covers the cube, for
-    the grid state that ClosureState.certificate slices.  The closure
-    grows with the box, so that is the least box whose grid covers the
-    cube, and a certificate built in it replays unchanged in the requested
-    box.  An unstable seed is closed by close_cube in the requested box.
-    The grid closes one int64 array of the points read, built after its
-    box has passed MAX_BOX_CELLS, so a refused seed loads no numpy.  A
-    seed point is refused before any box size, an orbit box is sized by
-    MAX_ORBIT_LINES, and a FULL seed's grid box at the least margin.
-    Where on_reps does not hold, close_cube alone reads the seed.
+    _seed_tuples reads the seed once, in the requested box, before any box
+    is sized, so a seed point is refused alike on every route.  Where
+    lattice.on_reps(k, box cells) holds (_generation_verdict's rule) and
+    the seed is S_k-stable, its distinct points numbering the orbit sizes
+    summed over their reps, close_orbits closes the reps.  Both engines
+    reach the same least fixed point, so when the cube is not covered the
+    OrbitClosureState stands, with close_cube's member count and missing
+    sample.  When it is covered, close_orbits tries the margins 0, 1, ...
+    up to the requested one on the reps, and the first that covers the
+    cube is the least box whose grid covers it: the closure grows with the
+    box, and dropping the seed points outside a smaller box drops whole
+    orbits.  Every other seed, off the router, unstable or FULL, has one
+    grid hand-off: its box, the least for a FULL one and the requested
+    one otherwise, is refused above MAX_BOX_CELLS, and then close_cube
+    closes one int64 array of the points read, with drop_outside, for the
+    state that ClosureState.certificate slices; a certificate built in
+    the least box replays unchanged in the requested one.  So a refused
+    seed loads no numpy.
     """
     box = _cube_box(n, k, margin)
-    if not on_reps(k, box.size):
-        return close_cube(seed, n, k, margin)
     seed = _seed_tuples(seed, box, False)
     points = frozenset(seed)
     reps = frozenset(map(canonical_rep, points))
     least, advice = margin, "use a smaller margin"
-    if len(points) == sum(_multinomial(stabilizer_shape(r)) for r in reps):
+    if on_reps(k, box.size) and len(points) == sum(_multinomial(stabilizer_shape(r)) for r in reps):
         state, missing = close_orbits(reps, n, k, margin)
         if missing:
             return state, missing

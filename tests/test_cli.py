@@ -641,6 +641,14 @@ def test_closure_inconclusive_exits_3(capsys, tmp_path):
     assert "status: INCONCLUSIVE" in out
 
 
+def test_closure_names_a_seed_point_outside_a_box_above_the_grid_limit():
+    # [-500, 501]^3 is off the router and above MAX_BOX_CELLS: the point is named first
+    seed = points_doc(3, [(0, 0, 0), (600, 0, 0)])
+    rc, out, err = run_closure(seed, "--n", "1", "--margin", "500")
+    assert (rc, out) == (2, "")
+    assert err == "error: seed point (600,0,0) outside box [-500, 501]^3\n"
+
+
 def test_closure_seed_is_read_as_seed_file(capsys, tmp_path):
     # --seed reads as --seed-file, as its argparse prefix
     seed_path = tmp_path / "seed.json"

@@ -515,6 +515,22 @@ def test_seed_points_of_another_arity_are_refused_not_dropped():
             close_seed([(0, 0, 0, 0), (0, 0, 0)])
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_close_seed_refuses_a_seed_point_before_its_box_on_every_route(k):
+    # [-500, 501]^k is above MAX_BOX_CELLS, and off the router for k = 3 alone;
+    # on both routes the point is named, not the box
+    box = Box(lo=-500, hi=501, k=k)
+    assert box.size > MAX_BOX_CELLS and lattice.on_reps(k, box.size) == (k == 4)
+    zero, far = (0,) * k, (600,) + (0,) * (k - 1)
+    for seed, message in (
+        ([zero, far], f"seed point ({'600' + ',0' * (k - 1)}) outside box [-500, 501]^{k}"),
+        ([zero, zero[1:]], f"seed point ({','.join('0' * (k - 1))}) has arity {k - 1}, not k={k}"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            saturation.close_seed(seed, 1, k, 500)
+        assert str(refused.value) == message
+
+
 @pytest.mark.parametrize(
     "seed",
     [
@@ -752,6 +768,24 @@ def test_close_seed_reads_each_seed_point_once(weight, points, calls):
     # then only the reps, once in each close_orbits call
     reps = {canonical_rep(p) for p in seed}
     assert collections.Counter(reads[points:]) == {r: calls for r in reps}
+
+
+def test_close_seed_reads_each_seed_point_once_off_the_router():
+    # x3n(9) in its default box of 30^3 cells, above REPS_MAX_CELLS: the grid
+    # closes the points read, as an array, and no orbit engine runs
+    seed, box = flatten_bundles(x3n_rectangular(9)), Box(lo=-10, hi=19, k=3)
+    assert len(seed) == 1000 and not lattice.on_reps(3, box.size)
+    reads = []
+
+    def counting(p, what):
+        reads.append(p)
+        return lattice._integer_point(p, what)
+
+    with mock.patch.object(saturation, "_integer_point", counting), \
+            mock.patch.object(saturation, "close_orbits") as orbits:
+        state, missing = saturation.close_seed(seed, 9, 3, None)
+    assert reads == list(seed) and not orbits.called
+    assert missing == () and state.box == box
 
 
 def test_missing_points_refuses_target_outside_box():

@@ -662,9 +662,9 @@ def close_seed(seed, n: int, k: int, margin: int | None):
     box = _cube_box(n, k, margin)
     seed = _seed_tuples(seed, box, False)
     points = frozenset(seed)
-    reps = frozenset(map(canonical_rep, points))
+    reps = frozenset(map(canonical_rep, points)) if on_reps(k, box.size) else None
     least, advice = margin, "use a smaller margin"
-    if on_reps(k, box.size) and len(points) == sum(_multinomial(stabilizer_shape(r)) for r in reps):
+    if reps is not None and len(points) == sum(_multinomial(stabilizer_shape(r)) for r in reps):
         state, missing = close_orbits(reps, n, k, margin)
         if missing:
             return state, missing

@@ -515,20 +515,23 @@ def test_seed_points_of_another_arity_are_refused_not_dropped():
             close_seed([(0, 0, 0, 0), (0, 0, 0)])
 
 
-@pytest.mark.parametrize("k", [3, 4])
-def test_close_seed_refuses_a_seed_point_before_its_box_on_every_route(k):
+@pytest.mark.parametrize(
+    "k, point, message",
+    [
+        (3, (600, 0, 0), "seed point (600,0,0) outside box [-500, 501]^3"),
+        (3, (0, 0), "seed point (0,0) has arity 2, not k=3"),
+        (4, (600, 0, 0, 0), "seed point (600,0,0,0) outside box [-500, 501]^4"),
+        (4, (0, 0, 0), "seed point (0,0,0) has arity 3, not k=4"),
+    ],
+)
+def test_close_seed_refuses_a_seed_point_before_its_box_on_every_route(k, point, message):
     # [-500, 501]^k is above MAX_BOX_CELLS, and off the router for k = 3 alone;
     # on both routes the point is named, not the box
     box = Box(lo=-500, hi=501, k=k)
     assert box.size > MAX_BOX_CELLS and lattice.on_reps(k, box.size) == (k == 4)
-    zero, far = (0,) * k, (600,) + (0,) * (k - 1)
-    for seed, message in (
-        ([zero, far], f"seed point ({'600' + ',0' * (k - 1)}) outside box [-500, 501]^{k}"),
-        ([zero, zero[1:]], f"seed point ({','.join('0' * (k - 1))}) has arity {k - 1}, not k={k}"),
-    ):
-        with pytest.raises(ValueError) as refused:
-            saturation.close_seed(seed, 1, k, 500)
-        assert str(refused.value) == message
+    with pytest.raises(ValueError) as refused:
+        saturation.close_seed([(0,) * k, point], 1, k, 500)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize(
